@@ -12,6 +12,7 @@ import numpy as np
 from . import rngstream as rs
 from .moment_oracle import lift_nominal
 from .shape_ops import selection_matrices, svec_dim
+from .system_model import DIVERGENCE_LIMIT
 
 __all__ = [
     "RlsState",
@@ -27,9 +28,6 @@ __all__ = [
 #: Diffuse-prior initialization for the information matrix, P0 = INIT_COV * I.
 INIT_COV = 1e6
 
-#: Any |entry| beyond this freezes the recursion and sets the divergence flag.
-DIVERGENCE_LIMIT = 1e12
-
 
 @dataclass
 class RlsState:
@@ -41,9 +39,9 @@ class RlsState:
     diverged: bool
 
 
-def _too_big(a, axis):
-    finite = np.where(np.isfinite(a), a, np.inf)
-    return ~np.isfinite(a).all(axis=axis) | (np.max(np.abs(finite), axis=axis) > DIVERGENCE_LIMIT)
+def _too_big(a, axis=None):
+    """Whether any entry along ``axis`` (default: all) is NaN, infinite or > DIVERGENCE_LIMIT."""
+    return ~(np.abs(a) <= DIVERGENCE_LIMIT).all(axis=axis)
 
 
 def _rls_batch(phi, target, checkpoints):
@@ -65,13 +63,23 @@ def _rls_batch(phi, target, checkpoints):
     if any(c < 1 or c > T for c in cps):
         raise ValueError(f"checkpoints must lie in 1..{T}")
     out = np.empty((len(cps), R, p, d))
+    phi_t = phi.swapaxes(0, 1)  # time-major views: step t is phi_t[t]
+    target_t = target.swapaxes(0, 1)
+    bad_data = (_too_big(phi, 2) | _too_big(target, 2)).T  # (T, R)
+    any_bad = bad_data.any(axis=1).tolist()
+    all_alive = True  # while set, the masking and freeze bookkeeping are no-ops
     nxt = 0
     for t in range(T):
-        bad = _too_big(phi[:, t, :], 1) | _too_big(target[:, t, :], 1)
-        freeze_step[alive & bad] = t + 1
-        alive &= ~bad
-        ph = np.where(alive[:, None], phi[:, t, :], 0.0)
-        y = np.where(alive[:, None], target[:, t, :], 0.0)
+        ph, y = phi_t[t], target_t[t]
+        if not all_alive or any_bad[t]:
+            bad = bad_data[t]
+            freeze_step[alive & bad] = t + 1
+            alive &= ~bad
+            all_alive = False
+            if not alive.any():
+                break
+            ph = np.where(alive[:, None], ph, 0.0)
+            y = np.where(alive[:, None], y, 0.0)
         Pph = np.einsum("rij,rj->ri", P, ph)
         denom = 1.0 + np.einsum("ri,ri->r", ph, Pph)
         gain = Pph / denom[:, None]
@@ -79,15 +87,23 @@ def _rls_batch(phi, target, checkpoints):
         theta_new = theta + np.einsum("rp,rd->rpd", resid, gain)
         P_new = P - np.einsum("ri,rj->rij", gain, Pph)
         P_new = 0.5 * (P_new + P_new.swapaxes(1, 2))
-        blown = alive & (_too_big(theta_new, (1, 2)) | _too_big(P_new, (1, 2)))
-        freeze_step[blown] = t + 1
-        keep = (alive & ~blown)[:, None, None]
-        theta = np.where(keep, theta_new, theta)
-        P = np.where(keep, P_new, P)
-        alive &= ~blown
+        if all_alive and not (_too_big(theta_new) or _too_big(P_new)):
+            theta, P = theta_new, P_new
+        else:
+            blown = alive & (_too_big(theta_new, (1, 2)) | _too_big(P_new, (1, 2)))
+            freeze_step[blown] = t + 1
+            keep = (alive & ~blown)[:, None, None]
+            theta = np.where(keep, theta_new, theta)
+            P = np.where(keep, P_new, P)
+            alive &= ~blown
+            all_alive = False
         while nxt < len(cps) and cps[nxt] == t + 1:
             out[nxt] = theta
             nxt += 1
+        if not all_alive and not alive.any():
+            break
+    # every run is frozen from here on: later checkpoints repeat the frozen estimates
+    out[nxt:] = theta
     states = [
         RlsState(theta=theta[r], P=P[r], steps=T, diverged=bool(~alive[r])) for r in range(R)
     ]
@@ -116,7 +132,8 @@ def second_moment_regressors(states, inputs):
     """Reduced quadratic regressors of the single-trajectory covariance dynamic.
 
     Per step: target P1 vec(x_{t+1} x_{t+1}'), regressor blocks
-    [P1 vec(x x'); P2 vec(u u'); vec(x u'); vec(u x')].
+    [P1 vec(x x'); P2 vec(u u'); vec(x u'); vec(u x')].  states (..., T+1, n)
+    and inputs (..., T, m) may carry leading batch axes, kept in the outputs.
     """
     states = np.asarray(states, dtype=float)
     inputs = np.asarray(inputs, dtype=float)
@@ -124,14 +141,17 @@ def second_moment_regressors(states, inputs):
     m = inputs.shape[-1]
     kept_n = selection_matrices(n).kept
     kept_m = selection_matrices(m).kept
-    x0, x1, u = states[:-1], states[1:], inputs
-    # einsum index order (j, i) then row-major reshape = column-stacking vec
-    xx = np.einsum("ti,tj->tji", x0, x0).reshape(len(u), -1)[:, kept_n]
-    uu = np.einsum("ti,tj->tji", u, u).reshape(len(u), -1)[:, kept_m]
-    xu = np.einsum("ti,tj->tji", x0, u).reshape(len(u), -1)
-    ux = np.einsum("ti,tj->tji", u, x0).reshape(len(u), -1)
-    phi = np.concatenate([xx, uu, xu, ux], axis=1)
-    target = np.einsum("ti,tj->tji", x1, x1).reshape(len(u), -1)[:, kept_n]
+    x0, x1, u = states[..., :-1, :], states[..., 1:, :], inputs
+    lead = u.shape[:-1]
+
+    def vec_outer(a, b):
+        # einsum index order (j, i) then row-major reshape = column-stacking vec
+        return np.einsum("...i,...j->...ji", a, b).reshape(lead + (-1,))
+
+    xx = vec_outer(x0, x0)[..., kept_n]
+    uu = vec_outer(u, u)[..., kept_m]
+    phi = np.concatenate([xx, uu, vec_outer(x0, u), vec_outer(u, x0)], axis=-1)
+    target = vec_outer(x1, x1)[..., kept_n]
     return phi, target
 
 
@@ -169,7 +189,11 @@ def rls_second_moment(states, inputs, nominal_estimates, checkpoints=None):
 
 
 class GaussianInputLaw:
-    """i.i.d. standard normal inputs (the plain RLS baseline)."""
+    """i.i.d. standard normal inputs (the plain RLS baseline).
+
+    Input laws draw u_t for rollout indices ``ks`` at a time index ``t`` or a
+    1-D array of them (which adds a leading time axis).
+    """
 
     def __init__(self, m):
         self.m = m
@@ -190,12 +214,7 @@ class PeriodicInputLaw:
         self.m = schedule.m
 
     def sample(self, seed, ks, t):
-        sched = self.schedule
-        tt = t % sched.ell
-        if sched.law == "deterministic":
-            return np.tile(sched.nu[tt], (len(ks), 1))
-        z = rs.unit_variance(seed, ks, t, rs.ROLE_INPUT, sched.m, sched.law)
-        return sched.nu[tt] + z @ sched._factors[tt].T
+        return self.schedule.sample_inputs(seed, ks, t)
 
     def mean(self, t):
         return self.schedule.nu[t % self.schedule.ell]
@@ -214,27 +233,33 @@ def simulate_single_trajectories(system, input_law, T, reps, seed):
     Unlike the multi-rollout simulator this records divergence instead of
     raising: a trajectory freezes at its last in-range state and
     diverged_at[r] is the first invalid step index (T + 1 if none).
+    The draws for the whole horizon are made up front (the keyed streams do
+    not depend on the order of draws); only the state recursion is per step.
     """
     n, m = system.n, system.m
     ks = np.arange(reps)
+    ts = np.arange(T)
+    u = input_law.sample(seed, ks, ts)  # (T, reps, m)
+    Abar, Bbar = system.noise.sample(seed, ks, ts, n, m)
+    Bu = np.einsum("tkij,tkj->tki", Bbar, u)
+    uB = u @ system.B.T
     states = np.zeros((reps, T + 1, n))
-    inputs = np.zeros((reps, T, m))
     x = np.zeros((reps, n))
     alive = np.ones(reps, dtype=bool)
+    all_alive = True
     diverged_at = np.full(reps, T + 1, dtype=int)
     for t in range(T):
-        u = input_law.sample(seed, ks, t)
-        Abar, Bbar = system.noise.sample(seed, ks, t, n, m)
-        x_new = (
-            np.einsum("kij,kj->ki", Abar, x)
-            + x @ system.A.T
-            + np.einsum("kij,kj->ki", Bbar, u)
-            + u @ system.B.T
-        )
-        blown = alive & _too_big(x_new, 1)
-        diverged_at[blown] = t + 1
-        alive &= ~blown
-        x = np.where(alive[:, None], x_new, x)
-        inputs[:, t, :] = u
+        x_new = np.einsum("kij,kj->ki", Abar[t], x) + x @ system.A.T + Bu[t] + uB[t]
+        if all_alive and not _too_big(x_new):
+            x = x_new
+        else:
+            all_alive = False
+            blown = alive & _too_big(x_new, 1)
+            diverged_at[blown] = t + 1
+            alive &= ~blown
+            x = np.where(alive[:, None], x_new, x)
+            if not alive.any():
+                states[:, t + 1 :, :] = x[:, None, :]  # every trajectory is frozen
+                break
         states[:, t + 1, :] = x
-    return states, inputs, diverged_at
+    return states, np.ascontiguousarray(u.swapaxes(0, 1)), diverged_at

@@ -483,7 +483,7 @@ def _run_rls_batch(system, input_law, T, reps, seed, checkpoints, truth_ab, trut
     _mask_after(phi_n, diverged_at)
     _mask_after(tgt_n, diverged_at)
     est_n, _, _, cps, freeze_n = _rls_batch(phi_n, tgt_n, checkpoints)
-    phi2, tgt2 = _batched_second_moment(states, inputs)
+    phi2, tgt2 = second_moment_regressors(states, inputs)
     _mask_after(phi2, diverged_at)
     _mask_after(tgt2, diverged_at)
     est_2, _, _, _, freeze_2 = _rls_batch(phi2, tgt2, checkpoints)
@@ -505,15 +505,4 @@ def _run_rls_batch(system, input_law, T, reps, seed, checkpoints, truth_ab, trut
 
 def _mask_after(arr, diverged_at):
     """Invalidate regression data past each trajectory's divergence point."""
-    for r, d in enumerate(diverged_at):
-        if d < arr.shape[1]:
-            arr[r, d:] = np.inf
-
-
-def _batched_second_moment(states, inputs):
-    phis, tgts = [], []
-    for r in range(states.shape[0]):
-        p, tg = second_moment_regressors(states[r], inputs[r])
-        phis.append(p)
-        tgts.append(tg)
-    return np.stack(phis), np.stack(tgts)
+    arr[np.arange(arr.shape[1]) >= diverged_at[:, None]] = np.inf

@@ -68,8 +68,10 @@ def empirical_moments(rollouts):
     """Averaged moments per the estimator: mu_hat, reduced Xt_hat, W, W', Ut.
 
     W_hat uses the designed means (vec(mu_hat nu')), and Ut the designed input
-    moments, not sampled input statistics.  Sums run over the rollout axis with
-    numpy's pairwise reduction, so results are independent of rollout order.
+    moments, not sampled input statistics.  Sums run over the rollout axis
+    (numpy's pairwise mean, a BLAS product for the second moments), so the
+    results depend on rollout order in the last bits: permuting the rollouts
+    can change mu_hat, Xt_hat and W by rounding.
     """
     if rollouts.n_r < 1:
         raise ValueError("empty rollout set")

@@ -46,18 +46,27 @@ def _mix64(z):
 
 
 def stream_keys(seed, k, t, role):
-    """64-bit stream seeds for rollout indices ``k`` (scalar or array)."""
+    """64-bit stream seeds for rollout indices ``k`` (scalar or array).
+
+    ``t`` is a time index or a 1-D array of them; an array adds a leading
+    time axis, giving shape (len(t),) + shape(k).  The hash is the same
+    either way, so key [i, j] equals stream_keys(seed, k[j], t[i], role).
+    """
     k = np.asarray(k, dtype=np.uint64)
     with np.errstate(over="ignore"):
         s = _mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + _GAMMA)
         s = _mix64(s ^ ((k + np.uint64(1)) * _GAMMA))
-        s = _mix64(s ^ ((np.uint64(t) + np.uint64(1)) * _M1))
+        t = np.uint64(t)
+        if t.ndim:
+            t = t.reshape((-1,) + (1,) * k.ndim)
+        s = _mix64(s ^ ((t + np.uint64(1)) * _M1))
         return _mix64(s ^ ((np.uint64(role) + np.uint64(1)) * _M2))
 
 
 def uniform01(seed, k, t, role, count):
     """``count`` U(0,1) draws per stream; shape (len(k), count) or (count,).
 
+    An array ``t`` adds a leading time axis: (len(t), len(k), count).
     Draw i of a stream with seed s is mix64(s + (i+1)*gamma), i.e. SplitMix64
     advanced by a counter.  Values lie strictly inside (0, 1).
     """
@@ -67,13 +76,13 @@ def uniform01(seed, k, t, role, count):
         if keys.ndim == 0:
             words = _mix64(keys + idx)
         else:
-            words = _mix64(keys[:, None] + idx[None, :])
+            words = _mix64(keys[..., None] + idx)
     # 53-bit mantissa, offset by half a ulp so 0 is excluded
     return ((words >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0**-53)
 
 
 def unit_variance(seed, k, t, role, count, law):
-    """Zero-mean unit-variance i.i.d. components per stream.
+    """Zero-mean unit-variance i.i.d. components per stream (shapes as uniform01).
 
     law = "uniform": uniform on [-sqrt(3), sqrt(3)] (bounded a.s.);
     law = "gaussian": standard normal via inverse CDF.
@@ -87,7 +96,7 @@ def unit_variance(seed, k, t, role, count, law):
 
 
 def truncated_normal(seed, k, t, role, count, radius):
-    """Standard normal conditioned on |z| <= radius, per component."""
+    """Standard normal conditioned on |z| <= radius, per component (shapes as uniform01)."""
     u = uniform01(seed, k, t, role, count)
     lo = ndtr(-radius)
     hi = ndtr(radius)

@@ -37,7 +37,8 @@ __all__ = [
 #: Allowed negative slack on covariance eigenvalues before declaring non-PSD.
 PSD_SLACK = 1e-10
 
-#: State magnitude beyond which a simulation is declared diverged.
+#: Magnitude beyond which a state (or an RLS regressor or estimate) is
+#: declared diverged.
 DIVERGENCE_LIMIT = 1e12
 
 _SQRT3 = np.sqrt(3.0)
@@ -80,8 +81,8 @@ class ZeroNoise:
         return 0.0, 0.0
 
     def sample(self, seed, ks, t, n, m):
-        R = len(ks)
-        return np.zeros((R, n, n)), np.zeros((R, n, m))
+        lead = np.shape(t) + (len(ks),)
+        return np.zeros(lead + (n, n)), np.zeros(lead + (n, m))
 
 
 class CovarianceNoise:
@@ -126,8 +127,8 @@ class CovarianceNoise:
         zb = rs.unit_variance(seed, ks, t, rs.ROLE_NOISE_B, n * m, self.law)
         veca = za @ self._LA.T
         vecb = zb @ self._LB.T
-        Abar = veca.reshape(len(ks), n, n).swapaxes(1, 2)  # undo column stacking
-        Bbar = vecb.reshape(len(ks), m, n).swapaxes(1, 2)
+        Abar = veca.reshape(veca.shape[:-1] + (n, n)).swapaxes(-1, -2)  # undo column stacking
+        Bbar = vecb.reshape(vecb.shape[:-1] + (m, n)).swapaxes(-1, -2)
         return Abar, Bbar
 
 
@@ -174,16 +175,16 @@ class EigenStructuredNoise:
         return float(ca), float(cb)
 
     def sample(self, seed, ks, t, n, m):
-        R = len(ks)
+        lead = np.shape(t) + (len(ks),)
         r, s = len(self.a_dirs), len(self.b_dirs)
-        Abar = np.zeros((R, n, n))
+        Abar = np.zeros(lead + (n, n))
         if r:
             p = rs.unit_variance(seed, ks, t, rs.ROLE_NOISE_A, r, self.law) * self.sigmas
-            Abar = np.einsum("kr,rij->kij", p, np.stack(self.a_dirs))
-        Bbar = np.zeros((R, n, m))
+            Abar = np.einsum("...r,rij->...ij", p, np.stack(self.a_dirs))
+        Bbar = np.zeros(lead + (n, m))
         if s:
             q = rs.unit_variance(seed, ks, t, rs.ROLE_NOISE_B, s, self.law) * self.deltas
-            Bbar = np.einsum("ks,sij->kij", q, np.stack(self.b_dirs))
+            Bbar = np.einsum("...s,sij->...ij", q, np.stack(self.b_dirs))
         return Abar, Bbar
 
 
@@ -282,7 +283,7 @@ class InputSchedule:
     ubar: np.ndarray        # (ell, m, m)
     law: str = "uniform"
     seed: int | None = None
-    _factors: list = field(default_factory=list, repr=False, compare=False)
+    _factors: np.ndarray = field(default=None, repr=False, compare=False)  # (ell, m, m)
 
     def __post_init__(self):
         self.nu = np.atleast_2d(np.asarray(self.nu, dtype=float))
@@ -295,7 +296,7 @@ class InputSchedule:
             raise ValueError("schedule shapes inconsistent")
         if self.law == "deterministic" and np.any(self.ubar != 0):
             raise ValueError("deterministic schedule requires zero input covariances")
-        self._factors = [_psd_factor(U, f"Ubar[{t}]") for t, U in enumerate(self.ubar)]
+        self._factors = np.stack([_psd_factor(U, f"Ubar[{t}]") for t, U in enumerate(self.ubar)])
 
     @property
     def ell(self):
@@ -310,11 +311,17 @@ class InputSchedule:
         return self.ubar[t] + np.outer(self.nu[t], self.nu[t])
 
     def sample_inputs(self, seed, ks, t):
-        """Draw u_t for rollout indices ks; mean nu_t, central second moment Ubar_t."""
+        """Draw u_t for rollout indices ks; mean nu_t, central second moment Ubar_t.
+
+        ``t`` is a time index or a 1-D array of them (adding a leading time
+        axis).  Past the schedule the moments repeat with period ell; the
+        draws do not, since every step keys its own stream by ``t``.
+        """
+        tt = t % self.ell
         if self.law == "deterministic":
-            return np.tile(self.nu[t], (len(ks), 1))
+            return np.repeat(self.nu[tt, None], len(ks), axis=-2)
         z = rs.unit_variance(seed, ks, t, rs.ROLE_INPUT, self.m, self.law)
-        return self.nu[t] + z @ self._factors[t].T
+        return self.nu[tt, None] + z @ self._factors[tt].swapaxes(-1, -2)
 
     def deviation_bounds(self):
         """(c_U, c_nu): a.s. bounds on ||u_t|| and ||u_t - nu_t||; None if unbounded."""
@@ -482,17 +489,42 @@ class RolloutSet:
 
     @classmethod
     def from_json(cls, text):
+        """Parse ``to_json`` output; ragged, mis-shaped or non-finite data raise ValueError."""
         d = json.loads(text)
-        states = np.array([r["x"] for r in d["rollouts"]], dtype=float)
-        inputs = np.array([r["u"] for r in d["rollouts"]], dtype=float)
-        if states.shape != (d["n_r"], d["ell"] + 1, d["n"]):
-            raise ValueError("rollout JSON has inconsistent state shapes")
+        n_r, ell = d["n_r"], d["ell"]
+        states = _rollout_array(d["rollouts"], "x", "state", (n_r, ell + 1, d["n"]))
+        inputs = _rollout_array(d["rollouts"], "u", "input", (n_r, ell, d["m"]))
         return cls(
             states=states,
             inputs=inputs,
             schedule=InputSchedule.from_json_dict(d["schedule"]),
             seed=d["seed"],
         )
+
+
+def _rollout_array(rollouts, key, what, shape):
+    """Stack field ``key`` of every rollout into a finite float array of ``shape``."""
+    try:
+        arr = np.array([r[key] for r in rollouts], dtype=float)
+    except ValueError:  # ragged: numpy cannot stack the rollouts
+        arr = None
+    if arr is None or arr.shape != shape:
+        if len(rollouts) != shape[0]:
+            raise ValueError(
+                f"rollout JSON holds {len(rollouts)} rollouts, its header says {shape[0]}"
+            )
+        for k, r in enumerate(rollouts):
+            try:
+                got = np.shape(np.asarray(r[key], dtype=float))
+            except ValueError:
+                raise ValueError(f"rollout {k}: {what}s are ragged or not numeric") from None
+            if got != shape[1:]:
+                raise ValueError(f"rollout {k}: {what}s have shape {got}, expected {shape[1:]}")
+        raise ValueError(f"rollout JSON has inconsistent {what} shapes")
+    if not np.isfinite(arr).all():
+        k = int(np.argmin(np.isfinite(arr).all(axis=(1, 2))))
+        raise ValueError(f"rollout {k}: {what}s hold a non-finite value")
+    return arr
 
 
 def simulate_rollouts(system, schedule, init, n_r, seed):

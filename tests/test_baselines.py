@@ -2,21 +2,205 @@ import numpy as np
 import pytest
 
 from multinoise.baselines import (
+    INIT_COV,
     GaussianInputLaw,
     PeriodicInputLaw,
+    RlsState,
+    _rls_batch,
     make_periodic_schedule,
     rls_nominal,
     rls_second_moment,
+    second_moment_regressors,
     simulate_single_trajectories,
 )
+from multinoise.experiments import _mask_after
 from multinoise.mals import design_inputs
 from multinoise.moment_oracle import lift
-from multinoise.system_model import CovarianceNoise, ZeroNoise, make_system
+from multinoise.presets import get_preset
+from multinoise.system_model import (
+    DIVERGENCE_LIMIT,
+    CovarianceNoise,
+    EigenStructuredNoise,
+    ZeroNoise,
+    make_system,
+)
 
 from conftest import BENCH_B, BENCH_SIGMA_A, BENCH_SIGMA_B
 
 A_STABLE = np.array([[0.6, 0.2], [0.0, 0.6]])
 A_MARGINAL = np.array([[1.0, 0.2], [0.0, 1.0]])
+
+
+# ---------------------------------------------------------------------------
+# reference oracles: the plain per-step forms of the simulator and of the RLS
+# recursion; the library versions must reproduce them bit for bit
+
+
+def _ref_too_big(a, axis):
+    finite = np.where(np.isfinite(a), a, np.inf)
+    return ~np.isfinite(a).all(axis=axis) | (np.max(np.abs(finite), axis=axis) > DIVERGENCE_LIMIT)
+
+
+def _ref_simulate(system, input_law, T, reps, seed):
+    n, m = system.n, system.m
+    ks = np.arange(reps)
+    states = np.zeros((reps, T + 1, n))
+    inputs = np.zeros((reps, T, m))
+    x = np.zeros((reps, n))
+    alive = np.ones(reps, dtype=bool)
+    diverged_at = np.full(reps, T + 1, dtype=int)
+    for t in range(T):
+        u = input_law.sample(seed, ks, t)
+        Abar, Bbar = system.noise.sample(seed, ks, t, n, m)
+        x_new = (
+            np.einsum("kij,kj->ki", Abar, x)
+            + x @ system.A.T
+            + np.einsum("kij,kj->ki", Bbar, u)
+            + u @ system.B.T
+        )
+        blown = alive & _ref_too_big(x_new, 1)
+        diverged_at[blown] = t + 1
+        alive &= ~blown
+        x = np.where(alive[:, None], x_new, x)
+        inputs[:, t, :] = u
+        states[:, t + 1, :] = x
+    return states, inputs, diverged_at
+
+
+def _ref_rls_batch(phi, target, checkpoints):
+    R, T, d = phi.shape
+    p = target.shape[2]
+    theta = np.zeros((R, p, d))
+    P = np.tile(INIT_COV * np.eye(d), (R, 1, 1))
+    alive = np.ones(R, dtype=bool)
+    freeze_step = np.full(R, T + 1, dtype=int)
+    cps = sorted(set(int(c) for c in checkpoints))
+    out = np.empty((len(cps), R, p, d))
+    nxt = 0
+    for t in range(T):
+        bad = _ref_too_big(phi[:, t, :], 1) | _ref_too_big(target[:, t, :], 1)
+        freeze_step[alive & bad] = t + 1
+        alive &= ~bad
+        ph = np.where(alive[:, None], phi[:, t, :], 0.0)
+        y = np.where(alive[:, None], target[:, t, :], 0.0)
+        Pph = np.einsum("rij,rj->ri", P, ph)
+        denom = 1.0 + np.einsum("ri,ri->r", ph, Pph)
+        gain = Pph / denom[:, None]
+        resid = y - np.einsum("rpd,rd->rp", theta, ph)
+        theta_new = theta + np.einsum("rp,rd->rpd", resid, gain)
+        P_new = P - np.einsum("ri,rj->rij", gain, Pph)
+        P_new = 0.5 * (P_new + P_new.swapaxes(1, 2))
+        blown = alive & (_ref_too_big(theta_new, (1, 2)) | _ref_too_big(P_new, (1, 2)))
+        freeze_step[blown] = t + 1
+        keep = (alive & ~blown)[:, None, None]
+        theta = np.where(keep, theta_new, theta)
+        P = np.where(keep, P_new, P)
+        alive &= ~blown
+        while nxt < len(cps) and cps[nxt] == t + 1:
+            out[nxt] = theta
+            nxt += 1
+    states = [
+        RlsState(theta=theta[r], P=P[r], steps=T, diverged=bool(~alive[r])) for r in range(R)
+    ]
+    return out, ~alive, states, cps, freeze_step
+
+
+def _ref_regression_data(states, inputs, diverged_at):
+    """Nominal and second-moment RLS data, masked past divergence, one trajectory at a time."""
+    phi_n = np.concatenate([states[:, :-1], inputs], axis=2)
+    tgt_n = states[:, 1:].copy()
+    pairs = [second_moment_regressors(s, u) for s, u in zip(states, inputs)]
+    phi_2 = np.stack([p for p, _ in pairs])
+    tgt_2 = np.stack([tg for _, tg in pairs])
+    for arr in (phi_n, tgt_n, phi_2, tgt_2):
+        for r, d in enumerate(diverged_at):
+            if d < arr.shape[1]:
+                arr[r, d:] = np.inf
+    return (phi_n, tgt_n), (phi_2, tgt_2)
+
+
+def _assert_rls_matches_reference(phi, target, checkpoints):
+    got = _rls_batch(phi, target, checkpoints)
+    ref = _ref_rls_batch(phi, target, checkpoints)
+    for i in (0, 1, 3, 4):  # estimates, diverged, checkpoints, freeze steps
+        assert np.array_equal(got[i], ref[i])
+    for g, r in zip(got[2], ref[2]):
+        assert np.array_equal(g.theta, r.theta) and np.array_equal(g.P, r.P)
+        assert (g.steps, g.diverged) == (r.steps, r.diverged)
+    return got
+
+
+def _eigen_system():
+    A = np.array([[0.5, 0.1, 0.0], [0.0, 0.6, 0.2], [0.1, 0.0, 0.4]])
+    B = np.array([[1.0, 0.0], [0.3, 1.0], [0.0, 0.5]])
+    noise = EigenStructuredNoise(
+        [np.eye(3), np.diag([1.0, -1.0, 0.0])], [0.2, 0.1], [np.ones((3, 2))], [0.15]
+    )
+    return make_system(A, B, noise), design_inputs(2, 3, seed=4)
+
+
+def _oracle_case(name):
+    if name == "zero":
+        return make_system(A_STABLE, BENCH_B, ZeroNoise()), design_inputs(1, 4, seed=48)
+    if name == "eigen":
+        return _eigen_system()
+    bundle = get_preset(name).with_input_law("gaussian")
+    return bundle.system, bundle.schedule
+
+
+@pytest.mark.parametrize("law", ["gaussian", "periodic"])
+@pytest.mark.parametrize("case", ["paper-4.2-rho0.8", "paper-4.2-rho1.0", "zero", "eigen"])
+def test_simulation_and_rls_match_per_step_reference(case, law):
+    system, schedule = _oracle_case(case)
+    input_law = GaussianInputLaw(system.m) if law == "gaussian" else PeriodicInputLaw(schedule)
+    T, reps = 1200, 5
+    got = simulate_single_trajectories(system, input_law, T, reps, seed=23)
+    ref = _ref_simulate(system, input_law, T, reps, seed=23)
+    for g, r in zip(got, ref):
+        assert np.array_equal(g, r)
+    states, inputs, diverged_at = got
+    if case == "paper-4.2-rho1.0":
+        assert np.all(diverged_at <= T)
+    (phi_n, tgt_n), (phi_2, tgt_2) = _ref_regression_data(states, inputs, diverged_at)
+    # the batched regressors and the broadcast mask reproduce the per-trajectory forms
+    phi_b, tgt_b = second_moment_regressors(states, inputs)
+    tgt_nb = states[:, 1:].copy()
+    for arr in (phi_b, tgt_b, tgt_nb):
+        _mask_after(arr, diverged_at)
+    assert np.array_equal(phi_b, phi_2) and np.array_equal(tgt_b, tgt_2)
+    assert np.array_equal(tgt_nb, tgt_n)
+    cps = [7, 600, T]
+    _assert_rls_matches_reference(phi_n, tgt_n, cps)
+    _assert_rls_matches_reference(phi_2, tgt_2, cps)
+
+
+def test_early_exits_when_every_run_freezes_before_the_last_checkpoint():
+    system, _ = _oracle_case("paper-4.2-rho1.0")
+    T, reps = 2500, 4
+    law = GaussianInputLaw(1)
+    states, inputs, diverged_at = simulate_single_trajectories(system, law, T, reps, 8)
+    ref = _ref_simulate(system, law, T, reps, 8)
+    assert np.array_equal(states, ref[0]) and np.array_equal(inputs, ref[1])
+    assert np.array_equal(diverged_at, ref[2])
+    assert diverged_at.max() < T - 100  # the simulator stops early
+    cps = [50, diverged_at.max() + 20, T - 1, T]
+    for phi, target in _ref_regression_data(states, inputs, diverged_at):
+        out, diverged, _, _, freeze = _assert_rls_matches_reference(phi, target, cps)
+        assert diverged.all() and freeze.max() < cps[-2]  # the recursion stops early
+        assert np.array_equal(out[-1], out[-2])
+
+
+def test_rls_estimate_blowup_freezes_like_reference():
+    rng = np.random.default_rng(0)
+    phi = rng.standard_normal((4, 60, 3))
+    target = rng.standard_normal((4, 60, 2))
+    phi[1, :5] *= 1e-3  # tiny regressors under the diffuse prior: a huge gain ...
+    target[1, 3] = 9e11  # ... turns an in-range response into an out-of-range estimate
+    target[2, 30] = np.nan
+    phi[3, 40, 0] = np.inf
+    phi[0, 50] = 2e12
+    out, diverged, _, _, freeze = _assert_rls_matches_reference(phi, target, [2, 10, 45, 60])
+    assert freeze.tolist() == [51, 4, 31, 41] and diverged.all()
 
 
 def test_rls_zero_noise_converges():

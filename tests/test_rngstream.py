@@ -52,3 +52,23 @@ def test_truncated_normal_support_and_variance():
     assert np.max(np.abs(z)) <= r + 1e-12
     expected = scipy.stats.truncnorm.var(-r, r)
     assert abs(z.var() - expected) < 0.01
+
+
+def test_time_array_draws_equal_stacked_scalar_draws():
+    ks, ts = np.arange(6), np.array([0, 1, 2, 7, 40, 1000])
+    draws = {
+        "uniform01": lambda k, t: rs.uniform01(5, k, t, rs.ROLE_NOISE_A, 3),
+        "uniform": lambda k, t: rs.unit_variance(5, k, t, rs.ROLE_INPUT, 2, "uniform"),
+        "gaussian": lambda k, t: rs.unit_variance(5, k, t, rs.ROLE_INPUT, 2, "gaussian"),
+        "truncated": lambda k, t: rs.truncated_normal(5, k, t, rs.ROLE_X0, 4, 1.5),
+    }
+    for name, draw in draws.items():
+        whole = draw(ks, ts)
+        assert whole.shape[:2] == (len(ts), len(ks)), name
+        assert np.array_equal(whole, np.stack([draw(ks, int(t)) for t in ts])), name
+        # a scalar rollout index with a time array gives (len(t), count)
+        assert np.array_equal(draw(4, ts), whole[:, 4]), name
+    assert np.array_equal(
+        rs.stream_keys(5, ks, ts, rs.ROLE_INPUT),
+        np.stack([rs.stream_keys(5, ks, int(t), rs.ROLE_INPUT) for t in ts]),
+    )

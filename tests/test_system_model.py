@@ -235,3 +235,77 @@ def test_rollout_set_json_roundtrip(bench_system, bench_schedule, zero_init):
     assert set(d) == {"n", "m", "ell", "n_r", "seed", "schedule", "rollouts"}
     assert len(d["rollouts"]) == 10
     assert set(d["rollouts"][0]) == {"x", "u"}
+
+
+@pytest.mark.parametrize(
+    "noise",
+    [
+        ZeroNoise(),
+        CovarianceNoise(BENCH_SIGMA_A, BENCH_SIGMA_B),
+        CovarianceNoise(BENCH_SIGMA_A, BENCH_SIGMA_B, law="gaussian"),
+        EigenStructuredNoise([np.eye(2), np.diag([1.0, -1.0])], [0.3, 0.1], [BENCH_B], [0.2]),
+    ],
+)
+def test_noise_sample_time_array_equals_stacked_steps(noise):
+    ks, ts = np.arange(5), np.arange(9)
+    whole = noise.sample(7, ks, ts, 2, 1)
+    for got, shape in zip(whole, ((9, 5, 2, 2), (9, 5, 2, 1))):
+        assert got.shape == shape
+    for t in ts:
+        step = noise.sample(7, ks, int(t), 2, 1)
+        assert np.array_equal(whole[0][t], step[0]) and np.array_equal(whole[1][t], step[1])
+
+
+@pytest.mark.parametrize("law", ["uniform", "gaussian", "deterministic"])
+def test_schedule_inputs_time_array_is_periodic_and_equals_stacked_steps(law):
+    sched = design_inputs(2, 3, seed=5, input_law=law)
+    ks, ts = np.arange(4), np.arange(8)
+    whole = sched.sample_inputs(11, ks, ts)
+    assert whole.shape == (8, 4, 2)
+    for t in ts:
+        assert np.array_equal(whole[t], sched.sample_inputs(11, ks, int(t)))
+    if law == "deterministic":
+        assert np.array_equal(whole[5], np.tile(sched.nu[2], (4, 1)))
+
+
+def _nan_state(d):
+    d["rollouts"][1]["x"][2][0] = float("nan")
+
+
+def _inf_input(d):
+    d["rollouts"][2]["u"][0][0] = float("inf")
+
+
+def _wide_inputs(d):  # inputs (3, 3, 2) where ell = 4, m = 1 needs (3, 4, 1)
+    for r in d["rollouts"]:
+        r["u"] = [[0.0, 0.0]] * 3
+
+
+def _short_rollout(d):
+    d["rollouts"][2]["x"].pop()
+
+
+def _ragged_rollout(d):
+    d["rollouts"][1]["x"][3].append(0.0)
+
+
+def _missing_rollout(d):
+    d["rollouts"].pop()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_nan_state, "rollout 1: states hold a non-finite value"),
+        (_inf_input, "rollout 2: inputs hold a non-finite value"),
+        (_wide_inputs, r"rollout 0: inputs have shape \(3, 2\), expected \(4, 1\)"),
+        (_short_rollout, r"rollout 2: states have shape \(4, 2\), expected \(5, 2\)"),
+        (_ragged_rollout, "rollout 1: states are ragged"),
+        (_missing_rollout, "holds 2 rollouts, its header says 3"),
+    ],
+)
+def test_rollout_json_rejects_bad_rollouts(bench_system, bench_schedule, zero_init, edit, message):
+    d = json.loads(simulate_rollouts(bench_system, bench_schedule, zero_init, 3, seed=5).to_json())
+    edit(d)
+    with pytest.raises(ValueError, match=message):
+        RolloutSet.from_json(json.dumps(d))
