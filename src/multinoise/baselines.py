@@ -11,7 +11,7 @@ import numpy as np
 
 from . import rngstream as rs
 from .moment_oracle import lift_nominal
-from .shape_ops import selection_matrices, svec_dim
+from .shape_ops import selection_matrices
 from .system_model import DIVERGENCE_LIMIT
 
 __all__ = [
@@ -19,6 +19,8 @@ __all__ = [
     "rls_nominal",
     "rls_second_moment",
     "second_moment_regressors",
+    "covariance_from_fit",
+    "rls_batch_estimates",
     "GaussianInputLaw",
     "PeriodicInputLaw",
     "make_periodic_schedule",
@@ -172,20 +174,52 @@ def rls_second_moment(states, inputs, nominal_estimates, checkpoints=None):
     phi, target = second_moment_regressors(states, inputs)
     out, div, st, cps, _ = _rls_batch(phi[None], target[None], checkpoints)
     nom = dict(nominal_estimates)
-    n = states.shape[-1]
-    nt, mt = svec_dim(n), svec_dim(inputs.shape[-1])
-    results = []
-    for i, c in enumerate(cps):
-        theta = out[i, 0]
+    for c in cps:
         if c not in nom:
             raise ValueError(f"no nominal estimate at sample count {c}")
-        ab = nom[c]
-        A_hat, B_hat = ab[:, :n], ab[:, n:]
-        A_t, B_t, _, _ = lift_nominal(A_hat, B_hat)
-        sa = theta[:, :nt] - A_t
-        sb = theta[:, nt : nt + mt] - B_t
-        results.append((c, sa, sb))
-    return results, bool(div[0]), st[0]
+    sa, sb = covariance_from_fit(out[:, 0], np.stack([nom[c] for c in cps]), states.shape[-1])
+    return [(c, sa[i], sb[i]) for i, c in enumerate(cps)], bool(div[0]), st[0]
+
+
+def covariance_from_fit(fit, nominal, n):
+    """Reduced-covariance estimates from a fitted second-moment regression.
+
+    fit (..., nt, d) holds the fitted blocks [At + St_A, Bt + St_B, K_BA, K_AB]
+    and nominal (..., n, n+m) the matching [A_hat B_hat]; leading batch axes
+    are kept.  The lifted nominal parts P1 (A_hat kron A_hat) Q1 and
+    P1 (B_hat kron B_hat) Q2 are subtracted, giving (SigmaA_tilde, SigmaB_tilde).
+    """
+    A_t, B_t, _, _ = lift_nominal(nominal[..., :n], nominal[..., n:])
+    nt, mt = A_t.shape[-1], B_t.shape[-1]
+    return fit[..., :nt] - A_t, fit[..., nt : nt + mt] - B_t
+
+
+def rls_batch_estimates(system, input_law, T, reps, seed, checkpoints):
+    """Nominal and covariance RLS on reps single trajectories of length T.
+
+    Data past a trajectory's divergence point is invalidated so the recursions
+    freeze there.  Returns (cps, nominal, sigma_a, sigma_b, diverged), indexed
+    [checkpoint, rep]: [A_hat B_hat], the reduced-covariance estimates, and
+    whether the trajectory or either recursion froze at or before the checkpoint.
+    """
+    states, inputs, diverged_at = simulate_single_trajectories(system, input_law, T, reps, seed)
+    phi_n = np.concatenate([states[:, :-1], inputs], axis=2)
+    tgt_n = states[:, 1:].copy()
+    _mask_after(phi_n, diverged_at)
+    _mask_after(tgt_n, diverged_at)
+    est_n, _, _, cps, freeze_n = _rls_batch(phi_n, tgt_n, checkpoints)
+    phi2, tgt2 = second_moment_regressors(states, inputs)
+    _mask_after(phi2, diverged_at)
+    _mask_after(tgt2, diverged_at)
+    est_2, _, _, _, freeze_2 = _rls_batch(phi2, tgt2, checkpoints)
+    sa, sb = covariance_from_fit(est_2, est_n, system.n)
+    first_freeze = np.minimum(np.minimum(diverged_at, freeze_n), freeze_2)
+    return cps, est_n, sa, sb, first_freeze <= np.array(cps)[:, None]
+
+
+def _mask_after(arr, diverged_at):
+    """Invalidate regression data past each trajectory's divergence point."""
+    arr[np.arange(arr.shape[1]) >= diverged_at[:, None]] = np.inf
 
 
 class GaussianInputLaw:

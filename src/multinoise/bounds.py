@@ -16,8 +16,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
+
+from .moment_oracle import assemble_population, check_excitation, lift
+from .shape_ops import svec
 
 __all__ = [
     "SystemBoundConstants",
@@ -136,8 +140,6 @@ def _geom_max(rate, start, drive, ell):
 
 def constants_from_setup(system, schedule, init):
     """A.s. bound constants read off a bounded-law system/schedule/init."""
-    from .moment_oracle import lift
-
     system.require_bounded()
     c_u, c_nu = schedule.deviation_bounds()
     if c_u is None:
@@ -208,10 +210,9 @@ class BoundContext:
 
 def bound_context(system, schedule, init, n_r, eps_max=1.0):
     """Assemble a BoundContext from population moments and boundedness constants."""
-    from .moment_oracle import assemble_population, check_excitation
-
     consts = constants_from_setup(system, schedule, init)
-    reg, _ = assemble_population(system, schedule, init.mean, None if _fixed(init) else _svec_sm(init))
+    x_t0 = None if getattr(init, "variant", "") == "Fixed" else svec(init.second_moment)
+    reg, _ = assemble_population(system, schedule, init.mean, x_t0)
     rep = check_excitation(reg, system.n, system.m)
     return BoundContext(
         n=system.n,
@@ -236,16 +237,6 @@ def bound_context(system, schedule, init, n_r, eps_max=1.0):
         c_f=consts.c_f,
         c_w=consts.c_w,
     )
-
-
-def _fixed(init):
-    return getattr(init, "variant", "") == "Fixed"
-
-
-def _svec_sm(init):
-    from .shape_ops import svec
-
-    return svec(init.second_moment)
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +269,66 @@ def _logsumexp(vals):
 
 
 # ---------------------------------------------------------------------------
+# Gram-inverse perturbation chain, shared by the (Y, Z) and (C, D) problems
+
+
+@dataclass(frozen=True)
+class _Pair:
+    """One least-squares pair of the chain: (Y, Z) for delta, (C, D) for eta."""
+
+    deviation: Callable  # log tail of the averaged-moment deviation (delta_Y, eta_D)
+    cross: Callable      # log tail of the product deviation (delta_YZ, eta_CD)
+    lam: Callable        # ctx -> (lambda_min, lambda_max) of the regressor Gram
+    dim: Callable        # ctx -> regressor dimension (covering-number exponent)
+    scale: Callable      # ctx -> 3 ||response|| ||regressor||, in the pair's own rounding
+
+
+def _log_gram_0(pair, ctx, eps):
+    if eps <= 0:
+        return np.inf
+    lam = pair.lam(ctx)[1]
+    return pair.deviation(ctx, np.sqrt(lam + eps) - np.sqrt(lam))
+
+
+def _log_gram_1(pair, ctx, eps):
+    return pair.dim(ctx) * _LOG9 + _log_gram_0(pair, ctx, eps)
+
+
+def _log_gram_2(pair, ctx, eps):
+    lam_min, lam_max = pair.lam(ctx)
+    ratio = 16.0 * lam_max / lam_min + 1.0
+    return pair.dim(ctx) * np.log(ratio) + _log_gram_0(pair, ctx, eps)
+
+
+def _log_gram_m(pair, ctx, eps):
+    return _logsumexp([_log_gram_1(pair, ctx, eps), _log_gram_2(pair, ctx, eps)])
+
+
+def _log_gram(pair, ctx, eps):
+    # vacuous (inf) outside 0 < eps < eps_max; strictness enforced by delta_ZZ / eta_DD
+    if eps <= 0 or eps >= ctx.eps_max:
+        return np.inf
+    lam_min, lam_max = pair.lam(ctx)
+    first = _log_gram_0(pair, ctx, 0.5 * lam_min**2 * (1.0 - eps / ctx.eps_max) * eps)
+    second = _log_gram_m(pair, ctx, eps * lam_min / (ctx.eps_max * (2.0 + lam_min / lam_max)))
+    return _logsumexp([first, second])
+
+
+def _log_product(pair, ctx, eps):
+    # the first term uses lambda_min of the regressor Gram, as in the proof
+    if eps <= 0:
+        return np.inf
+    return _logsumexp(
+        [
+            pair.cross(ctx, pair.lam(ctx)[0] * eps / 3.0),
+            pair.cross(ctx, np.sqrt(eps / 3.0)),
+            _log_gram(pair, ctx, eps / pair.scale(ctx)),
+            _log_gram(pair, ctx, np.sqrt(eps / 3.0)),
+        ]
+    )
+
+
+# ---------------------------------------------------------------------------
 # delta family (nominal-estimate tail bounds)
 
 
@@ -292,49 +343,13 @@ def _log_delta_YZ(ctx, eps):
     return _log_delta_Y(ctx, np.sqrt(eps + s * s) - s)
 
 
-def _log_delta_0(ctx, eps):
-    if eps <= 0:
-        return np.inf
-    lam = ctx.lam_max_zz
-    return _log_delta_Y(ctx, np.sqrt(lam + eps) - np.sqrt(lam))
-
-
-def _log_delta_1(ctx, eps):
-    return (ctx.n + ctx.m) * _LOG9 + _log_delta_0(ctx, eps)
-
-
-def _log_delta_2(ctx, eps):
-    ratio = 16.0 * ctx.lam_max_zz / ctx.lam_min_zz + 1.0
-    return (ctx.n + ctx.m) * np.log(ratio) + _log_delta_0(ctx, eps)
-
-
-def _log_delta_m(ctx, eps):
-    return _logsumexp([_log_delta_1(ctx, eps), _log_delta_2(ctx, eps)])
-
-
-def _log_delta_ZZ(ctx, eps):
-    # vacuous (inf) outside 0 < eps < eps_max; strictness enforced by delta_ZZ
-    if eps <= 0 or eps >= ctx.eps_max:
-        return np.inf
-    lam_min, lam_max = ctx.lam_min_zz, ctx.lam_max_zz
-    first = _log_delta_0(ctx, 0.5 * lam_min**2 * (1.0 - eps / ctx.eps_max) * eps)
-    second = _log_delta_m(ctx, eps * lam_min / (ctx.eps_max * (2.0 + lam_min / lam_max)))
-    return _logsumexp([first, second])
-
-
-def _log_delta_AB(ctx, eps):
-    if eps <= 0:
-        return np.inf
-    lam_min = ctx.lam_min_zz
-    scale = 3.0 * np.sqrt(ctx.norm_Y**2 * ctx.norm_Z**2)  # 3 sqrt(lam_max_YY lam_max_ZZ)
-    return _logsumexp(
-        [
-            _log_delta_YZ(ctx, lam_min * eps / 3.0),
-            _log_delta_YZ(ctx, np.sqrt(eps / 3.0)),
-            _log_delta_ZZ(ctx, eps / scale),
-            _log_delta_ZZ(ctx, np.sqrt(eps / 3.0)),
-        ]
-    )
+_NOMINAL = _Pair(
+    deviation=_log_delta_Y,
+    cross=_log_delta_YZ,
+    lam=lambda ctx: (ctx.lam_min_zz, ctx.lam_max_zz),
+    dim=lambda ctx: ctx.n + ctx.m,
+    scale=lambda ctx: 3.0 * np.sqrt(ctx.norm_Y**2 * ctx.norm_Z**2),  # 3 sqrt(lam_max_YY lam_max_ZZ)
+)
 
 
 def delta_Y(ctx, eps):
@@ -347,32 +362,32 @@ def delta_YZ(ctx, eps):
 
 
 def delta_0(ctx, eps):
-    return float(np.exp(_log_delta_0(ctx, eps)))
+    return float(np.exp(_log_gram_0(_NOMINAL, ctx, eps)))
 
 
 def delta_1(ctx, eps):
-    return float(np.exp(_log_delta_1(ctx, eps)))
+    return float(np.exp(_log_gram_1(_NOMINAL, ctx, eps)))
 
 
 def delta_2(ctx, eps):
-    return float(np.exp(_log_delta_2(ctx, eps)))
+    return float(np.exp(_log_gram_2(_NOMINAL, ctx, eps)))
 
 
 def delta_m(ctx, eps):
-    return float(np.exp(_log_delta_m(ctx, eps)))
+    return float(np.exp(_log_gram_m(_NOMINAL, ctx, eps)))
 
 
 def delta_ZZ(ctx, eps, strict=True):
     """Gram-inverse deviation bound; needs 0 < eps < eps_max."""
     if strict and not (0 < eps < ctx.eps_max):
         raise ValueError(f"delta_ZZ needs 0 < eps < eps_max = {ctx.eps_max}")
-    return float(np.exp(_log_delta_ZZ(ctx, eps)))
+    return float(np.exp(_log_gram(_NOMINAL, ctx, eps)))
 
 
 def delta_AB(ctx, eps):
     """Spectral-error tail bound for [A_hat B_hat]; vacuous (+inf -> clip to 1)
     outside its stated range (see ab_validity_limit)."""
-    return float(np.exp(_log_delta_AB(ctx, eps)))
+    return float(np.exp(_log_product(_NOMINAL, ctx, eps)))
 
 
 def ab_validity_limit(ctx):
@@ -409,24 +424,14 @@ def _log_eta_L(ctx, eps):
     return _log_bernstein(pref, ctx.n_r, ctx.ell * ctx.c_w**2, eps)
 
 
-def _log_eta_A(ctx, eps):
+def _log_eta_kron(ctx, eps, norm):
+    """Lifted-nominal tail: norm = ||A|| for eta_A, ||B|| for eta_B."""
     if eps <= 0:
         return np.inf
     return _logsumexp(
         [
-            _log_delta_AB(ctx, 0.5 * np.sqrt(eps)),
-            _log_delta_AB(ctx, eps / (8.0 * np.sqrt(ctx.norm_A))),
-        ]
-    )
-
-
-def _log_eta_B(ctx, eps):
-    if eps <= 0:
-        return np.inf
-    return _logsumexp(
-        [
-            _log_delta_AB(ctx, 0.5 * np.sqrt(eps)),
-            _log_delta_AB(ctx, eps / (8.0 * np.sqrt(ctx.norm_B))),
+            _log_product(_NOMINAL, ctx, 0.5 * np.sqrt(eps)),
+            _log_product(_NOMINAL, ctx, eps / (8.0 * np.sqrt(norm))),
         ]
     )
 
@@ -434,12 +439,12 @@ def _log_eta_B(ctx, eps):
 def _log_eta_AB(ctx, eps):
     if eps <= 0:
         return np.inf
-    root = _log_delta_AB(ctx, np.sqrt(eps / 3.0))
+    root = _log_product(_NOMINAL, ctx, np.sqrt(eps / 3.0))
     return _logsumexp(
         [
             np.log(2.0) + root,
-            _log_delta_AB(ctx, eps / (3.0 * np.sqrt(ctx.norm_B))),
-            _log_delta_AB(ctx, eps / (3.0 * np.sqrt(ctx.norm_A))),
+            _log_product(_NOMINAL, ctx, eps / (3.0 * np.sqrt(ctx.norm_B))),
+            _log_product(_NOMINAL, ctx, eps / (3.0 * np.sqrt(ctx.norm_A))),
         ]
     )
 
@@ -449,9 +454,9 @@ def _log_eta_AM(ctx, eps):
         return np.inf
     return _logsumexp(
         [
-            _log_eta_A(ctx, eps / (3.0 * ctx.norm_M1)),
+            _log_eta_kron(ctx, eps / (3.0 * ctx.norm_M1), ctx.norm_A),
             _log_eta_D(ctx, eps / (6.0 * ctx.norm_A**2)),
-            _log_eta_A(ctx, np.sqrt(eps / 3.0)),
+            _log_eta_kron(ctx, np.sqrt(eps / 3.0), ctx.norm_A),
             _log_eta_D(ctx, np.sqrt(eps / 3.0)),
         ]
     )
@@ -478,7 +483,7 @@ def _log_eta_C(ctx, eps):
             _log_eta_D(ctx, eps / 5.0),
             _log_eta_AM(ctx, eps / 5.0),
             np.log(2.0) + _log_eta_KL(ctx, eps / 5.0),
-            _log_eta_B(ctx, eps / (5.0 * ctx.norm_U)),
+            _log_eta_kron(ctx, eps / (5.0 * ctx.norm_U), ctx.norm_B),
         ]
     )
 
@@ -496,43 +501,13 @@ def _log_eta_CD(ctx, eps):
     )
 
 
-def _log_eta_0(ctx, eps):
-    if eps <= 0:
-        return np.inf
-    lam = ctx.lam_max_dd
-    return _log_eta_D(ctx, np.sqrt(lam + eps) - np.sqrt(lam))
-
-
-def _log_eta_m(ctx, eps):
-    dd = (ctx.n * (ctx.n + 1) + ctx.m * (ctx.m + 1)) / 2.0
-    ratio = 16.0 * ctx.lam_max_dd / ctx.lam_min_dd + 1.0
-    return _logsumexp(
-        [dd * _LOG9 + _log_eta_0(ctx, eps), dd * np.log(ratio) + _log_eta_0(ctx, eps)]
-    )
-
-
-def _log_eta_DD(ctx, eps):
-    if eps <= 0 or eps >= ctx.eps_max:
-        return np.inf
-    lam_min, lam_max = ctx.lam_min_dd, ctx.lam_max_dd
-    first = _log_eta_0(ctx, 0.5 * lam_min**2 * (1.0 - eps / ctx.eps_max) * eps)
-    second = _log_eta_m(ctx, eps * lam_min / (ctx.eps_max * (2.0 + lam_min / lam_max)))
-    return _logsumexp([first, second])
-
-
-def _log_eta(ctx, eps):
-    # first term uses lambda_min(D D'): the regressor Gram, as in the proof
-    if eps <= 0:
-        return np.inf
-    scale = 3.0 * ctx.norm_C * ctx.norm_D
-    return _logsumexp(
-        [
-            _log_eta_CD(ctx, ctx.lam_min_dd * eps / 3.0),
-            _log_eta_CD(ctx, np.sqrt(eps / 3.0)),
-            _log_eta_DD(ctx, eps / scale),
-            _log_eta_DD(ctx, np.sqrt(eps / 3.0)),
-        ]
-    )
+_COVARIANCE = _Pair(
+    deviation=_log_eta_D,
+    cross=_log_eta_CD,
+    lam=lambda ctx: (ctx.lam_min_dd, ctx.lam_max_dd),
+    dim=lambda ctx: (ctx.n * (ctx.n + 1) + ctx.m * (ctx.m + 1)) / 2.0,
+    scale=lambda ctx: 3.0 * ctx.norm_C * ctx.norm_D,
+)
 
 
 def eta_D(ctx, eps):
@@ -544,11 +519,11 @@ def eta_L(ctx, eps):
 
 
 def eta_A(ctx, eps):
-    return float(np.exp(_log_eta_A(ctx, eps)))
+    return float(np.exp(_log_eta_kron(ctx, eps, ctx.norm_A)))
 
 
 def eta_B(ctx, eps):
-    return float(np.exp(_log_eta_B(ctx, eps)))
+    return float(np.exp(_log_eta_kron(ctx, eps, ctx.norm_B)))
 
 
 def eta_AB(ctx, eps):
@@ -572,22 +547,22 @@ def eta_CD(ctx, eps):
 
 
 def eta_0(ctx, eps):
-    return float(np.exp(_log_eta_0(ctx, eps)))
+    return float(np.exp(_log_gram_0(_COVARIANCE, ctx, eps)))
 
 
 def eta_m(ctx, eps):
-    return float(np.exp(_log_eta_m(ctx, eps)))
+    return float(np.exp(_log_gram_m(_COVARIANCE, ctx, eps)))
 
 
 def eta_DD(ctx, eps, strict=True):
     if strict and not (0 < eps < ctx.eps_max):
         raise ValueError(f"eta_DD needs 0 < eps < eps_max = {ctx.eps_max}")
-    return float(np.exp(_log_eta_DD(ctx, eps)))
+    return float(np.exp(_log_gram(_COVARIANCE, ctx, eps)))
 
 
 def eta(ctx, eps):
     """Spectral-error tail bound for the reduced-covariance estimate."""
-    return float(np.exp(_log_eta(ctx, eps)))
+    return float(np.exp(_log_product(_COVARIANCE, ctx, eps)))
 
 
 def sigma_validity_limit(ctx):

@@ -17,24 +17,13 @@ from pathlib import Path
 import numpy as np
 
 from . import rngstream as rs
-from .baselines import (
-    GaussianInputLaw,
-    PeriodicInputLaw,
-    _rls_batch,
-    second_moment_regressors,
-    simulate_single_trajectories,
-)
+from .baselines import GaussianInputLaw, PeriodicInputLaw, rls_batch_estimates
 from .bounds import bound_context, delta_AB, eta
 from .identifiability import sigma_from_class
 from .mals import mals
-from .moment_oracle import (
-    lift,
-    lift_nominal,
-    propagate_second,
-    propagate_second_reduced,
-)
+from .moment_oracle import lift, propagate_second, propagate_second_reduced
 from .presets import PRESET_NAMES, get_preset
-from .shape_ops import svec_dim, svec_index_pairs
+from .shape_ops import svec_index_pairs
 from .system_model import CovarianceNoise, InputSchedule, make_system
 
 __all__ = [
@@ -315,8 +304,9 @@ def run_tail_frequency(config, eps_list=None, with_bounds=False):
 def _bound_envelope(config, bundle, errs, grid):
     """Observed exceedance vs min(1, bound) on a shared epsilon grid."""
     rows = []
+    ctx0 = bound_context(bundle.system, bundle.schedule, bundle.init, grid[0])
     for gi, n_r in enumerate(grid):
-        ctx = bound_context(bundle.system, bundle.schedule, bundle.init, n_r)
+        ctx = ctx0.with_rollouts(n_r)
         for key, fn in (("err_AB", delta_AB), ("err_Sigma", eta)):
             base = float(np.median(errs[key][0]))
             for eps in np.geomspace(0.5 * base, 8.0 * base, 10):
@@ -432,8 +422,14 @@ def run_baseline_comparison(config):
             )
         ):
             alg_seed = _rep_seed(config.seed ^ 0x77, sys_idx * 10 + alg_idx)
-            rows = _run_rls_batch(system, law, T, reps, alg_seed, checkpoints, truth_ab, truth_sig)
-            per_alg[alg] = rows
+            cps, ab, sa, sb, div = rls_batch_estimates(system, law, T, reps, alg_seed, checkpoints)
+            err_ab = np.linalg.norm(ab - truth_ab, 2, axis=(-2, -1))
+            err_sig = np.linalg.norm(np.concatenate([sa, sb], -1) - truth_sig, 2, axis=(-2, -1))
+            per_alg[alg] = [
+                (c, r, float(err_ab[ci, r]), float(err_sig[ci, r]), bool(div[ci, r]))
+                for ci, c in enumerate(cps)
+                for r in range(reps)
+            ]
         for alg, rows in per_alg.items():
             for samples, rep, e_ab, e_sig, div in rows:
                 raw_rows.append([sys_name, alg, samples, rep, e_ab, e_sig, div])
@@ -468,41 +464,3 @@ def run_baseline_comparison(config):
     }
     return ExperimentReport(name="baselines", summary=summary, tables=tables)
 
-
-def _run_rls_batch(system, input_law, T, reps, seed, checkpoints, truth_ab, truth_sig):
-    """Batched RLS (nominal + covariance) on reps single trajectories.
-
-    Data past a trajectory's divergence point is invalidated so the recursion
-    freezes there; a run counts as diverged at a checkpoint once either the
-    trajectory or an RLS recursion froze at or before it.
-    """
-    n, m = system.n, system.m
-    states, inputs, diverged_at = simulate_single_trajectories(system, input_law, T, reps, seed)
-    phi_n = np.concatenate([states[:, :-1], inputs], axis=2)
-    tgt_n = states[:, 1:].copy()
-    _mask_after(phi_n, diverged_at)
-    _mask_after(tgt_n, diverged_at)
-    est_n, _, _, cps, freeze_n = _rls_batch(phi_n, tgt_n, checkpoints)
-    phi2, tgt2 = second_moment_regressors(states, inputs)
-    _mask_after(phi2, diverged_at)
-    _mask_after(tgt2, diverged_at)
-    est_2, _, _, _, freeze_2 = _rls_batch(phi2, tgt2, checkpoints)
-    nt, mt = svec_dim(n), svec_dim(m)
-    rows = []
-    for ci, c in enumerate(cps):
-        for r in range(reps):
-            ab = est_n[ci, r]
-            A_hat, B_hat = ab[:, :n], ab[:, n:]
-            A_t, B_t, _, _ = lift_nominal(A_hat, B_hat)
-            sa = est_2[ci, r][:, :nt] - A_t
-            sb = est_2[ci, r][:, nt : nt + mt] - B_t
-            e_ab = float(np.linalg.norm(ab - truth_ab, 2))
-            e_sig = float(np.linalg.norm(np.hstack([sa, sb]) - truth_sig, 2))
-            diverged = bool(min(diverged_at[r], freeze_n[r], freeze_2[r]) <= c)
-            rows.append((c, r, e_ab, e_sig, diverged))
-    return rows
-
-
-def _mask_after(arr, diverged_at):
-    """Invalidate regression data past each trajectory's divergence point."""
-    arr[np.arange(arr.shape[1]) >= diverged_at[:, None]] = np.inf

@@ -66,18 +66,7 @@ def entry_map(i, j, k, l, n):
     """Reduced position and formula shape for the (i<=j, k<=l) moment block."""
     if not (1 <= i <= j <= n and 1 <= k <= l <= n):
         raise ValueError("entry_map needs 1 <= i <= j <= n and 1 <= k <= l <= n")
-    row = _reduced_pos(i, j, n)
-    col = _reduced_pos(k, l, n)
-    p = lambda a, b: (b - 1) * n + a  # vec position of entry (a, b), 1-based
-    if i == j and k == l:
-        return EntryMap(row, col, "variance", [(1.0, (p(i, k), p(i, k)))])
-    if i == j:  # k < l
-        return EntryMap(row, col, "row-coupled", [(2.0, (p(i, k), p(i, l)))])
-    if k == l:  # i < j
-        return EntryMap(row, col, "col-aligned", [(1.0, (p(i, k), p(j, k)))])
-    return EntryMap(
-        row, col, "coupled-sum", [(1.0, (p(i, k), p(j, l))), (1.0, (p(i, l), p(j, k)))]
-    )
+    return _entry_map_rect(i, j, k, l, n, n)
 
 
 def reduced_from_full(sigma, n, m=None):

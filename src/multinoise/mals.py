@@ -9,8 +9,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .moment_oracle import MomentTrajectory, lift, lift_nominal
-from .shape_ops import selection_matrices, svec, svec_dim, vec
+from .moment_oracle import (
+    RANK_TOL,
+    MomentTrajectory,
+    covariance_blocks,
+    input_moments,
+    lift,
+    nominal_blocks,
+)
+from .shape_ops import selection_matrices, svec_dim, vec
 from .system_model import InputSchedule, RolloutSet, simulate_rollouts
 
 __all__ = [
@@ -23,10 +30,6 @@ __all__ = [
     "EstimationResult",
     "mals",
 ]
-
-#: Pseudoinverse trigger: lambda_min <= RANK_TOL * lambda_max of the Gram matrix.
-RANK_TOL = 1e-10
-
 
 def design_inputs(m, ell, mean_law="uniform", wishart_scale=0.1, input_law="uniform", seed=0):
     """Draw and fix an input schedule.
@@ -86,47 +89,39 @@ def empirical_moments(rollouts):
         xt = states[:, t, :]
         second = xt.T @ xt / n_r
         x_t[t] = vec(0.5 * (second + second.T))[kept]
-    w = np.empty((ell, n * sched.m))
-    w_p = np.empty((ell, n * sched.m))
-    u_t = np.empty((ell, svec_dim(sched.m)))
-    for t in range(ell):
-        w[t] = vec(np.outer(mu[t], sched.nu[t]))
-        w_p[t] = vec(np.outer(sched.nu[t], mu[t]))
-        u_t[t] = svec(sched.input_second_moment(t))
+    w, w_p, u_t = input_moments(mu, sched)
     return MomentTrajectory(
         mu=mu, x_t=x_t, w=w, w_p=w_p, u_t=u_t, nu=sched.nu.copy(), source="empirical"
     )
 
 
-def _gram_solve(Mmat, Gram):
-    """Solve X = Mmat @ Gram^+ via symmetric eigendecomposition.
+def _solve(Y, Z, tag):
+    """Least-squares solution Y Z' (Z Z')^+ via symmetric eigendecomposition.
 
-    Returns (X, lambda_min, lambda_max, used_pinv); the pseudoinverse path
-    (singular values below RANK_TOL * lambda_max dropped) triggers exactly
+    Returns the solution and its diagnostics lambda_min_<tag><tag>,
+    lambda_max_<tag><tag> and used_pinv_<tag>.  The pseudoinverse path
+    (eigenvalues at or below RANK_TOL * lambda_max dropped) triggers exactly
     when lambda_min <= RANK_TOL * lambda_max.
     """
-    G = 0.5 * (Gram + Gram.T)
-    w, V = np.linalg.eigh(G)
+    gram = Z @ Z.T
+    w, V = np.linalg.eigh(0.5 * (gram + gram.T))
     lam_min, lam_max = float(w[0]), float(w[-1])
     tol = RANK_TOL * max(lam_max, 0.0)
-    used_pinv = bool(lam_min <= tol)
-    if used_pinv:
-        w_inv = np.where(w > tol, 1.0 / np.where(w > tol, w, 1.0), 0.0)
-    else:
-        w_inv = 1.0 / w
-    X = (Mmat @ V) * w_inv @ V.T
-    return X, lam_min, lam_max, used_pinv
+    # without the fallback every eigenvalue exceeds tol and this is exactly 1 / w
+    w_inv = np.where(w > tol, 1.0 / np.where(w > tol, w, 1.0), 0.0)
+    X = (Y @ Z.T @ V) * w_inv @ V.T
+    diag = {
+        f"lambda_min_{tag}{tag}": lam_min,
+        f"lambda_max_{tag}{tag}": lam_max,
+        f"used_pinv_{tag}": bool(lam_min <= tol),
+    }
+    return X, diag
 
 
 def estimate_nominal(moments):
     """[A_hat B_hat] = Y_hat Z_hat' (Z_hat Z_hat')^+ from averaged moments."""
-    ell = moments.ell
-    Y = moments.mu[ell:0:-1].T
-    Z = np.vstack([moments.mu[ell - 1 :: -1].T, moments.nu[::-1].T])
-    theta, lam_min, lam_max, used_pinv = _gram_solve(Y @ Z.T, Z @ Z.T)
-    n = moments.mu.shape[1]
-    diag = {"lambda_min_zz": lam_min, "lambda_max_zz": lam_max, "used_pinv_z": used_pinv}
-    return theta[:, :n], theta[:, n:], diag
+    theta, diag = _solve(*nominal_blocks(moments), "z")
+    return theta[:, : moments.n], theta[:, moments.n :], diag
 
 
 def estimate_covariance(moments, A_hat, B_hat):
@@ -135,21 +130,8 @@ def estimate_covariance(moments, A_hat, B_hat):
     Residual columns use the lifted matrices built from the nominal estimates;
     the solve is C_hat D_hat' (D_hat D_hat')^+.
     """
-    A_hat = np.asarray(A_hat, dtype=float)
-    B_hat = np.asarray(B_hat, dtype=float)
-    n, m = A_hat.shape[0], B_hat.shape[1]
-    A_t, B_t, K_BA, K_AB = lift_nominal(A_hat, B_hat)
-    pred = (
-        moments.x_t[:-1] @ A_t.T
-        + moments.w @ K_BA.T
-        + moments.w_p @ K_AB.T
-        + moments.u_t @ B_t.T
-    )
-    C = (moments.x_t[1:] - pred)[::-1].T
-    D = np.vstack([moments.x_t[:-1][::-1].T, moments.u_t[::-1].T])
-    sol, lam_min, lam_max, used_pinv = _gram_solve(C @ D.T, D @ D.T)
-    nt = svec_dim(n)
-    diag = {"lambda_min_dd": lam_min, "lambda_max_dd": lam_max, "used_pinv_d": used_pinv}
+    sol, diag = _solve(*covariance_blocks(moments, A_hat, B_hat), "d")
+    nt = svec_dim(moments.n)
     return sol[:, :nt], sol[:, nt:], diag
 
 
@@ -234,22 +216,13 @@ def mals(source, schedule=None, init=None, n_r=None, seed=0, truth=None):
 
 def estimate_from_population(reg):
     """Oracle feed: solve the two least-squares problems on exact population blocks."""
-    theta, lam_min_z, lam_max_z, pinv_z = _gram_solve(reg.Y @ reg.Z.T, reg.Z @ reg.Z.T)
-    sol, lam_min_d, lam_max_d, pinv_d = _gram_solve(reg.C @ reg.D.T, reg.D @ reg.D.T)
-    n = reg.Y.shape[0]
-    nt = reg.C.shape[0]
-    diag = {
-        "lambda_min_zz": lam_min_z,
-        "lambda_max_zz": lam_max_z,
-        "used_pinv_z": pinv_z,
-        "lambda_min_dd": lam_min_d,
-        "lambda_max_dd": lam_max_d,
-        "used_pinv_d": pinv_d,
-    }
+    theta, diag_z = _solve(reg.Y, reg.Z, "z")
+    sol, diag_d = _solve(reg.C, reg.D, "d")
+    n, nt = reg.Y.shape[0], reg.C.shape[0]
     return EstimationResult(
         A_hat=theta[:, :n],
         B_hat=theta[:, n:],
         sigma_a_tilde_hat=sol[:, :nt],
         sigma_b_tilde_hat=sol[:, nt:],
-        diagnostics=diag,
+        diagnostics={**diag_z, **diag_d},
     )

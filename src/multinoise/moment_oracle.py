@@ -34,9 +34,12 @@ __all__ = [
     "propagate_first",
     "propagate_second",
     "propagate_second_reduced",
+    "input_moments",
     "RegressionMatrices",
     "assemble_population",
     "assemble_from_moments",
+    "nominal_blocks",
+    "covariance_blocks",
     "ExcitationReport",
     "check_excitation",
     "controllable",
@@ -62,19 +65,29 @@ class LiftedDynamics:
     sigma_b_tilde: np.ndarray        # P1 sigma_b_prime Q2
 
 
+def _kron(a, b):
+    """np.kron over the last two axes, broadcasting leading batch axes."""
+    (p, q), (r, s) = a.shape[-2:], b.shape[-2:]
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return prod.reshape(prod.shape[:-4] + (p * r, q * s))
+
+
 def lift_nominal(A, B):
-    """Lifted matrices that depend on (A, B) only (no covariances)."""
+    """Lifted matrices that depend on (A, B) only (no covariances).
+
+    A (..., n, n) and B (..., n, m) may carry leading batch axes, kept in the outputs.
+    """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    n, m = A.shape[0], B.shape[1]
+    n, m = A.shape[-1], B.shape[-1]
     P1 = selection_matrices(n).P
     Q1 = selection_matrices(n).Q
     Q2 = selection_matrices(m).Q
     return (
-        P1 @ np.kron(A, A) @ Q1,
-        P1 @ np.kron(B, B) @ Q2,
-        P1 @ np.kron(B, A),
-        P1 @ np.kron(A, B),
+        P1 @ _kron(A, A) @ Q1,
+        P1 @ _kron(B, B) @ Q2,
+        P1 @ _kron(B, A),
+        P1 @ _kron(A, B),
     )
 
 
@@ -149,13 +162,24 @@ def propagate_first(A, B, schedule, mu0):
 
 
 def propagate_second(system, schedule, mu0, x_t0=None):
-    """Exact moment trajectory from (mu0, svec(E{x0 x0'})).
-
-    x_t0 defaults to svec(mu0 mu0') (deterministic start); smat(x_t0) - mu0 mu0'
-    must be PSD.
-    """
+    """Exact moment trajectory from (mu0, svec(E{x0 x0'})); see propagate_second_reduced."""
     ld = lift(system)
-    n = system.n
+    return propagate_second_reduced(
+        system.A, system.B, ld.sigma_a_tilde, ld.sigma_b_tilde, schedule, mu0, x_t0
+    )
+
+
+def propagate_second_reduced(A, B, sigma_a_tilde, sigma_b_tilde, schedule, mu0, x_t0=None):
+    """Propagate the reduced dynamic for explicitly given lifted covariances.
+
+    Also runs the recursion under *estimated* quantities, where no full
+    covariance pair is available.  x_t0 defaults to svec(mu0 mu0')
+    (deterministic start); smat(x_t0) - mu0 mu0' must be PSD.
+    """
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    n = A.shape[0]
+    A_t, B_t, K_BA, K_AB = lift_nominal(A, B)
     mu0 = np.asarray(mu0, dtype=float).ravel()
     if x_t0 is None:
         x_t0 = svec(np.outer(mu0, mu0))
@@ -163,58 +187,30 @@ def propagate_second(system, schedule, mu0, x_t0=None):
     cov0 = smat(x_t0, n) - np.outer(mu0, mu0)
     if np.min(np.linalg.eigvalsh(0.5 * (cov0 + cov0.T))) < -1e-9 * max(1.0, np.max(np.abs(cov0))):
         raise ValueError("initial second moment minus mu0 mu0' is not PSD")
-    return _propagate_reduced(ld, schedule, mu0, x_t0, system.A, system.B)
-
-
-def propagate_second_reduced(A, B, sigma_a_tilde, sigma_b_tilde, schedule, mu0, x_t0=None):
-    """Propagate the reduced dynamic for explicitly given lifted covariances.
-
-    Used to run the second-moment recursion under *estimated* quantities,
-    where no full covariance pair is available.
-    """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    n, m = A.shape[0], B.shape[1]
-    A_t, B_t, K_BA, K_AB = lift_nominal(A, B)
-    ld = LiftedDynamics(
-        n=n,
-        m=m,
-        A_t=A_t,
-        B_t=B_t,
-        K_BA=K_BA,
-        K_AB=K_AB,
-        sigma_a_prime=np.zeros((n * n, n * n)),
-        sigma_b_prime=np.zeros((n * n, m * m)),
-        sigma_a_tilde=np.asarray(sigma_a_tilde, dtype=float),
-        sigma_b_tilde=np.asarray(sigma_b_tilde, dtype=float),
-    )
-    mu0 = np.asarray(mu0, dtype=float).ravel()
-    if x_t0 is None:
-        x_t0 = svec(np.outer(mu0, mu0))
-    return _propagate_reduced(ld, schedule, mu0, np.asarray(x_t0, dtype=float).ravel(), A, B)
-
-
-def _propagate_reduced(ld, schedule, mu0, x_t0, A, B):
-    ell = schedule.ell
-    n, m = ld.n, ld.m
-    mu = np.empty((ell + 1, n))
-    x_t = np.empty((ell + 1, svec_dim(n)))
-    w = np.empty((ell, n * m))
-    w_p = np.empty((ell, n * m))
-    u_t = np.empty((ell, svec_dim(m)))
-    mu[0], x_t[0] = mu0, x_t0
-    At = ld.A_t + ld.sigma_a_tilde
-    Bt = ld.B_t + ld.sigma_b_tilde
-    for t in range(ell):
-        nu = schedule.nu[t]
-        w[t] = vec(np.outer(mu[t], nu))
-        w_p[t] = vec(np.outer(nu, mu[t]))
-        u_t[t] = svec(schedule.input_second_moment(t))
-        x_t[t + 1] = At @ x_t[t] + Bt @ u_t[t] + ld.K_BA @ w[t] + ld.K_AB @ w_p[t]
-        mu[t + 1] = A @ mu[t] + B @ nu
+    mu = propagate_first(A, B, schedule, mu0)
+    w, w_p, u_t = input_moments(mu, schedule)
+    x_t = np.empty((schedule.ell + 1, svec_dim(n)))
+    x_t[0] = x_t0
+    At = A_t + np.asarray(sigma_a_tilde, dtype=float)
+    Bt = B_t + np.asarray(sigma_b_tilde, dtype=float)
+    for t in range(schedule.ell):
+        x_t[t + 1] = At @ x_t[t] + Bt @ u_t[t] + K_BA @ w[t] + K_AB @ w_p[t]
     return MomentTrajectory(
         mu=mu, x_t=x_t, w=w, w_p=w_p, u_t=u_t, nu=schedule.nu.copy(), source="exact"
     )
+
+
+def input_moments(mu, schedule):
+    """W_t = vec(mu_t nu_t'), W'_t = vec(nu_t mu_t') and Ut_t = svec(E{u_t u_t'}) for t < ell."""
+    ell, n, m = schedule.ell, mu.shape[1], schedule.m
+    w = np.empty((ell, n * m))
+    w_p = np.empty((ell, n * m))
+    u_t = np.empty((ell, svec_dim(m)))
+    for t in range(ell):
+        w[t] = vec(np.outer(mu[t], schedule.nu[t]))
+        w_p[t] = vec(np.outer(schedule.nu[t], mu[t]))
+        u_t[t] = svec(schedule.input_second_moment(t))
+    return w, w_p, u_t
 
 
 @dataclass
@@ -235,41 +231,40 @@ class RegressionMatrices:
     U: np.ndarray    # [Ut_{ell-1} ... Ut_0]
 
 
-def assemble_population(system, schedule, mu0, x_t0=None):
-    """Exact regression matrices; recovery identities hold when Grams invert."""
-    ld = lift(system)
-    tr = propagate_second(system, schedule, mu0, x_t0)
-    return assemble_from_moments(ld, tr), tr
+def nominal_blocks(tr):
+    """Nominal least-squares blocks (Y, Z) of a (exact or empirical) moment trajectory."""
+    ell = tr.ell
+    Y = tr.mu[ell:0:-1].T  # columns mu_ell .. mu_1
+    Z = np.vstack([tr.mu[ell - 1 :: -1].T, tr.nu[::-1].T])
+    return Y, Z
 
 
-def assemble_from_moments(ld, tr):
-    """Build Y, Z, C, D from a (exact or empirical) moment trajectory.
+def covariance_blocks(tr, A, B):
+    """Covariance least-squares blocks (C, D), coupled to the nominal (A, B).
 
-    Residual columns C_t are formed with the nominal lifted matrices in ``ld``;
-    with exact moments and the true (A, B) they equal
+    Residual columns C_t are formed with the lifted matrices of (A, B); with
+    exact moments and the true (A, B) they equal
     [sigma_a_tilde  sigma_b_tilde] @ D column-for-column.
     """
-    ell = tr.ell
-    Y = tr.mu[ell:0:-1].T                       # columns mu_ell .. mu_1
-    Z = np.vstack([tr.mu[ell - 1 :: -1].T, tr.nu[::-1].T])
-    pred = (
-        tr.x_t[:-1] @ ld.A_t.T
-        + tr.w @ ld.K_BA.T
-        + tr.w_p @ ld.K_AB.T
-        + tr.u_t @ ld.B_t.T
-    )
-    Cfwd = tr.x_t[1:] - pred  # row t = C_{t+1}
-    C = Cfwd[::-1].T
+    A_t, B_t, K_BA, K_AB = lift_nominal(A, B)
+    pred = tr.x_t[:-1] @ A_t.T + tr.w @ K_BA.T + tr.w_p @ K_AB.T + tr.u_t @ B_t.T
+    C = (tr.x_t[1:] - pred)[::-1].T  # columns C_ell .. C_1
     D = np.vstack([tr.x_t[:-1][::-1].T, tr.u_t[::-1].T])
-    return RegressionMatrices(
-        Y=Y,
-        Z=Z,
-        C=C,
-        D=D,
-        M1=tr.x_t[:-1][::-1].T,
-        L1=tr.w[::-1].T,
-        U=tr.u_t[::-1].T,
-    )
+    return C, D
+
+
+def assemble_population(system, schedule, mu0, x_t0=None):
+    """Exact regression matrices; recovery identities hold when Grams invert."""
+    tr = propagate_second(system, schedule, mu0, x_t0)
+    return assemble_from_moments(tr, system.A, system.B), tr
+
+
+def assemble_from_moments(tr, A, B):
+    """Build Y, Z, C, D from a moment trajectory, C coupled to the nominal (A, B)."""
+    Y, Z = nominal_blocks(tr)
+    C, D = covariance_blocks(tr, A, B)
+    nt = svec_dim(tr.n)
+    return RegressionMatrices(Y=Y, Z=Z, C=C, D=D, M1=D[:nt], L1=tr.w[::-1].T, U=D[nt:])
 
 
 @dataclass
@@ -287,29 +282,27 @@ class ExcitationReport:
     pass_d: bool
 
 
+def _gram_rank(X, ell, ell_needed, tag):
+    """Rank, extreme eigenvalues and pass flag of X X' (tolerance RANK_TOL), keyed by ``tag``."""
+    gram = X @ X.T
+    w = np.linalg.eigvalsh(0.5 * (gram + gram.T))
+    tol = RANK_TOL * max(w[-1], 0.0)
+    return {
+        f"rank_{tag}": int(np.sum(w > tol)),
+        f"lambda_min_{tag}{tag}": float(w[0]),
+        f"lambda_max_{tag}{tag}": float(w[-1]),
+        f"ell_needed_{tag}": ell_needed,
+        f"pass_{tag}": bool(ell >= ell_needed and w[0] > tol),
+    }
+
+
 def check_excitation(reg, n, m):
     """Numerical full-row-rank checks of Z Z' and D D' plus length thresholds."""
     ell = reg.Y.shape[1]
-    zz = reg.Z @ reg.Z.T
-    dd = reg.D @ reg.D.T
-    wz = np.linalg.eigvalsh(0.5 * (zz + zz.T))
-    wd = np.linalg.eigvalsh(0.5 * (dd + dd.T))
-    tol_z = RANK_TOL * max(wz[-1], 0.0)
-    tol_d = RANK_TOL * max(wd[-1], 0.0)
-    ell_z = n + m
-    ell_d = (n * (n + 1) + m * (m + 1)) // 2
     return ExcitationReport(
-        rank_z=int(np.sum(wz > tol_z)),
-        lambda_min_zz=float(wz[0]),
-        lambda_max_zz=float(wz[-1]),
-        rank_d=int(np.sum(wd > tol_d)),
-        lambda_min_dd=float(wd[0]),
-        lambda_max_dd=float(wd[-1]),
         ell=ell,
-        ell_needed_z=ell_z,
-        ell_needed_d=ell_d,
-        pass_z=bool(ell >= ell_z and wz[0] > tol_z),
-        pass_d=bool(ell >= ell_d and wd[0] > tol_d),
+        **_gram_rank(reg.Z, ell, n + m, "z"),
+        **_gram_rank(reg.D, ell, (n * (n + 1) + m * (m + 1)) // 2, "d"),
     )
 
 

@@ -491,6 +491,13 @@ class RolloutSet:
     def from_json(cls, text):
         """Parse ``to_json`` output; ragged, mis-shaped or non-finite data raise ValueError."""
         d = json.loads(text)
+        _require_fields(d, ("n", "m", "ell", "n_r", "seed", "schedule", "rollouts"), "rollout JSON")
+        for key in ("n", "m", "ell", "n_r"):
+            if not isinstance(d[key], int) or isinstance(d[key], bool):
+                raise ValueError(f"rollout JSON field {key!r} must be an integer")
+        if not isinstance(d["rollouts"], list):
+            raise ValueError("rollout JSON field 'rollouts' must be a list")
+        _require_fields(d["schedule"], ("nu", "Ubar", "law"), "rollout JSON field 'schedule'")
         n_r, ell = d["n_r"], d["ell"]
         states = _rollout_array(d["rollouts"], "x", "state", (n_r, ell + 1, d["n"]))
         inputs = _rollout_array(d["rollouts"], "u", "input", (n_r, ell, d["m"]))
@@ -502,11 +509,20 @@ class RolloutSet:
         )
 
 
+def _require_fields(d, keys, what):
+    """Raise ValueError unless ``d`` is a JSON object holding every key."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be an object, got {type(d).__name__}")
+    for key in keys:
+        if key not in d:
+            raise ValueError(f"{what} has no {key!r} field")
+
+
 def _rollout_array(rollouts, key, what, shape):
     """Stack field ``key`` of every rollout into a finite float array of ``shape``."""
     try:
         arr = np.array([r[key] for r in rollouts], dtype=float)
-    except ValueError:  # ragged: numpy cannot stack the rollouts
+    except (KeyError, TypeError, ValueError):  # a missing field, ragged or non-numeric data
         arr = None
     if arr is None or arr.shape != shape:
         if len(rollouts) != shape[0]:
@@ -514,9 +530,10 @@ def _rollout_array(rollouts, key, what, shape):
                 f"rollout JSON holds {len(rollouts)} rollouts, its header says {shape[0]}"
             )
         for k, r in enumerate(rollouts):
+            _require_fields(r, (key,), f"rollout {k}")
             try:
                 got = np.shape(np.asarray(r[key], dtype=float))
-            except ValueError:
+            except (TypeError, ValueError):
                 raise ValueError(f"rollout {k}: {what}s are ragged or not numeric") from None
             if got != shape[1:]:
                 raise ValueError(f"rollout {k}: {what}s have shape {got}, expected {shape[1:]}")

@@ -6,16 +6,17 @@ from multinoise.baselines import (
     GaussianInputLaw,
     PeriodicInputLaw,
     RlsState,
+    _mask_after,
     _rls_batch,
+    covariance_from_fit,
     make_periodic_schedule,
     rls_nominal,
     rls_second_moment,
     second_moment_regressors,
     simulate_single_trajectories,
 )
-from multinoise.experiments import _mask_after
 from multinoise.mals import design_inputs
-from multinoise.moment_oracle import lift
+from multinoise.moment_oracle import lift, lift_nominal
 from multinoise.presets import get_preset
 from multinoise.system_model import (
     DIVERGENCE_LIMIT,
@@ -301,3 +302,17 @@ def test_periodic_single_period_matches_schedule_draws():
     ks = np.arange(7)
     for t in range(4):
         assert np.array_equal(law.sample(9, ks, t), sched.sample_inputs(9, ks, t))
+
+
+def test_covariance_from_fit_batch_axes_match_single_calls():
+    rng = np.random.default_rng(9)
+    n, m = 2, 1
+    fit = rng.standard_normal((3, 5, 3, 8))  # nt = 3 rows; blocks 3 + 1 + 2 + 2 wide
+    nominal = rng.standard_normal((3, 5, n, n + m))
+    sa, sb = covariance_from_fit(fit, nominal, n)
+    for idx in np.ndindex(3, 5):
+        sa1, sb1 = covariance_from_fit(fit[idx], nominal[idx], n)
+        assert np.array_equal(sa[idx], sa1) and np.array_equal(sb[idx], sb1)
+        A_t, B_t, _, _ = lift_nominal(nominal[idx][:, :n], nominal[idx][:, n:])
+        assert np.array_equal(sa1, fit[idx][:, :3] - A_t)
+        assert np.array_equal(sb1, fit[idx][:, 3:4] - B_t)

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,7 @@ from multinoise.bounds import (
     boundedness_constants,
 )
 from multinoise.mals import design_inputs
+from multinoise.presets import get_preset
 from multinoise.system_model import CovarianceNoise, make_system
 
 from conftest import BENCH_A, BENCH_B, BENCH_SIGMA_A, BENCH_SIGMA_B
@@ -249,3 +253,16 @@ def test_context_validates_eps_max():
 def test_vacuous_dimension_warning():
     with pytest.warns(RuntimeWarning, match="vacuous"):
         _context(n=15, m=10)
+
+
+def test_bound_families_match_pinned_bits():
+    # float.hex of every delta/eta family value on two presets at three deviation
+    # levels: the shared Gram-inverse chain must keep each formula's rounding
+    pins = json.loads((Path(__file__).parent / "bound_pins.json").read_text())
+    for key, expected in pins["values"].items():
+        preset, eps = key.rsplit(" ", 1)
+        b = get_preset(preset)
+        ctx = bound_context(b.system, b.schedule, b.init, pins["n_r"])
+        fam = {**delta_family(ctx, float(eps)), **eta_family(ctx, float(eps))}
+        got = {k: v if isinstance(v, bool) else float(v).hex() for k, v in fam.items()}
+        assert got == expected, key

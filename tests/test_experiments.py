@@ -181,6 +181,17 @@ def test_cli_simulate_estimate_roundtrip(tmp_path, capsys):
     assert np.array(est["A_hat"]).shape == (2, 2)
 
 
+def test_cli_malformed_rollout_file_exit_2(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["simulate", "--preset", "paper-4.1", "--n-r", "3", "--out", str(out)]) == 0
+    d = json.loads((out / "rollouts.json").read_text())
+    del d["rollouts"][0]["u"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d))
+    assert main(["estimate", "--rollouts", str(bad), "--out", str(out)]) == 2
+    assert "rollout 0 has no 'u' field" in capsys.readouterr().err
+
+
 def test_cli_unknown_preset_exit_2(tmp_path):
     assert main(["oracle", "--preset", "nope", "--out", str(tmp_path)]) == 2
 

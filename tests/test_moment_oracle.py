@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from multinoise.mals import design_inputs, empirical_moments, estimate_from_population
+from multinoise.mals import (
+    design_inputs,
+    empirical_moments,
+    estimate_covariance,
+    estimate_from_population,
+    estimate_nominal,
+)
 from multinoise.moment_oracle import (
     assemble_population,
     check_excitation,
@@ -10,8 +16,10 @@ from multinoise.moment_oracle import (
     lift_nominal,
     propagate_first,
     propagate_second,
+    propagate_second_reduced,
 )
-from multinoise.shape_ops import smat, svec, vec
+from multinoise.presets import get_preset
+from multinoise.shape_ops import selection_matrices, smat, svec, vec
 from multinoise.system_model import (
     CovarianceNoise,
     InputSchedule,
@@ -110,6 +118,24 @@ def test_propagate_second_full_vec_cross_check(bench_system, bench_schedule):
 def test_propagate_second_rejects_bad_initial_moment(bench_system, bench_schedule):
     with pytest.raises(ValueError, match="PSD"):
         propagate_second(bench_system, bench_schedule, np.array([1.0, 0.0]), np.zeros(3))
+    with pytest.raises(ValueError, match="PSD"):
+        propagate_second_reduced(
+            BENCH_A, BENCH_B, BENCH_SIGMA_A_TILDE, BENCH_SIGMA_B_TILDE, bench_schedule,
+            np.array([1.0, 0.0]), np.zeros(3),
+        )
+
+
+def test_lift_nominal_batch_axes_match_single_calls():
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((4, 3, 3, 3))
+    B = rng.standard_normal((4, 3, 3, 2))
+    batched = lift_nominal(A, B)
+    P1, Q1 = selection_matrices(3).P, selection_matrices(3).Q
+    for idx in np.ndindex(4, 3):
+        single = lift_nominal(A[idx], B[idx])
+        for got, one in zip(batched, single):
+            assert np.array_equal(got[idx], one)
+        assert np.array_equal(single[0], P1 @ np.kron(A[idx], A[idx]) @ Q1)
 
 
 def test_equivalence_class_gives_identical_dynamics(bench_schedule):
@@ -152,6 +178,19 @@ def test_population_recovery_identities(bench_system, bench_schedule):
     assert np.linalg.norm(res.nominal() - np.hstack([BENCH_A, BENCH_B]), 2) <= 1e-10
     truth = np.hstack([ld.sigma_a_tilde, ld.sigma_b_tilde])
     assert np.linalg.norm(res.covariance() - truth, 2) <= 1e-10
+
+
+@pytest.mark.parametrize("preset", ["paper-4.1", "paper-4.2-rho0.8"])
+def test_moment_estimators_match_population_solve_on_exact_moments(preset):
+    b = get_preset(preset)
+    reg, tr = assemble_population(b.system, b.schedule, np.zeros(b.system.n))
+    pop = estimate_from_population(reg)
+    A_hat, B_hat, _ = estimate_nominal(tr)
+    assert np.array_equal(np.hstack([A_hat, B_hat]), pop.nominal())
+    # the covariance blocks are coupled to (A_hat, B_hat) here, to the true (A, B) there
+    sa, sb, _ = estimate_covariance(tr, A_hat, B_hat)
+    truth = pop.covariance()
+    assert np.linalg.norm(np.hstack([sa, sb]) - truth) <= 1e-9 * np.linalg.norm(truth)
 
 
 def test_degenerate_zero_input_fails_excitation():

@@ -309,3 +309,45 @@ def test_rollout_json_rejects_bad_rollouts(bench_system, bench_schedule, zero_in
     edit(d)
     with pytest.raises(ValueError, match=message):
         RolloutSet.from_json(json.dumps(d))
+
+
+def _no_input_field(d):
+    del d["rollouts"][1]["u"]
+    return d
+
+
+def _no_ell(d):
+    del d["ell"]
+    return d
+
+
+def _no_schedule(d):
+    del d["schedule"]
+    return d
+
+
+def _rollouts_not_a_list(d):
+    d["rollouts"] = {"0": d["rollouts"][0]}
+    return d
+
+
+def _top_level_list(d):
+    return [d]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_no_input_field, "rollout 1 has no 'u' field"),
+        (_no_ell, "rollout JSON has no 'ell' field"),
+        (_no_schedule, "rollout JSON has no 'schedule' field"),
+        (_rollouts_not_a_list, "rollout JSON field 'rollouts' must be a list"),
+        (_top_level_list, "rollout JSON must be an object, got list"),
+    ],
+)
+def test_rollout_json_names_missing_or_mistyped_fields(
+    bench_system, bench_schedule, zero_init, edit, message
+):
+    d = json.loads(simulate_rollouts(bench_system, bench_schedule, zero_init, 3, seed=5).to_json())
+    with pytest.raises(ValueError, match=message):
+        RolloutSet.from_json(json.dumps(edit(d)))
