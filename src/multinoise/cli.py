@@ -2,7 +2,8 @@
 
 Subcommands: simulate, estimate, oracle, identifiability, bounds, and
 experiment {convergence|tail|equivalence|baselines}.  Exit codes: 0 success,
-2 configuration error, 3 assertion failure inside a run.
+1 any other failure (its traceback under --debug), 2 configuration error or
+malformed rollout file, 3 assertion failure inside a run.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +29,7 @@ from .identifiability import classify_uniqueness
 from .mals import mals
 from .moment_oracle import assemble_population, check_excitation, controllable
 from .presets import PRESET_NAMES, get_preset
-from .system_model import RolloutSet, simulate_rollouts
+from .system_model import InputError, RolloutSet, simulate_rollouts
 
 
 def _add_common(parser):
@@ -36,6 +38,14 @@ def _add_common(parser):
     parser.add_argument("--out", type=str, default=None, help="output directory")
     parser.add_argument("--reps", type=int, default=None, help="repetition count")
     parser.add_argument("--preset", type=str, default=None, help=f"one of {', '.join(PRESET_NAMES)}")
+    parser.add_argument("--debug", action="store_true", help="print the traceback of an unexpected error")
+
+
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _load_config(args, **overrides):
@@ -73,7 +83,11 @@ def cmd_estimate(args):
     config = _load_config(args)
     bundle = get_preset(config.preset, noise_law=config.noise_law)
     if args.rollouts:
-        rollouts = RolloutSet.from_json(Path(args.rollouts).read_text())
+        try:
+            text = Path(args.rollouts).read_text()
+        except OSError as exc:
+            raise InputError(f"cannot read rollouts {args.rollouts}: {exc}") from None
+        rollouts = RolloutSet.from_json(text)
         result = mals(rollouts, truth=bundle.system if args.preset else None)
     else:
         n_r = args.n_r or config.n_r_grid[0]
@@ -180,12 +194,12 @@ def build_parser():
 
     p = sub.add_parser("simulate", help="simulate rollouts to JSON")
     _add_common(p)
-    p.add_argument("--n-r", type=int, default=None)
+    p.add_argument("--n-r", type=_positive_int, default=None)
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("estimate", help="run the averaging least-squares estimator")
     _add_common(p)
-    p.add_argument("--n-r", type=int, default=None)
+    p.add_argument("--n-r", type=_positive_int, default=None)
     p.add_argument("--rollouts", type=str, default=None, help="ingest a rollout JSON file")
     p.set_defaults(fn=cmd_estimate)
 
@@ -199,7 +213,7 @@ def build_parser():
 
     p = sub.add_parser("bounds", help="evaluate the finite-sample bound curves")
     _add_common(p)
-    p.add_argument("--n-r", type=int, default=None)
+    p.add_argument("--n-r", type=_positive_int, default=None)
     p.set_defaults(fn=cmd_bounds)
 
     p = sub.add_parser("experiment", help="run a bundled experiment")
@@ -216,12 +230,17 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except InputError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:
         print(f"assertion failure: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:  # the command-line boundary: report, do not crash
+        if args.debug:
+            traceback.print_exc()
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

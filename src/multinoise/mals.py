@@ -17,12 +17,13 @@ from .moment_oracle import (
     lift,
     nominal_blocks,
 )
-from .shape_ops import selection_matrices, svec_dim, vec
-from .system_model import InputSchedule, RolloutSet, simulate_rollouts
+from .shape_ops import selection_matrices, svec_dim
+from .system_model import ROLLOUT_LEAF, InputSchedule, RolloutSet, iter_rollout_blocks
 
 __all__ = [
     "design_inputs",
     "empirical_moments",
+    "simulated_moments",
     "estimate_nominal",
     "estimate_covariance",
     "estimate_from_population",
@@ -71,27 +72,54 @@ def empirical_moments(rollouts):
     """Averaged moments per the estimator: mu_hat, reduced Xt_hat, W, W', Ut.
 
     W_hat uses the designed means (vec(mu_hat nu')), and Ut the designed input
-    moments, not sampled input statistics.  Sums run over the rollout axis
-    (numpy's pairwise mean, a BLAS product for the second moments), so the
-    results depend on rollout order in the last bits: permuting the rollouts
-    can change mu_hat, Xt_hat and W by rounding.
+    moments, not sampled input statistics.  The rollouts are cut into leaves
+    of ROLLOUT_LEAF consecutive rollouts, each leaf is summed, and the leaf
+    sums are added in a fixed pairwise tree (``_reduce_leaves``).  The bits
+    therefore equal those of ``simulated_moments`` for the same rollouts and
+    do not depend on how the rollouts were produced or blocked; they still
+    depend on rollout order, since permuting the rollouts changes the sums'
+    rounding.
     """
     if rollouts.n_r < 1:
         raise ValueError("empty rollout set")
     states = rollouts.states
-    sched = rollouts.schedule
-    n_r, ell = rollouts.n_r, rollouts.ell
-    n = rollouts.n
-    kept = selection_matrices(n).kept
-    mu = states.mean(axis=0)  # (ell+1, n)
-    x_t = np.empty((ell + 1, svec_dim(n)))
-    for t in range(ell + 1):
-        xt = states[:, t, :]
-        second = xt.T @ xt / n_r
-        x_t[t] = vec(0.5 * (second + second.T))[kept]
-    w, w_p, u_t = input_moments(mu, sched)
+    leaves = [_leaf_sums(states[k : k + ROLLOUT_LEAF]) for k in range(0, rollouts.n_r, ROLLOUT_LEAF)]
+    return _reduce_leaves(leaves, rollouts.n_r, rollouts.schedule)
+
+
+def simulated_moments(system, schedule, init, n_r, seed):
+    """``empirical_moments`` of ``simulate_rollouts(...)``, bit for bit, in O(block) memory.
+
+    Each block of ``iter_rollout_blocks`` is reduced to its leaf sums as soon
+    as it is simulated, so the (n_r, ell+1, n) state array is never built.
+    """
+    leaves = [_leaf_sums(xs) for _, xs, _ in iter_rollout_blocks(system, schedule, init, n_r, seed)]
+    return _reduce_leaves(leaves, n_r, schedule)
+
+
+def _leaf_sums(states):
+    """Sums over the rollouts of one leaf (b, ell+1, n): of x_t, (ell+1, n), and of x_t x_t', (ell+1, n, n)."""
+    return states.sum(axis=0), np.stack([xt.T @ xt for xt in states.swapaxes(0, 1)])
+
+
+def _tree_sum(parts):
+    """Sum ``parts`` in a fixed pairwise tree: adjacent pairs left to right, level by level."""
+    while len(parts) > 1:
+        paired = [a + b for a, b in zip(parts[::2], parts[1::2])]
+        parts = paired + parts[-1:] if len(parts) % 2 else paired
+    return parts[0]
+
+
+def _reduce_leaves(leaves, n_r, schedule):
+    """MomentTrajectory from per-leaf sums: tree-summed, then divided by n_r once."""
+    mu = _tree_sum([s1 for s1, _ in leaves]) / n_r
+    second = _tree_sum([s2 for _, s2 in leaves]) / n_r
+    sym = 0.5 * (second + second.swapaxes(1, 2))
+    n = mu.shape[1]
+    x_t = sym.swapaxes(1, 2).reshape(len(sym), n * n)[:, selection_matrices(n).kept]  # svec per t
+    w, w_p, u_t = input_moments(mu, schedule)
     return MomentTrajectory(
-        mu=mu, x_t=x_t, w=w, w_p=w_p, u_t=u_t, nu=sched.nu.copy(), source="empirical"
+        mu=mu, x_t=x_t, w=w, w_p=w_p, u_t=u_t, nu=schedule.nu.copy(), source="empirical"
     )
 
 
@@ -188,18 +216,20 @@ def mals(source, schedule=None, init=None, n_r=None, seed=0, truth=None):
     """Run the full estimator.
 
     ``source`` is either a MultNoiseSystem (rollouts are simulated with the
-    given schedule/init/n_r/seed) or a RolloutSet (ingested as-is).  When
-    ``truth`` (a system) is supplied, spectral errors are attached.
+    given schedule/init/n_r/seed and reduced block by block, in O(block)
+    memory, by ``simulated_moments``) or a RolloutSet (ingested as-is).  Both
+    give the same bits for the same rollouts.  When ``truth`` (a system) is
+    supplied, spectral errors are attached.
     """
     if isinstance(source, RolloutSet):
-        rollouts = source
+        moments = empirical_moments(source)
+        n_r = source.n_r
     else:
         if schedule is None or init is None or n_r is None:
             raise ValueError("simulating requires schedule, init and n_r")
-        rollouts = simulate_rollouts(source, schedule, init, n_r, seed)
+        moments = simulated_moments(source, schedule, init, n_r, seed)
         if truth is None:
             truth = source
-    moments = empirical_moments(rollouts)
     A_hat, B_hat, diag_z = estimate_nominal(moments)
     sa, sb, diag_d = estimate_covariance(moments, A_hat, B_hat)
     result = EstimationResult(
@@ -207,7 +237,7 @@ def mals(source, schedule=None, init=None, n_r=None, seed=0, truth=None):
         B_hat=B_hat,
         sigma_a_tilde_hat=sa,
         sigma_b_tilde_hat=sb,
-        diagnostics={**diag_z, **diag_d, "n_r": rollouts.n_r, "ell": rollouts.ell},
+        diagnostics={**diag_z, **diag_d, "n_r": int(n_r), "ell": moments.ell},
     )
     if truth is not None:
         attach_errors(result, truth)

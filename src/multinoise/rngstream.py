@@ -34,15 +34,23 @@ ROLE_NOISE_B = 3
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
+_S30, _S27, _S31, _S11 = (np.uint64(v) for v in (30, 27, 31, 11))
 _SQRT3 = np.sqrt(3.0)
 
 
 def _mix64(z):
-    """SplitMix64 finalizer (bijective avalanche on uint64, wrapping mod 2^64)."""
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * _M1
-        z = (z ^ (z >> np.uint64(27))) * _M2
-        return z ^ (z >> np.uint64(31))
+    """SplitMix64 finalizer (bijective avalanche on uint64, wrapping mod 2^64).
+
+    A uint64 array is mixed in place and returned; a numpy scalar gives a new
+    scalar.  Scalar products warn on wrapping, so callers hold
+    ``np.errstate(over="ignore")``.
+    """
+    z ^= z >> _S30
+    z *= _M1
+    z ^= z >> _S27
+    z *= _M2
+    z ^= z >> _S31
+    return z
 
 
 def stream_keys(seed, k, t, role):
@@ -73,12 +81,13 @@ def uniform01(seed, k, t, role, count):
     keys = stream_keys(seed, k, t, role)
     with np.errstate(over="ignore"):
         idx = (np.arange(1, count + 1, dtype=np.uint64)) * _GAMMA
-        if keys.ndim == 0:
-            words = _mix64(keys + idx)
-        else:
-            words = _mix64(keys[..., None] + idx)
+        words = _mix64(keys[..., None] + idx)
     # 53-bit mantissa, offset by half a ulp so 0 is excluded
-    return ((words >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0**-53)
+    words >>= _S11
+    u = words.astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    return u
 
 
 def unit_variance(seed, k, t, role, count, law):
@@ -89,9 +98,12 @@ def unit_variance(seed, k, t, role, count, law):
     """
     u = uniform01(seed, k, t, role, count)
     if law == "uniform":
-        return (2.0 * u - 1.0) * _SQRT3
+        u *= 2.0
+        u -= 1.0
+        u *= _SQRT3
+        return u
     if law == "gaussian":
-        return ndtri(u)
+        return ndtri(u, out=u)
     raise ValueError(f"unknown component law {law!r}")
 
 
@@ -100,4 +112,6 @@ def truncated_normal(seed, k, t, role, count, radius):
     u = uniform01(seed, k, t, role, count)
     lo = ndtr(-radius)
     hi = ndtr(radius)
-    return ndtri(lo + u * (hi - lo))
+    u *= hi - lo
+    u += lo
+    return ndtri(u, out=u)

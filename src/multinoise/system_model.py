@@ -30,6 +30,9 @@ __all__ = [
     "augment_schedule",
     "Rollout",
     "RolloutSet",
+    "InputError",
+    "ROLLOUT_LEAF",
+    "iter_rollout_blocks",
     "simulate_rollouts",
     "SimulationDiverged",
 ]
@@ -41,11 +44,20 @@ PSD_SLACK = 1e-10
 #: declared diverged.
 DIVERGENCE_LIMIT = 1e12
 
+#: Rollouts simulated together as one block, and summed together as one leaf
+#: of the moment reduction tree.  At this size a block's per-step arrays stay
+#: in cache, and memory does not grow with the number of rollouts.
+ROLLOUT_LEAF = 8192
+
 _SQRT3 = np.sqrt(3.0)
 
 
 class SimulationDiverged(RuntimeError):
     """A state entry exceeded DIVERGENCE_LIMIT during simulation."""
+
+
+class InputError(ValueError):
+    """A rollout file that is malformed or inconsistent with its own header."""
 
 
 def _psd_factor(S, name):
@@ -347,10 +359,6 @@ class InputSchedule:
             "Ubar": self.ubar.tolist(),
         }
 
-    @classmethod
-    def from_json_dict(cls, d):
-        return cls(nu=np.array(d["nu"]), ubar=np.array(d["Ubar"]), law=d["law"], seed=d.get("seed"))
-
 
 # ---------------------------------------------------------------------------
 # the system
@@ -489,33 +497,56 @@ class RolloutSet:
 
     @classmethod
     def from_json(cls, text):
-        """Parse ``to_json`` output; ragged, mis-shaped or non-finite data raise ValueError."""
-        d = json.loads(text)
+        """Parse ``to_json`` output.
+
+        Malformed JSON, missing fields, ragged, mis-shaped or non-finite data
+        and a schedule that disagrees with the header raise InputError.
+        """
+        try:
+            d = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"rollout JSON does not parse: {exc}") from None
         _require_fields(d, ("n", "m", "ell", "n_r", "seed", "schedule", "rollouts"), "rollout JSON")
         for key in ("n", "m", "ell", "n_r"):
             if not isinstance(d[key], int) or isinstance(d[key], bool):
-                raise ValueError(f"rollout JSON field {key!r} must be an integer")
+                raise InputError(f"rollout JSON field {key!r} must be an integer")
         if not isinstance(d["rollouts"], list):
-            raise ValueError("rollout JSON field 'rollouts' must be a list")
+            raise InputError("rollout JSON field 'rollouts' must be a list")
         _require_fields(d["schedule"], ("nu", "Ubar", "law"), "rollout JSON field 'schedule'")
-        n_r, ell = d["n_r"], d["ell"]
+        n_r, ell, m = d["n_r"], d["ell"], d["m"]
         states = _rollout_array(d["rollouts"], "x", "state", (n_r, ell + 1, d["n"]))
-        inputs = _rollout_array(d["rollouts"], "u", "input", (n_r, ell, d["m"]))
-        return cls(
-            states=states,
-            inputs=inputs,
-            schedule=InputSchedule.from_json_dict(d["schedule"]),
-            seed=d["seed"],
-        )
+        inputs = _rollout_array(d["rollouts"], "u", "input", (n_r, ell, m))
+        sched = d["schedule"]
+        nu = _schedule_array(sched, "nu", (ell, m))
+        ubar = _schedule_array(sched, "Ubar", (ell, m, m))
+        try:
+            schedule = InputSchedule(nu=nu, ubar=ubar, law=sched["law"], seed=sched.get("seed"))
+        except ValueError as exc:
+            raise InputError(f"rollout JSON field 'schedule': {exc}") from None
+        return cls(states=states, inputs=inputs, schedule=schedule, seed=d["seed"])
 
 
 def _require_fields(d, keys, what):
-    """Raise ValueError unless ``d`` is a JSON object holding every key."""
+    """Raise InputError unless ``d`` is a JSON object holding every key."""
     if not isinstance(d, dict):
-        raise ValueError(f"{what} must be an object, got {type(d).__name__}")
+        raise InputError(f"{what} must be an object, got {type(d).__name__}")
     for key in keys:
         if key not in d:
-            raise ValueError(f"{what} has no {key!r} field")
+            raise InputError(f"{what} has no {key!r} field")
+
+
+def _schedule_array(sched, key, shape):
+    """Schedule field ``key`` as a float array of ``shape`` (the header's ell and m)."""
+    try:
+        arr = np.array(sched[key], dtype=float)
+    except (TypeError, ValueError):
+        raise InputError(f"rollout JSON field schedule.{key} is ragged or not numeric") from None
+    if arr.shape != shape:
+        raise InputError(
+            f"rollout JSON field schedule.{key} has shape {arr.shape}, "
+            f"the header's ell = {shape[0]} and m = {shape[1]} need {shape}"
+        )
+    return arr
 
 
 def _rollout_array(rollouts, key, what, shape):
@@ -526,7 +557,7 @@ def _rollout_array(rollouts, key, what, shape):
         arr = None
     if arr is None or arr.shape != shape:
         if len(rollouts) != shape[0]:
-            raise ValueError(
+            raise InputError(
                 f"rollout JSON holds {len(rollouts)} rollouts, its header says {shape[0]}"
             )
         for k, r in enumerate(rollouts):
@@ -534,22 +565,26 @@ def _rollout_array(rollouts, key, what, shape):
             try:
                 got = np.shape(np.asarray(r[key], dtype=float))
             except (TypeError, ValueError):
-                raise ValueError(f"rollout {k}: {what}s are ragged or not numeric") from None
+                raise InputError(f"rollout {k}: {what}s are ragged or not numeric") from None
             if got != shape[1:]:
-                raise ValueError(f"rollout {k}: {what}s have shape {got}, expected {shape[1:]}")
-        raise ValueError(f"rollout JSON has inconsistent {what} shapes")
+                raise InputError(f"rollout {k}: {what}s have shape {got}, expected {shape[1:]}")
+        raise InputError(f"rollout JSON has inconsistent {what} shapes")
     if not np.isfinite(arr).all():
         k = int(np.argmin(np.isfinite(arr).all(axis=(1, 2))))
-        raise ValueError(f"rollout {k}: {what}s hold a non-finite value")
+        raise InputError(f"rollout {k}: {what}s hold a non-finite value")
     return arr
 
 
-def simulate_rollouts(system, schedule, init, n_r, seed):
-    """Generate n_r independent rollouts; bit-reproducible from the seed.
+def iter_rollout_blocks(system, schedule, init, n_r, seed):
+    """Simulate rollouts 0..n_r-1 in blocks of ROLLOUT_LEAF consecutive indices.
 
-    Every (rollout, time, role) tuple draws from its own keyed stream, so the
-    result is independent of batching and of how many rollouts are requested
-    (the first k rollouts of any larger set are identical).
+    Yields ``(k0, states, inputs)`` per block, with states (b, ell+1, n) and
+    inputs (b, ell, m) of rollouts k0..k0+b-1, in rollout order; only the
+    last block may be shorter.  Every (rollout, time, role) tuple draws from
+    its own keyed stream, so a rollout does not depend on its block.  The
+    arguments are checked when iteration starts; a diverged state raises
+    SimulationDiverged naming the step and the global rollout index, at the
+    first step that diverges within the first block that diverges.
     """
     if n_r < 1:
         raise ValueError("n_r must be >= 1")
@@ -558,26 +593,54 @@ def simulate_rollouts(system, schedule, init, n_r, seed):
     if schedule.m != system.m:
         raise ValueError(f"schedule input dim {schedule.m} != system m {system.m}")
     n, m, ell = system.n, system.m, schedule.ell
-    ks = np.arange(n_r)
-    states = np.empty((n_r, ell + 1, n))
-    inputs = np.empty((n_r, ell, m))
-    x = init.sample(seed, ks)
-    states[:, 0, :] = x
-    for t in range(ell):
-        u = schedule.sample_inputs(seed, ks, t)
-        Abar, Bbar = system.noise.sample(seed, ks, t, n, m)
-        _check_noise_bound(system, Abar, Bbar)
-        x = (
-            np.einsum("kij,kj->ki", Abar, x)
-            + x @ system.A.T
-            + np.einsum("kij,kj->ki", Bbar, u)
-            + u @ system.B.T
-        )
-        if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > DIVERGENCE_LIMIT:
-            bad = int(np.argmax(np.max(np.abs(x), axis=1)))
-            raise SimulationDiverged(f"state exceeded {DIVERGENCE_LIMIT:g} at t={t + 1}, rollout {bad}")
-        inputs[:, t, :] = u
-        states[:, t + 1, :] = x
+    for k0 in range(0, n_r, ROLLOUT_LEAF):
+        k1 = min(k0 + ROLLOUT_LEAF, n_r)
+        # numpy takes a one-row matrix product through gemv, which rounds
+        # differently from the gemm of a larger batch, so a lone last rollout
+        # is simulated beside its predecessor and keeps its bits.
+        lo = k0 - 1 if k1 - k0 == 1 and k0 > 0 else k0
+        ks = np.arange(lo, k1)
+        states = np.empty((len(ks), ell + 1, n))
+        inputs = np.empty((len(ks), ell, m))
+        x = init.sample(seed, ks)
+        states[:, 0, :] = x
+        for t in range(ell):
+            u = schedule.sample_inputs(seed, ks, t)
+            Abar, Bbar = system.noise.sample(seed, ks, t, n, m)
+            _check_noise_bound(system, Abar, Bbar)
+            x = (
+                np.einsum("kij,kj->ki", Abar, x)
+                + x @ system.A.T
+                + np.einsum("kij,kj->ki", Bbar, u)
+                + u @ system.B.T
+            )
+            if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > DIVERGENCE_LIMIT:
+                bad = lo + int(np.argmax(np.max(np.abs(x), axis=1)))
+                raise SimulationDiverged(
+                    f"state exceeded {DIVERGENCE_LIMIT:g} at t={t + 1}, rollout {bad}"
+                )
+            inputs[:, t, :] = u
+            states[:, t + 1, :] = x
+        yield k0, states[k0 - lo :], inputs[k0 - lo :]
+
+
+def simulate_rollouts(system, schedule, init, n_r, seed):
+    """Generate n_r independent rollouts; bit-reproducible from the seed.
+
+    The rollouts are simulated block by block (``iter_rollout_blocks``), and
+    every (rollout, time, role) tuple draws from its own keyed stream, so the
+    result is independent of batching and of how many rollouts are requested:
+    for k >= 2 the first k rollouts of any larger set are identical.  A lone
+    rollout (n_r = 1) goes through one-row matrix products and may differ
+    from rollout 0 of a larger set in the last bit.
+    """
+    states = inputs = None
+    for k0, xs, us in iter_rollout_blocks(system, schedule, init, n_r, seed):
+        if states is None:
+            states = np.empty((n_r,) + xs.shape[1:])
+            inputs = np.empty((n_r,) + us.shape[1:])
+        states[k0 : k0 + len(xs)] = xs
+        inputs[k0 : k0 + len(us)] = us
     return RolloutSet(states=states, inputs=inputs, schedule=schedule, seed=seed)
 
 

@@ -189,17 +189,46 @@ def test_cli_malformed_rollout_file_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(d))
     assert main(["estimate", "--rollouts", str(bad), "--out", str(out)]) == 2
-    assert "rollout 0 has no 'u' field" in capsys.readouterr().err
+    assert capsys.readouterr().err == "input error: rollout 0 has no 'u' field\n"
+
+
+def test_cli_schedule_mismatch_is_an_input_error(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["simulate", "--preset", "paper-4.1", "--n-r", "3", "--out", str(out)]) == 0
+    d = json.loads((out / "rollouts.json").read_text())
+    for key in ("nu", "Ubar"):
+        d["schedule"][key].pop()
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d))
+    assert main(["estimate", "--rollouts", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: rollout JSON field schedule.nu has shape (3, 1)"), err
 
 
 def test_cli_unknown_preset_exit_2(tmp_path):
     assert main(["oracle", "--preset", "nope", "--out", str(tmp_path)]) == 2
 
 
-def test_cli_bad_config_exit_2(tmp_path):
+def test_cli_bad_config_exit_2(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text('{"n_r_grid": [5, 1]}')
     assert main(["experiment", "convergence", "--config", str(p), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: n_r_grid must be")
+
+
+@pytest.mark.parametrize("debug", [False, True])
+def test_cli_unexpected_error_exit_1_traceback_under_debug(tmp_path, monkeypatch, capsys, debug):
+    import multinoise.cli as cli
+
+    def boom(cfg):
+        raise ValueError("matrices are not aligned")  # as from a numpy failure inside a run
+
+    monkeypatch.setitem(cli._EXPERIMENTS, "baselines", boom)
+    argv = ["experiment", "baselines", "--out", str(tmp_path)] + ["--debug"] * debug
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.endswith("error: ValueError: matrices are not aligned\n")
+    assert ("Traceback (most recent call last)" in err) == debug
 
 
 def test_cli_assertion_failure_exit_3(tmp_path, monkeypatch):

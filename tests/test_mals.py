@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +10,13 @@ from multinoise.mals import (
     estimate_covariance,
     estimate_nominal,
     mals,
+    simulated_moments,
 )
 from multinoise.moment_oracle import lift, propagate_first, propagate_second
+from multinoise.presets import get_preset
+from multinoise.shape_ops import selection_matrices, vec
 from multinoise.system_model import (
+    ROLLOUT_LEAF,
     CovarianceNoise,
     FixedInitial,
     InputSchedule,
@@ -100,6 +105,53 @@ def test_empirical_moments_rejects_empty(bench_schedule):
     )
     with pytest.raises(ValueError):
         empirical_moments(rollouts)
+
+
+LEAF = ROLLOUT_LEAF
+MOMENT_FIELDS = ("mu", "x_t", "w", "w_p", "u_t", "nu")
+
+
+@pytest.mark.parametrize("n_r", [1, LEAF - 1, LEAF, LEAF + 1, 3 * LEAF + 5])
+def test_streamed_moments_equal_in_memory_moments(bench_system, bench_schedule, n_r):
+    init = get_preset("paper-4.1").init
+    streamed = simulated_moments(bench_system, bench_schedule, init, n_r, 21)
+    in_memory = empirical_moments(simulate_rollouts(bench_system, bench_schedule, init, n_r, 21))
+    for name in MOMENT_FIELDS:
+        assert np.array_equal(getattr(streamed, name), getattr(in_memory, name)), name
+    via_system = mals(bench_system, bench_schedule, init, n_r, seed=21)
+    via_set = mals(simulate_rollouts(bench_system, bench_schedule, init, n_r, 21), truth=bench_system)
+    assert np.array_equal(via_system.nominal(), via_set.nominal())
+    assert np.array_equal(via_system.covariance(), via_set.covariance())
+    assert via_system.diagnostics == via_set.diagnostics
+
+
+@pytest.mark.parametrize("n_r", [1, 100, LEAF])
+def test_single_leaf_moments_equal_whole_array_formulas(bench_system, bench_schedule, zero_init, n_r):
+    # one leaf is one sum over the rollout axis and one product per step, as
+    # before the leaves existed; this keeps every output at n_r <= LEAF unchanged
+    rollouts = simulate_rollouts(bench_system, bench_schedule, zero_init, n_r, 5)
+    em = empirical_moments(rollouts)
+    assert np.array_equal(em.mu, rollouts.states.mean(axis=0))
+    kept = selection_matrices(2).kept
+    for t in range(bench_schedule.ell + 1):
+        xt = rollouts.states[:, t, :]
+        second = xt.T @ xt / n_r
+        assert np.array_equal(em.x_t[t], vec(0.5 * (second + second.T))[kept])
+
+
+def test_mals_memory_does_not_grow_with_rollouts():
+    b = get_preset("paper-4.1")
+    mals(b.system, b.schedule, b.init, 10, seed=0)  # first-call allocations
+    peaks = {}
+    for n_r in (4 * LEAF, 32 * LEAF):
+        tracemalloc.start()
+        try:
+            mals(b.system, b.schedule, b.init, n_r, seed=3)
+            peaks[n_r] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # the state array alone would take 80 B per rollout (ell + 1 = 5 steps of n = 2)
+    assert peaks[32 * LEAF] < 2 * peaks[4 * LEAF], peaks
 
 
 # --- the two least-squares solves -------------------------------------------

@@ -1,4 +1,5 @@
 import numpy as np
+import scipy.special
 import scipy.stats
 
 from multinoise import rngstream as rs
@@ -72,3 +73,39 @@ def test_time_array_draws_equal_stacked_scalar_draws():
         rs.stream_keys(5, ks, ts, rs.ROLE_INPUT),
         np.stack([rs.stream_keys(5, ks, int(t), rs.ROLE_INPUT) for t in ts]),
     )
+
+
+_GAMMA, _M1, _M2 = (np.uint64(v) for v in (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
+
+
+def _reference_mix64(z):
+    """The SplitMix64 finalizer written out of place."""
+    z = (z ^ (z >> np.uint64(30))) * _M1
+    z = (z ^ (z >> np.uint64(27))) * _M2
+    return z ^ (z >> np.uint64(31))
+
+
+def _reference_uniform01(seed, k, t, role, count):
+    """uniform01 written out of place, hashing (seed, k), then t, then role."""
+    k = np.asarray(k, dtype=np.uint64)
+    t = np.asarray(t, dtype=np.uint64)
+    if t.ndim:
+        t = t.reshape((-1,) + (1,) * k.ndim)
+    with np.errstate(over="ignore"):
+        s = _reference_mix64(np.uint64(seed) + _GAMMA)
+        s = _reference_mix64(s ^ ((k + np.uint64(1)) * _GAMMA))
+        s = _reference_mix64(s ^ ((t + np.uint64(1)) * _M1))
+        s = _reference_mix64(s ^ ((np.uint64(role) + np.uint64(1)) * _M2))
+        words = _reference_mix64(np.asarray(s)[..., None] + np.arange(1, count + 1, dtype=np.uint64) * _GAMMA)
+    return ((words >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0**-53)
+
+
+def test_in_place_mixing_draws_equal_out_of_place_reference():
+    seed, role = 2**63 + 11, rs.ROLE_NOISE_B
+    for k, t in ((np.arange(7), 3), (5, 2), (np.arange(4), np.array([0, 9]))):
+        u = _reference_uniform01(seed, k, t, role, 3)
+        assert np.array_equal(rs.uniform01(seed, k, t, role, 3), u)
+        assert np.array_equal(rs.unit_variance(seed, k, t, role, 3, "uniform"), (2.0 * u - 1.0) * np.sqrt(3.0))
+        assert np.array_equal(rs.unit_variance(seed, k, t, role, 3, "gaussian"), scipy.special.ndtri(u))
+        lo, hi = scipy.special.ndtr(-1.5), scipy.special.ndtr(1.5)
+        assert np.array_equal(rs.truncated_normal(seed, k, t, role, 3, 1.5), scipy.special.ndtri(lo + u * (hi - lo)))

@@ -6,9 +6,11 @@ import pytest
 from multinoise.moment_oracle import propagate_first, propagate_second
 from multinoise.shape_ops import svec, vec
 from multinoise.system_model import (
+    ROLLOUT_LEAF,
     CovarianceNoise,
     EigenStructuredNoise,
     FixedInitial,
+    InputError,
     InputSchedule,
     RolloutSet,
     SimulationDiverged,
@@ -94,6 +96,15 @@ def test_rollout_subset_stability(bench_system, bench_schedule, zero_init):
     assert np.array_equal(big.inputs[:7], small.inputs)
 
 
+@pytest.mark.parametrize("k", [ROLLOUT_LEAF - 1, ROLLOUT_LEAF + 1, ROLLOUT_LEAF + 3])
+def test_rollouts_do_not_depend_on_their_block(bench_system, bench_schedule, k):
+    init = UniformBoxInitial([0.5, -0.5], [1.0, 2.0])  # a drawn x_0, unlike zero_init
+    big = simulate_rollouts(bench_system, bench_schedule, init, 2 * ROLLOUT_LEAF + 7, seed=9)
+    small = simulate_rollouts(bench_system, bench_schedule, init, k, seed=9)
+    assert np.array_equal(big.states[:k], small.states)
+    assert np.array_equal(big.inputs[:k], small.inputs)
+
+
 def test_mean_matches_first_moment_oracle(bench_system, bench_schedule, zero_init):
     n_r = 100_000
     rollouts = simulate_rollouts(bench_system, bench_schedule, zero_init, n_r, seed=12)
@@ -135,6 +146,25 @@ def test_simulation_divergence_guard():
     sched = InputSchedule(nu=np.ones((4, 1)), ubar=np.zeros((4, 1, 1)), law="deterministic")
     with pytest.raises(SimulationDiverged, match="exceeded"):
         simulate_rollouts(s, sched, FixedInitial(np.ones(2)), 3, seed=0)
+
+
+class _ZeroThenOnes:
+    """Initial states 0 for rollouts below ``first``, ones from it on."""
+
+    def __init__(self, first):
+        self.first = first
+
+    def sample(self, seed, ks):
+        return np.repeat((np.asarray(ks) >= self.first)[:, None], 2, axis=1).astype(float)
+
+
+def test_simulation_divergence_names_global_rollout_past_first_block():
+    s = make_system(1e6 * np.eye(2), BENCH_B, ZeroNoise())
+    sched = InputSchedule(nu=np.zeros((4, 1)), ubar=np.zeros((4, 1, 1)), law="deterministic")
+    n_r = 2 * ROLLOUT_LEAF
+    # only rollouts from ROLLOUT_LEAF + 3 on grow, as 1e6^t, past 1e12 at t = 3
+    with pytest.raises(SimulationDiverged, match=rf"at t=3, rollout {ROLLOUT_LEAF + 3}$"):
+        simulate_rollouts(s, sched, _ZeroThenOnes(ROLLOUT_LEAF + 3), n_r, seed=0)
 
 
 # --- additive-noise embedding -------------------------------------------------
@@ -335,6 +365,31 @@ def _top_level_list(d):
     return [d]
 
 
+def _short_schedule(d):  # schedule of ell - 1 steps under an ell-step header
+    for key in ("nu", "Ubar"):
+        d["schedule"][key].pop()
+    return d
+
+
+def _wide_schedule_means(d):
+    d["schedule"]["nu"] = [row + [0.0] for row in d["schedule"]["nu"]]
+    return d
+
+
+def _short_schedule_covariances(d):
+    d["schedule"]["Ubar"].pop()
+    return d
+
+
+def _unknown_schedule_law(d):
+    d["schedule"]["law"] = "cauchy"
+    return d
+
+
+def _not_json(d):
+    return "{"
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -343,11 +398,17 @@ def _top_level_list(d):
         (_no_schedule, "rollout JSON has no 'schedule' field"),
         (_rollouts_not_a_list, "rollout JSON field 'rollouts' must be a list"),
         (_top_level_list, "rollout JSON must be an object, got list"),
+        (_short_schedule, r"schedule\.nu has shape \(3, 1\), the header's ell = 4 and m = 1 need \(4, 1\)"),
+        (_wide_schedule_means, r"schedule\.nu has shape \(4, 2\), the header's ell = 4 and m = 1 need \(4, 1\)"),
+        (_short_schedule_covariances, r"schedule\.Ubar has shape \(3, 1, 1\), .* need \(4, 1, 1\)"),
+        (_unknown_schedule_law, "'schedule': unknown input law 'cauchy'"),
+        (_not_json, "rollout JSON does not parse"),
     ],
 )
 def test_rollout_json_names_missing_or_mistyped_fields(
     bench_system, bench_schedule, zero_init, edit, message
 ):
     d = json.loads(simulate_rollouts(bench_system, bench_schedule, zero_init, 3, seed=5).to_json())
-    with pytest.raises(ValueError, match=message):
-        RolloutSet.from_json(json.dumps(edit(d)))
+    edited = edit(d)
+    with pytest.raises(InputError, match=message):
+        RolloutSet.from_json(edited if isinstance(edited, str) else json.dumps(edited))
