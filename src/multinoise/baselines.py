@@ -1,6 +1,7 @@
 """Single-trajectory baselines: recursive least squares for the nominal
-system and for the lifted second-moment regression, plus periodic-input
-trajectory generation so sample counts match the multi-rollout estimator.
+system and for the lifted second-moment regression, on long trajectories
+whose sample counts match the multi-rollout estimator's.  The RLSp baseline
+drives them with the MALS input schedule itself, repeating with its period.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import numpy as np
 from . import rngstream as rs
 from .moment_oracle import lift_nominal
 from .shape_ops import selection_matrices
-from .system_model import DIVERGENCE_LIMIT
+from .system_model import beyond_limit, simulate_trajectories
 
 __all__ = [
     "RlsState",
@@ -22,8 +23,6 @@ __all__ = [
     "covariance_from_fit",
     "rls_batch_estimates",
     "GaussianInputLaw",
-    "PeriodicInputLaw",
-    "make_periodic_schedule",
     "simulate_single_trajectories",
 ]
 
@@ -39,11 +38,6 @@ class RlsState:
     P: np.ndarray
     steps: int
     diverged: bool
-
-
-def _too_big(a, axis=None):
-    """Whether any entry along ``axis`` (default: all) is NaN, infinite or > DIVERGENCE_LIMIT."""
-    return ~(np.abs(a) <= DIVERGENCE_LIMIT).all(axis=axis)
 
 
 def _rls_batch(phi, target, checkpoints):
@@ -67,7 +61,7 @@ def _rls_batch(phi, target, checkpoints):
     out = np.empty((len(cps), R, p, d))
     phi_t = phi.swapaxes(0, 1)  # time-major views: step t is phi_t[t]
     target_t = target.swapaxes(0, 1)
-    bad_data = (_too_big(phi, 2) | _too_big(target, 2)).T  # (T, R)
+    bad_data = (beyond_limit(phi, 2) | beyond_limit(target, 2)).T  # (T, R)
     any_bad = bad_data.any(axis=1).tolist()
     all_alive = True  # while set, the masking and freeze bookkeeping are no-ops
     nxt = 0
@@ -89,10 +83,10 @@ def _rls_batch(phi, target, checkpoints):
         theta_new = theta + np.einsum("rp,rd->rpd", resid, gain)
         P_new = P - np.einsum("ri,rj->rij", gain, Pph)
         P_new = 0.5 * (P_new + P_new.swapaxes(1, 2))
-        if all_alive and not (_too_big(theta_new) or _too_big(P_new)):
+        if all_alive and not (beyond_limit(theta_new) or beyond_limit(P_new)):
             theta, P = theta_new, P_new
         else:
-            blown = alive & (_too_big(theta_new, (1, 2)) | _too_big(P_new, (1, 2)))
+            blown = alive & (beyond_limit(theta_new, (1, 2)) | beyond_limit(P_new, (1, 2)))
             freeze_step[blown] = t + 1
             keep = (alive & ~blown)[:, None, None]
             theta = np.where(keep, theta_new, theta)
@@ -236,64 +230,14 @@ class GaussianInputLaw:
         return rs.unit_variance(seed, ks, t, rs.ROLE_INPUT, self.m, "gaussian")
 
 
-class PeriodicInputLaw:
-    """Inputs with mean nu_{t mod ell} and covariance Ubar_{t mod ell}.
-
-    The law repeats with the schedule period; the draws do not (each step
-    keys its own stream by the true time index).
-    """
-
-    def __init__(self, schedule):
-        self.schedule = schedule
-        self.m = schedule.m
-
-    def sample(self, seed, ks, t):
-        return self.schedule.sample_inputs(seed, ks, t)
-
-    def mean(self, t):
-        return self.schedule.nu[t % self.schedule.ell]
-
-
-def make_periodic_schedule(schedule, T):
-    """Per-step input law repeating the schedule with period ell; T >= ell."""
-    if T < schedule.ell:
-        raise ValueError("periodic horizon must be at least one period")
-    return PeriodicInputLaw(schedule)
-
-
 def simulate_single_trajectories(system, input_law, T, reps, seed):
-    """reps independent length-T trajectories under a per-step input law.
+    """reps independent length-T trajectories from x_0 = 0 under an input law.
 
-    Unlike the multi-rollout simulator this records divergence instead of
-    raising: a trajectory freezes at its last in-range state and
-    diverged_at[r] is the first invalid step index (T + 1 if none).
-    The draws for the whole horizon are made up front (the keyed streams do
-    not depend on the order of draws); only the state recursion is per step.
+    ``input_law.sample(seed, ks, t)`` draws u_t (GaussianInputLaw, or an
+    InputSchedule, whose moments repeat with its period ell).  Unlike the
+    multi-rollout simulator this records divergence instead of raising: a
+    trajectory freezes at its last in-range state and diverged_at[r] is the
+    first invalid step index (T + 1 if none).
     """
-    n, m = system.n, system.m
-    ks = np.arange(reps)
-    ts = np.arange(T)
-    u = input_law.sample(seed, ks, ts)  # (T, reps, m)
-    Abar, Bbar = system.noise.sample(seed, ks, ts, n, m)
-    Bu = np.einsum("tkij,tkj->tki", Bbar, u)
-    uB = u @ system.B.T
-    states = np.zeros((reps, T + 1, n))
-    x = np.zeros((reps, n))
-    alive = np.ones(reps, dtype=bool)
-    all_alive = True
-    diverged_at = np.full(reps, T + 1, dtype=int)
-    for t in range(T):
-        x_new = np.einsum("kij,kj->ki", Abar[t], x) + x @ system.A.T + Bu[t] + uB[t]
-        if all_alive and not _too_big(x_new):
-            x = x_new
-        else:
-            all_alive = False
-            blown = alive & _too_big(x_new, 1)
-            diverged_at[blown] = t + 1
-            alive &= ~blown
-            x = np.where(alive[:, None], x_new, x)
-            if not alive.any():
-                states[:, t + 1 :, :] = x[:, None, :]  # every trajectory is frozen
-                break
-        states[:, t + 1, :] = x
-    return states, np.ascontiguousarray(u.swapaxes(0, 1)), diverged_at
+    x0 = np.zeros((reps, system.n))
+    return simulate_trajectories(system, input_law, x0, np.arange(reps), T, seed)

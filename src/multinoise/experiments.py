@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rngstream as rs
-from .baselines import GaussianInputLaw, PeriodicInputLaw, rls_batch_estimates
+from .baselines import GaussianInputLaw, rls_batch_estimates
 from .bounds import bound_context, delta_AB, eta
 from .identifiability import sigma_from_class
 from .mals import mals
@@ -413,12 +413,12 @@ def run_baseline_comparison(config):
                 res = mals(system, bundle.schedule, bundle.init, n_r, seed=seed)
                 rows_m.append((ell * n_r, rep, res.errors["err_AB"], res.errors["err_Sigma"], False))
         per_alg["MALS"] = rows_m
-        # --- RLS (i.i.d. standard normal inputs) and RLSp (periodic schedule law)
+        # --- RLS (i.i.d. standard normal inputs) and RLSp (the schedule, repeated)
         T = ell * grid[-1]
         for alg_idx, (alg, law) in enumerate(
             (
                 ("RLS", GaussianInputLaw(system.m)),
-                ("RLSp", PeriodicInputLaw(bundle.schedule)),
+                ("RLSp", bundle.schedule),
             )
         ):
             alg_seed = _rep_seed(config.seed ^ 0x77, sys_idx * 10 + alg_idx)

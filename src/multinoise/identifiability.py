@@ -116,27 +116,7 @@ def build_E_alpha(alpha, n):
     alpha is indexed by ((i,j) pair, (k,l) pair) in lexicographic order,
     flattened row-major; length n^2 (n-1)^2 / 4.  P1 E_alpha Q1 = 0 always.
     """
-    pairs = off_pairs(n)
-    alpha = np.asarray(alpha, dtype=float).ravel()
-    if alpha.size != len(pairs) ** 2:
-        raise ValueError(f"alpha must have length {len(pairs) ** 2}, got {alpha.size}")
-    E = np.zeros((n * n, n * n))
-    idx = 0
-    for i, j in pairs:
-        r_plus = (i - 1) * n + j - 1
-        r_minus = (j - 1) * n + i - 1
-        for k, l in pairs:
-            a = alpha[idx]
-            idx += 1
-            if a == 0.0:
-                continue
-            c_plus = (k - 1) * n + l - 1
-            c_minus = (l - 1) * n + k - 1
-            E[r_plus, c_plus] += a
-            E[r_plus, c_minus] -= a
-            E[r_minus, c_plus] -= a
-            E[r_minus, c_minus] += a
-    return E
+    return build_E_beta(alpha, n, n)
 
 
 def build_E_beta(beta, n, m):
@@ -145,7 +125,7 @@ def build_E_beta(beta, n, m):
     pcs = off_pairs(m)
     beta = np.asarray(beta, dtype=float).ravel()
     if beta.size != len(prs) * len(pcs):
-        raise ValueError(f"beta must have length {len(prs) * len(pcs)}, got {beta.size}")
+        raise ValueError(f"coefficients must have length {len(prs) * len(pcs)}, got {beta.size}")
     E = np.zeros((n * n, m * m))
     idx = 0
     for i, j in prs:

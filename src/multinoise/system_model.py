@@ -32,6 +32,8 @@ __all__ = [
     "RolloutSet",
     "InputError",
     "ROLLOUT_LEAF",
+    "beyond_limit",
+    "simulate_trajectories",
     "iter_rollout_blocks",
     "simulate_rollouts",
     "SimulationDiverged",
@@ -44,9 +46,15 @@ PSD_SLACK = 1e-10
 #: declared diverged.
 DIVERGENCE_LIMIT = 1e12
 
+
+def beyond_limit(a, axis=None):
+    """Whether any entry along ``axis`` (default: all) is NaN, infinite or > DIVERGENCE_LIMIT."""
+    return ~(np.abs(a) <= DIVERGENCE_LIMIT).all(axis=axis)
+
+
 #: Rollouts simulated together as one block, and summed together as one leaf
-#: of the moment reduction tree.  At this size a block's per-step arrays stay
-#: in cache, and memory does not grow with the number of rollouts.
+#: of the moment reduction tree.  At this size a block's arrays stay in
+#: cache, and memory does not grow with the number of rollouts.
 ROLLOUT_LEAF = 8192
 
 _SQRT3 = np.sqrt(3.0)
@@ -322,7 +330,7 @@ class InputSchedule:
         """E{u_t u_t'} = Ubar_t + nu_t nu_t'."""
         return self.ubar[t] + np.outer(self.nu[t], self.nu[t])
 
-    def sample_inputs(self, seed, ks, t):
+    def sample(self, seed, ks, t):
         """Draw u_t for rollout indices ks; mean nu_t, central second moment Ubar_t.
 
         ``t`` is a time index or a 1-D array of them (adding a leading time
@@ -583,8 +591,9 @@ def iter_rollout_blocks(system, schedule, init, n_r, seed):
     last block may be shorter.  Every (rollout, time, role) tuple draws from
     its own keyed stream, so a rollout does not depend on its block.  The
     arguments are checked when iteration starts; a diverged state raises
-    SimulationDiverged naming the step and the global rollout index, at the
-    first step that diverges within the first block that diverges.
+    SimulationDiverged naming the earliest step at which a rollout of the
+    first diverging block diverged, and the lowest global rollout index that
+    diverged at that step.
     """
     if n_r < 1:
         raise ValueError("n_r must be >= 1")
@@ -592,7 +601,7 @@ def iter_rollout_blocks(system, schedule, init, n_r, seed):
         raise ValueError("schedule length must be >= 1")
     if schedule.m != system.m:
         raise ValueError(f"schedule input dim {schedule.m} != system m {system.m}")
-    n, m, ell = system.n, system.m, schedule.ell
+    ell = schedule.ell
     for k0 in range(0, n_r, ROLLOUT_LEAF):
         k1 = min(k0 + ROLLOUT_LEAF, n_r)
         # numpy takes a one-row matrix product through gemv, which rounds
@@ -600,27 +609,15 @@ def iter_rollout_blocks(system, schedule, init, n_r, seed):
         # is simulated beside its predecessor and keeps its bits.
         lo = k0 - 1 if k1 - k0 == 1 and k0 > 0 else k0
         ks = np.arange(lo, k1)
-        states = np.empty((len(ks), ell + 1, n))
-        inputs = np.empty((len(ks), ell, m))
-        x = init.sample(seed, ks)
-        states[:, 0, :] = x
-        for t in range(ell):
-            u = schedule.sample_inputs(seed, ks, t)
-            Abar, Bbar = system.noise.sample(seed, ks, t, n, m)
-            _check_noise_bound(system, Abar, Bbar)
-            x = (
-                np.einsum("kij,kj->ki", Abar, x)
-                + x @ system.A.T
-                + np.einsum("kij,kj->ki", Bbar, u)
-                + u @ system.B.T
+        states, inputs, diverged_at = simulate_trajectories(
+            system, schedule, init.sample(seed, ks), ks, ell, seed
+        )
+        t = int(diverged_at.min())
+        if t <= ell:
+            bad = lo + int(np.argmax(diverged_at == t))
+            raise SimulationDiverged(
+                f"state exceeded {DIVERGENCE_LIMIT:g} at t={t}, rollout {bad}"
             )
-            if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > DIVERGENCE_LIMIT:
-                bad = lo + int(np.argmax(np.max(np.abs(x), axis=1)))
-                raise SimulationDiverged(
-                    f"state exceeded {DIVERGENCE_LIMIT:g} at t={t + 1}, rollout {bad}"
-                )
-            inputs[:, t, :] = u
-            states[:, t + 1, :] = x
         yield k0, states[k0 - lo :], inputs[k0 - lo :]
 
 
@@ -644,13 +641,58 @@ def simulate_rollouts(system, schedule, init, n_r, seed):
     return RolloutSet(states=states, inputs=inputs, schedule=schedule, seed=seed)
 
 
+def simulate_trajectories(system, input_law, x0, ks, T, seed):
+    """Run the trajectories with rollout indices ks for T steps from states x0.
+
+    This is the one state recursion, shared by the rollout and the
+    single-trajectory simulators.  ``input_law.sample(seed, ks, t)`` draws
+    u_t (an InputSchedule is such a law).  Inputs and noise are drawn for the
+    whole horizon at once, since the keyed streams do not depend on the order
+    of draws, and bounded noise draws are checked against their declared a.s.
+    bound.  A trajectory whose state goes beyond DIVERGENCE_LIMIT freezes at
+    its last state within it, and the recursion stops once every trajectory
+    has.  Returns states (len(ks), T+1, n), inputs (len(ks), T, m) and
+    diverged_at (len(ks),), the first step index whose state went beyond
+    the limit (T + 1 if none).
+    """
+    n, m = system.n, system.m
+    ts = np.arange(T)
+    u = input_law.sample(seed, ks, ts)  # (T, len(ks), m)
+    Abar, Bbar = system.noise.sample(seed, ks, ts, n, m)
+    _check_noise_bound(system, Abar, Bbar)
+    Bu = np.einsum("tkij,tkj->tki", Bbar, u)
+    uB = u @ system.B.T
+    states = np.empty((len(ks), T + 1, n))
+    states[:, 0, :] = x = x0
+    alive = np.ones(len(ks), dtype=bool)
+    all_alive = True
+    diverged_at = np.full(len(ks), T + 1, dtype=int)
+    for t in range(T):
+        x_new = np.einsum("kij,kj->ki", Abar[t], x) + x @ system.A.T + Bu[t] + uB[t]
+        if all_alive and not beyond_limit(x_new):
+            x = x_new
+        else:
+            all_alive = False
+            blown = alive & beyond_limit(x_new, 1)
+            diverged_at[blown] = t + 1
+            alive &= ~blown
+            x = np.where(alive[:, None], x_new, x)
+            if not alive.any():
+                states[:, t + 1 :, :] = x[:, None, :]  # every trajectory is frozen
+                break
+        states[:, t + 1, :] = x
+    return states, np.ascontiguousarray(u.swapaxes(0, 1)), diverged_at
+
+
 def _check_noise_bound(system, Abar, Bbar):
-    """Hard a.s.-bound check for bounded noise laws (Frobenius >= spectral)."""
-    if system.c_abar is not None:
-        fa = np.sqrt(np.einsum("kij,kij->k", Abar, Abar))
-        if fa.size and float(fa.max()) > system.c_abar + 1e-9:
-            raise AssertionError("sampled Abar exceeded its declared a.s. bound")
-    if system.c_bbar is not None:
-        fb = np.sqrt(np.einsum("kij,kij->k", Bbar, Bbar))
-        if fb.size and float(fb.max()) > system.c_bbar + 1e-9:
-            raise AssertionError("sampled Bbar exceeded its declared a.s. bound")
+    """Hard check of bounded noise draws against their declared a.s. spectral-norm bounds.
+
+    The Frobenius norm bounds the spectral norm from above and is cheap, so
+    only the draws it does not clear have their spectral norm computed.
+    """
+    for name, draws, bound in (("Abar", Abar, system.c_abar), ("Bbar", Bbar, system.c_bbar)):
+        if bound is None:
+            continue
+        over = np.sqrt(np.einsum("...ij,...ij->...", draws, draws)) > bound + 1e-9
+        if over.any() and np.linalg.norm(draws[over], 2, axis=(-2, -1)).max() > bound + 1e-9:
+            raise AssertionError(f"sampled {name} exceeded its declared a.s. bound")

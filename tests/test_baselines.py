@@ -4,12 +4,10 @@ import pytest
 from multinoise.baselines import (
     INIT_COV,
     GaussianInputLaw,
-    PeriodicInputLaw,
     RlsState,
     _mask_after,
     _rls_batch,
     covariance_from_fit,
-    make_periodic_schedule,
     rls_nominal,
     rls_second_moment,
     second_moment_regressors,
@@ -22,8 +20,12 @@ from multinoise.system_model import (
     DIVERGENCE_LIMIT,
     CovarianceNoise,
     EigenStructuredNoise,
+    FixedInitial,
+    InputSchedule,
+    SimulationDiverged,
     ZeroNoise,
     make_system,
+    simulate_rollouts,
 )
 
 from conftest import BENCH_B, BENCH_SIGMA_A, BENCH_SIGMA_B
@@ -153,7 +155,7 @@ def _oracle_case(name):
 @pytest.mark.parametrize("case", ["paper-4.2-rho0.8", "paper-4.2-rho1.0", "zero", "eigen"])
 def test_simulation_and_rls_match_per_step_reference(case, law):
     system, schedule = _oracle_case(case)
-    input_law = GaussianInputLaw(system.m) if law == "gaussian" else PeriodicInputLaw(schedule)
+    input_law = GaussianInputLaw(system.m) if law == "gaussian" else schedule
     T, reps = 1200, 5
     got = simulate_single_trajectories(system, input_law, T, reps, seed=23)
     ref = _ref_simulate(system, input_law, T, reps, seed=23)
@@ -272,36 +274,67 @@ def test_simulated_divergence_is_monotone():
             assert np.max(np.abs(st[r, : d - 1])) <= 1e12
 
 
-def test_periodic_schedule_law():
-    sched = design_inputs(1, 4, seed=48)
-    law = make_periodic_schedule(sched, 12)
-    for t in range(12):
-        assert np.array_equal(law.mean(t), sched.nu[t % 4])
-    with pytest.raises(ValueError):
-        make_periodic_schedule(sched, 3)
-
-
 def test_periodic_draws_follow_periodic_moments():
-    sched = design_inputs(1, 4, seed=48)
-    law = PeriodicInputLaw(sched)
+    law = design_inputs(1, 4, seed=48)
     ks = np.arange(100_000)
     for t in (0, 5, 11):
         u = law.sample(3, ks, t)
         tt = t % 4
-        assert abs(u.mean() - sched.nu[tt, 0]) <= 0.02
-        assert abs(u.var() - sched.ubar[tt, 0, 0]) <= 0.02
+        assert abs(u.mean() - law.nu[tt, 0]) <= 0.02
+        assert abs(u.var() - law.ubar[tt, 0, 0]) <= 0.02
     # law repeats, draws do not
     u0 = law.sample(3, np.arange(10), 0)
     u4 = law.sample(3, np.arange(10), 4)
     assert not np.array_equal(u0, u4)
 
 
-def test_periodic_single_period_matches_schedule_draws():
-    sched = design_inputs(1, 4, seed=48)
-    law = make_periodic_schedule(sched, 4)
-    ks = np.arange(7)
-    for t in range(4):
-        assert np.array_equal(law.sample(9, ks, t), sched.sample_inputs(9, ks, t))
+@pytest.mark.parametrize("reps", [1, 5, 8193])
+@pytest.mark.parametrize("input_law", ["uniform", "gaussian", "deterministic"])
+@pytest.mark.parametrize("preset", ["paper-4.1", "paper-4.2-rho0.8"])
+def test_single_trajectories_equal_rollouts_from_zero(preset, input_law, reps):
+    bundle = get_preset(preset, input_law=input_law)
+    system, schedule = bundle.system, bundle.schedule
+    states, inputs, diverged_at = simulate_single_trajectories(
+        system, schedule, schedule.ell, reps, seed=31
+    )
+    rollouts = simulate_rollouts(system, schedule, FixedInitial(np.zeros(system.n)), reps, seed=31)
+    assert np.array_equal(states, rollouts.states) and np.array_equal(inputs, rollouts.inputs)
+    assert np.all(diverged_at == schedule.ell + 1)
+
+
+def test_single_trajectory_divergence_step_is_the_one_rollouts_name():
+    system = make_system(8.0 * np.eye(2), BENCH_B, CovarianceNoise(BENCH_SIGMA_A, BENCH_SIGMA_B))
+    ell = 20
+    schedule = InputSchedule(nu=np.zeros((ell, 1)), ubar=np.ones((ell, 1, 1)), law="gaussian")
+    _, _, diverged_at = simulate_single_trajectories(system, schedule, ell, 50, seed=4)
+    first = int(diverged_at.min())
+    assert first <= ell and len(set(diverged_at.tolist())) > 1  # rollouts diverge at different steps
+    rollout = int(np.argmax(diverged_at == first))
+    with pytest.raises(SimulationDiverged, match=rf"at t={first}, rollout {rollout}$"):
+        simulate_rollouts(system, schedule, FixedInitial(np.zeros(2)), 50, seed=4)
+
+
+class _UnderstatedBound(CovarianceNoise):
+    """Uniform covariance noise declaring a bound its draws exceed for one of Abar, Bbar."""
+
+    def __init__(self, which):
+        super().__init__(BENCH_SIGMA_A, BENCH_SIGMA_B)
+        self.which = which
+
+    def bounds(self, n, m):
+        ca, cb = super().bounds(n, m)
+        return (0.01, cb) if self.which == "Abar" else (ca, 0.01)
+
+
+@pytest.mark.parametrize("which", ["Abar", "Bbar"])
+def test_noise_beyond_its_declared_bound_fails_both_simulators(which):
+    system = make_system(A_STABLE, BENCH_B, _UnderstatedBound(which))
+    schedule = design_inputs(1, 4, seed=48)
+    message = f"sampled {which} exceeded its declared a.s. bound"
+    with pytest.raises(AssertionError, match=message):
+        simulate_rollouts(system, schedule, FixedInitial(np.zeros(2)), 5, seed=1)
+    with pytest.raises(AssertionError, match=message):
+        simulate_single_trajectories(system, GaussianInputLaw(1), 50, 2, seed=1)
 
 
 def test_covariance_from_fit_batch_axes_match_single_calls():

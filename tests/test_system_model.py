@@ -134,6 +134,18 @@ def test_sampled_noise_respects_declared_bound(bench_system):
     assert spec_b.max() <= bench_system.c_bbar + 1e-9
 
 
+def test_eigen_structured_draws_within_spectral_bound_pass_the_check():
+    # Abar_t = p_t I: the spectral norm |p_t| stays within c_abar = sqrt(3) 0.2,
+    # while the Frobenius norm sqrt(3) |p_t| exceeds it for most draws
+    noise = EigenStructuredNoise([np.eye(3)], [0.2], [], [])
+    s = make_system(0.5 * np.eye(3), np.ones((3, 1)), noise)
+    Abar, _ = noise.sample(2, np.arange(100), 0, 3, 1)
+    assert np.linalg.norm(Abar, "fro", axis=(1, 2)).max() > s.c_abar
+    sched = InputSchedule(nu=np.ones((4, 1)), ubar=np.ones((4, 1, 1)))
+    rollouts = simulate_rollouts(s, sched, FixedInitial(np.zeros(3)), 100, seed=2)
+    assert np.isfinite(rollouts.states).all()
+
+
 def test_gaussian_noise_has_no_declared_bound():
     s = make_system(BENCH_A, BENCH_B, CovarianceNoise(BENCH_SIGMA_A, BENCH_SIGMA_B, law="gaussian"))
     assert s.c_abar is None
@@ -248,7 +260,7 @@ def test_deterministic_schedule_rejects_nonzero_cov():
 def test_schedule_deviation_bounds():
     sched = design_inputs(1, 4, seed=48)
     c_u, c_nu = sched.deviation_bounds()
-    draws = np.vstack([sched.sample_inputs(3, np.arange(2000), t) for t in range(4)])
+    draws = np.vstack([sched.sample(3, np.arange(2000), t) for t in range(4)])
     assert np.max(np.linalg.norm(draws, axis=1)) <= c_u + 1e-9
     gsched = design_inputs(1, 4, seed=48, input_law="gaussian")
     assert gsched.deviation_bounds() == (None, None)
@@ -290,10 +302,10 @@ def test_noise_sample_time_array_equals_stacked_steps(noise):
 def test_schedule_inputs_time_array_is_periodic_and_equals_stacked_steps(law):
     sched = design_inputs(2, 3, seed=5, input_law=law)
     ks, ts = np.arange(4), np.arange(8)
-    whole = sched.sample_inputs(11, ks, ts)
+    whole = sched.sample(11, ks, ts)
     assert whole.shape == (8, 4, 2)
     for t in ts:
-        assert np.array_equal(whole[t], sched.sample_inputs(11, ks, int(t)))
+        assert np.array_equal(whole[t], sched.sample(11, ks, int(t)))
     if law == "deterministic":
         assert np.array_equal(whole[5], np.tile(sched.nu[2], (4, 1)))
 
