@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -29,34 +30,13 @@ __all__ = [
     "constants_from_setup",
     "BoundContext",
     "bound_context",
-    "delta_Y",
-    "delta_YZ",
-    "delta_0",
-    "delta_1",
-    "delta_2",
-    "delta_m",
-    "delta_ZZ",
-    "delta_AB",
     "delta_family",
-    "eta_D",
-    "eta_L",
-    "eta_A",
-    "eta_B",
-    "eta_AB",
-    "eta_AM",
-    "eta_KL",
-    "eta_C",
-    "eta_CD",
-    "eta_0",
-    "eta_m",
-    "eta_DD",
-    "eta",
     "eta_family",
     "ab_validity_limit",
     "sigma_validity_limit",
     "invert_bound",
     "epsilon_Y_closed_form",
-]
+]  # plus every bound named in the family tables _DELTA and _ETA
 
 _LOG9 = np.log(9.0)
 
@@ -329,6 +309,52 @@ def _log_product(pair, ctx, eps):
 
 
 # ---------------------------------------------------------------------------
+# public bounds: one table of log-space bounds per family
+
+
+def _bound(name, log_fn, doc=None, ranged=False):
+    """exp of the log-space ``log_fn``: the public bound ``name`` and its unchecked form.
+
+    A ``ranged`` bound (delta_ZZ, eta_DD) is public with ``strict=True``: it
+    raises outside 0 < eps < eps_max unless called with strict=False.  The
+    unchecked form, which the families use, is +inf (vacuous) there.
+    """
+
+    def unchecked(ctx, eps):
+        return float(np.exp(log_fn(ctx, eps)))
+
+    def checked(ctx, eps, strict=True):
+        if strict and not (0 < eps < ctx.eps_max):
+            raise ValueError(f"{name} needs 0 < eps < eps_max = {ctx.eps_max}")
+        return unchecked(ctx, eps)
+
+    public = checked if ranged else unchecked
+    public.__name__ = public.__qualname__ = name
+    public.__doc__ = doc
+    return public, unchecked
+
+
+def _family(kind, table, flag, limit):
+    """Define each (name, log_fn[, doc[, ranged]]) row of ``table`` as a public
+    bound of this module, and return the ``{kind}_family`` function."""
+    entries = []
+    for name, *spec in table:
+        public, unchecked = _bound(name, *spec)
+        globals()[name] = public
+        __all__.append(name)
+        entries.append((name, unchecked))
+
+    def family(ctx, eps):
+        values = {name: bound(ctx, eps) for name, bound in entries}
+        values[flag] = bool(0 < eps < limit(ctx))
+        return values
+
+    family.__name__ = family.__qualname__ = f"{kind}_family"
+    family.__doc__ = f"All {kind} bounds at one deviation level; values may exceed 1."
+    return family
+
+
+# ---------------------------------------------------------------------------
 # delta family (nominal-estimate tail bounds)
 
 
@@ -352,42 +378,21 @@ _NOMINAL = _Pair(
 )
 
 
-def delta_Y(ctx, eps):
-    """Averaged-moment deviation bound for Y_hat - Y (and Z_hat - Z)."""
-    return float(np.exp(_log_delta_Y(ctx, eps)))
-
-
-def delta_YZ(ctx, eps):
-    return float(np.exp(_log_delta_YZ(ctx, eps)))
-
-
-def delta_0(ctx, eps):
-    return float(np.exp(_log_gram_0(_NOMINAL, ctx, eps)))
-
-
-def delta_1(ctx, eps):
-    return float(np.exp(_log_gram_1(_NOMINAL, ctx, eps)))
-
-
-def delta_2(ctx, eps):
-    return float(np.exp(_log_gram_2(_NOMINAL, ctx, eps)))
-
-
-def delta_m(ctx, eps):
-    return float(np.exp(_log_gram_m(_NOMINAL, ctx, eps)))
-
-
-def delta_ZZ(ctx, eps, strict=True):
-    """Gram-inverse deviation bound; needs 0 < eps < eps_max."""
-    if strict and not (0 < eps < ctx.eps_max):
-        raise ValueError(f"delta_ZZ needs 0 < eps < eps_max = {ctx.eps_max}")
-    return float(np.exp(_log_gram(_NOMINAL, ctx, eps)))
-
-
-def delta_AB(ctx, eps):
-    """Spectral-error tail bound for [A_hat B_hat]; vacuous (+inf -> clip to 1)
-    outside its stated range (see ab_validity_limit)."""
-    return float(np.exp(_log_product(_NOMINAL, ctx, eps)))
+_DELTA = (
+    ("delta_Y", _log_delta_Y, "Averaged-moment deviation bound for Y_hat - Y (and Z_hat - Z)."),
+    ("delta_YZ", _log_delta_YZ),
+    ("delta_0", partial(_log_gram_0, _NOMINAL)),
+    ("delta_1", partial(_log_gram_1, _NOMINAL)),
+    ("delta_2", partial(_log_gram_2, _NOMINAL)),
+    ("delta_m", partial(_log_gram_m, _NOMINAL)),
+    ("delta_ZZ", partial(_log_gram, _NOMINAL), "Gram-inverse deviation bound; needs 0 < eps < eps_max.", True),
+    (
+        "delta_AB",
+        partial(_log_product, _NOMINAL),
+        "Spectral-error tail bound for [A_hat B_hat]; vacuous (+inf -> clip to 1) "
+        "outside its stated range (see ab_validity_limit).",
+    ),
+)
 
 
 def ab_validity_limit(ctx):
@@ -395,19 +400,7 @@ def ab_validity_limit(ctx):
     return 3.0 * ctx.eps_max * min(ctx.norm_Y * ctx.norm_Z, ctx.eps_max)
 
 
-def delta_family(ctx, eps):
-    """All delta bounds at one deviation level; values may exceed 1."""
-    return {
-        "delta_Y": delta_Y(ctx, eps),
-        "delta_YZ": delta_YZ(ctx, eps),
-        "delta_0": delta_0(ctx, eps),
-        "delta_1": delta_1(ctx, eps),
-        "delta_2": delta_2(ctx, eps),
-        "delta_m": delta_m(ctx, eps),
-        "delta_ZZ": delta_ZZ(ctx, eps, strict=False),
-        "delta_AB": delta_AB(ctx, eps),
-        "valid_AB": bool(0 < eps < ab_validity_limit(ctx)),
-    }
+delta_family = _family("delta", _DELTA, "valid_AB", ab_validity_limit)
 
 
 # ---------------------------------------------------------------------------
@@ -510,59 +503,21 @@ _COVARIANCE = _Pair(
 )
 
 
-def eta_D(ctx, eps):
-    return float(np.exp(_log_eta_D(ctx, eps)))
-
-
-def eta_L(ctx, eps):
-    return float(np.exp(_log_eta_L(ctx, eps)))
-
-
-def eta_A(ctx, eps):
-    return float(np.exp(_log_eta_kron(ctx, eps, ctx.norm_A)))
-
-
-def eta_B(ctx, eps):
-    return float(np.exp(_log_eta_kron(ctx, eps, ctx.norm_B)))
-
-
-def eta_AB(ctx, eps):
-    return float(np.exp(_log_eta_AB(ctx, eps)))
-
-
-def eta_AM(ctx, eps):
-    return float(np.exp(_log_eta_AM(ctx, eps)))
-
-
-def eta_KL(ctx, eps):
-    return float(np.exp(_log_eta_KL(ctx, eps)))
-
-
-def eta_C(ctx, eps):
-    return float(np.exp(_log_eta_C(ctx, eps)))
-
-
-def eta_CD(ctx, eps):
-    return float(np.exp(_log_eta_CD(ctx, eps)))
-
-
-def eta_0(ctx, eps):
-    return float(np.exp(_log_gram_0(_COVARIANCE, ctx, eps)))
-
-
-def eta_m(ctx, eps):
-    return float(np.exp(_log_gram_m(_COVARIANCE, ctx, eps)))
-
-
-def eta_DD(ctx, eps, strict=True):
-    if strict and not (0 < eps < ctx.eps_max):
-        raise ValueError(f"eta_DD needs 0 < eps < eps_max = {ctx.eps_max}")
-    return float(np.exp(_log_gram(_COVARIANCE, ctx, eps)))
-
-
-def eta(ctx, eps):
-    """Spectral-error tail bound for the reduced-covariance estimate."""
-    return float(np.exp(_log_product(_COVARIANCE, ctx, eps)))
+_ETA = (
+    ("eta_D", _log_eta_D),
+    ("eta_L", _log_eta_L),
+    ("eta_A", lambda ctx, eps: _log_eta_kron(ctx, eps, ctx.norm_A)),
+    ("eta_B", lambda ctx, eps: _log_eta_kron(ctx, eps, ctx.norm_B)),
+    ("eta_AB", _log_eta_AB),
+    ("eta_AM", _log_eta_AM),
+    ("eta_KL", _log_eta_KL),
+    ("eta_C", _log_eta_C),
+    ("eta_CD", _log_eta_CD),
+    ("eta_0", partial(_log_gram_0, _COVARIANCE)),
+    ("eta_m", partial(_log_gram_m, _COVARIANCE)),
+    ("eta_DD", partial(_log_gram, _COVARIANCE), None, True),
+    ("eta", partial(_log_product, _COVARIANCE), "Spectral-error tail bound for the reduced-covariance estimate."),
+)
 
 
 def sigma_validity_limit(ctx):
@@ -570,24 +525,7 @@ def sigma_validity_limit(ctx):
     return 3.0 * ctx.eps_max * min(ctx.norm_C * ctx.norm_D, ctx.eps_max)
 
 
-def eta_family(ctx, eps):
-    """All eta bounds at one deviation level; values may exceed 1."""
-    return {
-        "eta_D": eta_D(ctx, eps),
-        "eta_L": eta_L(ctx, eps),
-        "eta_A": eta_A(ctx, eps),
-        "eta_B": eta_B(ctx, eps),
-        "eta_AB": eta_AB(ctx, eps),
-        "eta_AM": eta_AM(ctx, eps),
-        "eta_KL": eta_KL(ctx, eps),
-        "eta_C": eta_C(ctx, eps),
-        "eta_CD": eta_CD(ctx, eps),
-        "eta_0": eta_0(ctx, eps),
-        "eta_m": eta_m(ctx, eps),
-        "eta_DD": eta_DD(ctx, eps, strict=False),
-        "eta": eta(ctx, eps),
-        "valid_sigma": bool(0 < eps < sigma_validity_limit(ctx)),
-    }
+eta_family = _family("eta", _ETA, "valid_sigma", sigma_validity_limit)
 
 
 # ---------------------------------------------------------------------------

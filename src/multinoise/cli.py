@@ -24,6 +24,7 @@ from .experiments import (
     run_convergence,
     run_equivalence_demo,
     run_tail_frequency,
+    write_table,
 )
 from .identifiability import classify_uniqueness
 from .mals import mals
@@ -48,7 +49,7 @@ def _positive_int(text):
     return value
 
 
-def _load_config(args, **overrides):
+def _load_config(args):
     if args.config:
         cfg = ExperimentConfig.from_json_file(args.config)
         d = cfg.__dict__.copy()
@@ -58,7 +59,6 @@ def _load_config(args, **overrides):
         val = getattr(args, key, None)
         if val is not None:
             d[key] = val
-    d.update({k: v for k, v in overrides.items() if v is not None})
     return ExperimentConfig.from_dict({k: v for k, v in d.items()})
 
 
@@ -148,23 +148,16 @@ def cmd_bounds(args):
     n_r = args.n_r or config.bound_n_r
     ctx = bound_context(bundle.system, bundle.schedule, bundle.init, int(n_r))
     eps_grid = np.asarray(config.eps_grid, dtype=float) if config.eps_grid else np.geomspace(0.05, 5.0, 10)
-    import csv as _csv
-
     outdir = _outdir(config)
-    with open(outdir / "delta_bounds.csv", "w", newline="") as fh:
-        w = _csv.writer(fh)
-        w.writerow(["epsilon", "delta_Y", "delta_YZ", "delta_ZZ", "delta_AB"])
+    for name, family, columns in (
+        ("delta_bounds.csv", delta_family, ["delta_Y", "delta_YZ", "delta_ZZ", "delta_AB"]),
+        ("eta_bounds.csv", eta_family, ["eta_D", "eta_C", "eta_CD", "eta_DD", "eta"]),
+    ):
+        rows = []
         for eps in eps_grid:
-            fam = delta_family(ctx, float(eps))
-            w.writerow([f"{v:.17g}" for v in
-                        (eps, fam["delta_Y"], fam["delta_YZ"], fam["delta_ZZ"], fam["delta_AB"])])
-    with open(outdir / "eta_bounds.csv", "w", newline="") as fh:
-        w = _csv.writer(fh)
-        w.writerow(["epsilon", "eta_D", "eta_C", "eta_CD", "eta_DD", "eta"])
-        for eps in eps_grid:
-            fam = eta_family(ctx, float(eps))
-            w.writerow([f"{v:.17g}" for v in
-                        (eps, fam["eta_D"], fam["eta_C"], fam["eta_CD"], fam["eta_DD"], fam["eta"])])
+            fam = family(ctx, float(eps))
+            rows.append([eps] + [fam[c] for c in columns])
+        write_table(outdir / name, ["epsilon"] + columns, rows)
     print(f"wrote {outdir}/delta_bounds.csv and {outdir}/eta_bounds.csv")
     return 0
 

@@ -34,6 +34,7 @@ __all__ = [
     "run_tail_frequency",
     "run_equivalence_demo",
     "run_baseline_comparison",
+    "write_table",
     "read_csv_table",
 ]
 
@@ -56,7 +57,6 @@ class ExperimentConfig:
     tail_grid: tuple = (100, 200, 400, 800)
     reps: int = 50
     tail_reps: int = 500
-    bound_reps: int = 200
     bound_n_r: int = 2000
     seed: int = 0
     out: str = "results"
@@ -83,7 +83,7 @@ class ExperimentConfig:
             g = list(grid)
             if not g or any(int(v) < 1 for v in g) or sorted(g) != g:
                 raise ConfigError(f"{name} must be a nonempty ascending list of positive counts")
-        if self.reps < 1 or self.tail_reps < 1 or self.bound_reps < 1:
+        if self.reps < 1 or self.tail_reps < 1:
             raise ConfigError("repetition counts must be positive")
         for sys_name in self.baseline_systems:
             if sys_name not in PRESET_NAMES:
@@ -139,17 +139,22 @@ class ExperimentReport:
         paths = []
         for tname, (header, rows) in self.tables.items():
             p = out / f"{tname}.csv"
-            with open(p, "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(header)
-                for row in rows:
-                    w.writerow([_fmt(v) for v in row])
+            write_table(p, header, rows)
             paths.append(p)
         p = out / f"{self.name}_summary.json"
         with open(p, "w") as fh:
             json.dump(self.summary, fh, indent=2, sort_keys=True)
         paths.append(p)
         return paths
+
+
+def write_table(path, header, rows):
+    """Write one CSV table: the header, then each row with floats at .17g."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([_fmt(v) for v in row])
 
 
 def read_csv_table(path):

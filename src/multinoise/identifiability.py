@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .shape_ops import reshape_F, selection_matrices, svec_dim
+from .system_model import PSD_SLACK
 
 __all__ = [
     "entry_map",
@@ -203,10 +204,8 @@ def equivalence_class(sigma_a_tilde, sigma_b_tilde, n, m):
 
 
 def _is_psd(S):
-    S = 0.5 * (S + S.T)
-    w = np.linalg.eigvalsh(S)
-    scale = max(abs(w[0]), abs(w[-1]), 1e-300)
-    return bool(w[0] >= -1e-10 * max(scale, 1.0))
+    w = np.linalg.eigvalsh(0.5 * (S + S.T))
+    return bool(w[0] >= -PSD_SLACK * max(abs(w[0]), abs(w[-1]), 1.0))
 
 
 def sigma_from_class(ec, alpha, beta):
@@ -242,33 +241,23 @@ class UniquenessVerdict:
     reasons: list
 
 
+def _block_uniqueness(dim, sigma, symbol, kind, name):
+    """(verdict, reason) for one noise block: SigmaA over n states or SigmaB over m inputs."""
+    if dim == 1:
+        return "Unique", f"{symbol} = 1: no coupled {kind} pairs exist"
+    w = np.linalg.eigvalsh(0.5 * (sigma + sigma.T))
+    if w[0] > STRICT_TOL * max(w[-1], 0.0) and w[-1] > 0:
+        return "InfinitelyMany", f"{symbol} >= 2 and {name} strictly positive definite"
+    return "UndeterminedByProp2", f"{symbol} >= 2 but {name} not strictly positive definite"
+
+
 def classify_uniqueness(n, m, sigma_a, sigma_b):
     """Uniqueness of the equivalence class per the definiteness conditions."""
     sigma_a = np.asarray(sigma_a, dtype=float)
     sigma_b = np.asarray(sigma_b, dtype=float)
-    reasons = []
-    if n == 1:
-        a_part = "Unique"
-        reasons.append("n = 1: no coupled state pairs exist")
-    else:
-        wa = np.linalg.eigvalsh(0.5 * (sigma_a + sigma_a.T))
-        if wa[0] > STRICT_TOL * max(wa[-1], 0.0) and wa[-1] > 0:
-            a_part = "InfinitelyMany"
-            reasons.append("n >= 2 and SigmaA strictly positive definite")
-        else:
-            a_part = "UndeterminedByProp2"
-            reasons.append("n >= 2 but SigmaA not strictly positive definite")
-    if m == 1:
-        b_part = "Unique"
-        reasons.append("m = 1: no coupled input pairs exist")
-    else:
-        wb = np.linalg.eigvalsh(0.5 * (sigma_b + sigma_b.T))
-        if wb[0] > STRICT_TOL * max(wb[-1], 0.0) and wb[-1] > 0:
-            b_part = "InfinitelyMany"
-            reasons.append("m >= 2 and SigmaB strictly positive definite")
-        else:
-            b_part = "UndeterminedByProp2"
-            reasons.append("m >= 2 but SigmaB not strictly positive definite")
+    a_part, a_reason = _block_uniqueness(n, sigma_a, "n", "state", "SigmaA")
+    b_part, b_reason = _block_uniqueness(m, sigma_b, "m", "input", "SigmaB")
+    reasons = [a_reason, b_reason]
     if a_part == "Unique" and b_part == "Unique":
         overall = "Unique"
     elif "InfinitelyMany" in (a_part, b_part):

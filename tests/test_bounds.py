@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from multinoise import bounds
 from multinoise.bounds import (
     BoundContext,
     SystemBoundConstants,
@@ -19,6 +20,7 @@ from multinoise.bounds import (
     eta,
     eta_C,
     eta_D,
+    eta_DD,
     eta_family,
     invert_bound,
     boundedness_constants,
@@ -147,11 +149,12 @@ def test_delta_AB_vanishes_for_large_n_r():
 
 def test_delta_ZZ_range_enforced():
     ctx = _context()
-    with pytest.raises(ValueError):
-        delta_ZZ(ctx, 1.5)
-    with pytest.raises(ValueError):
-        delta_ZZ(ctx, 0.0)
-    assert np.isinf(delta_ZZ(ctx, 1.5, strict=False))
+    for gram_bound in (delta_ZZ, eta_DD):
+        with pytest.raises(ValueError):
+            gram_bound(ctx, 1.5)
+        with pytest.raises(ValueError):
+            gram_bound(ctx, 0.0)
+        assert np.isinf(gram_bound(ctx, 1.5, strict=False))
 
 
 def test_delta_family_dict_keys():
@@ -266,3 +269,25 @@ def test_bound_families_match_pinned_bits():
         fam = {**delta_family(ctx, float(eps)), **eta_family(ctx, float(eps))}
         got = {k: v if isinstance(v, bool) else float(v).hex() for k, v in fam.items()}
         assert got == expected, key
+
+
+def test_public_bounds_are_the_family_entries():
+    # each public delta_*/eta_* bound is its family entry, bit for bit, under its own
+    # name; every bound is vacuous for eps <= 0; __all__ lists exactly the family keys
+    flags = {"valid_AB", "valid_sigma"}
+    keys = set()
+    for preset in ("paper-4.1", "paper-4.2-rho0.8"):
+        b = get_preset(preset)
+        ctx = bound_context(b.system, b.schedule, b.init, 2000)
+        for family in (delta_family, eta_family):
+            for eps in (0.05, 0.5, 5.0):
+                fam = family(ctx, eps)
+                for key in set(fam) - flags:
+                    fn = getattr(bounds, key)
+                    kw = {"strict": False} if key in ("delta_ZZ", "eta_DD") else {}
+                    assert fn.__name__ == key
+                    assert fn(ctx, eps, **kw).hex() == fam[key].hex(), (preset, key, eps)
+                    assert fn(ctx, 0.0, **kw) == np.inf and fn(ctx, -1.0, **kw) == np.inf, key
+                    keys.add(key)
+    listed = {n for n in bounds.__all__ if n.startswith(("delta", "eta")) and not n.endswith("_family")}
+    assert listed == keys
