@@ -197,14 +197,17 @@ def rls_batch_estimates(system, input_law, T, reps, seed, checkpoints):
     whether the trajectory or either recursion froze at or before the checkpoint.
     """
     states, inputs, diverged_at = simulate_single_trajectories(system, input_law, T, reps, seed)
+    # a diverged trajectory stores x_{d-1} again as x_d (d = diverged_at), so
+    # pair d-1 already regresses that frozen copy: invalidate from d-1 on
+    last_pair = diverged_at - 1
     phi_n = np.concatenate([states[:, :-1], inputs], axis=2)
     tgt_n = states[:, 1:].copy()
-    _mask_after(phi_n, diverged_at)
-    _mask_after(tgt_n, diverged_at)
+    _mask_after(phi_n, last_pair)
+    _mask_after(tgt_n, last_pair)
     est_n, _, _, cps, freeze_n = _rls_batch(phi_n, tgt_n, checkpoints)
     phi2, tgt2 = second_moment_regressors(states, inputs)
-    _mask_after(phi2, diverged_at)
-    _mask_after(tgt2, diverged_at)
+    _mask_after(phi2, last_pair)
+    _mask_after(tgt2, last_pair)
     est_2, _, _, _, freeze_2 = _rls_batch(phi2, tgt2, checkpoints)
     sa, sb = covariance_from_fit(est_2, est_n, system.n)
     first_freeze = np.minimum(np.minimum(diverged_at, freeze_n), freeze_2)

@@ -9,6 +9,7 @@ malformed rollout file, 3 assertion failure inside a run.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import traceback
@@ -50,16 +51,9 @@ def _positive_int(text):
 
 
 def _load_config(args):
-    if args.config:
-        cfg = ExperimentConfig.from_json_file(args.config)
-        d = cfg.__dict__.copy()
-    else:
-        d = ExperimentConfig().__dict__.copy()
-    for key in ("seed", "out", "reps", "preset"):
-        val = getattr(args, key, None)
-        if val is not None:
-            d[key] = val
-    return ExperimentConfig.from_dict({k: v for k, v in d.items()})
+    config = ExperimentConfig.from_json_file(args.config) if args.config else ExperimentConfig()
+    overrides = {key: getattr(args, key, None) for key in ("seed", "out", "reps", "preset")}
+    return dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _outdir(config):
@@ -101,12 +95,9 @@ def cmd_estimate(args):
 def cmd_oracle(args):
     config = _load_config(args)
     bundle = get_preset(config.preset, noise_law=config.noise_law)
-    from .moment_oracle import propagate_second
-
-    tr = propagate_second(bundle.system, bundle.schedule, np.zeros(bundle.system.n))
+    reg, tr = assemble_population(bundle.system, bundle.schedule, np.zeros(bundle.system.n))
     out = _outdir(config) / "moments.csv"
     tr.write_csv(out)
-    reg, _ = assemble_population(bundle.system, bundle.schedule, np.zeros(bundle.system.n))
     rep = check_excitation(reg, bundle.system.n, bundle.system.m)
     summary = {
         "controllable_nominal": controllable(bundle.system.A, bundle.system.B),

@@ -81,8 +81,8 @@ class ExperimentConfig:
         for name, grid in (("n_r_grid", self.n_r_grid), ("baseline_grid", self.baseline_grid),
                            ("tail_grid", self.tail_grid)):
             g = list(grid)
-            if not g or any(int(v) < 1 for v in g) or sorted(g) != g:
-                raise ConfigError(f"{name} must be a nonempty ascending list of positive counts")
+            if not g or any(int(v) < 1 for v in g) or any(a >= b for a, b in zip(g, g[1:])):
+                raise ConfigError(f"{name} must be a nonempty strictly ascending list of positive counts")
         if self.reps < 1 or self.tail_reps < 1:
             raise ConfigError("repetition counts must be positive")
         for sys_name in self.baseline_systems:
@@ -165,13 +165,30 @@ def read_csv_table(path):
         return header, [row for row in r]
 
 
-def _rep_seed(master, index):
-    """Derived 64-bit seed for repetition ``index`` (role tag 17)."""
-    return int(rs.stream_keys(master, index, 0, 17))
+def _rep_seeds(master, index):
+    """Derived 64-bit seeds for repetition indices ``index`` (role tag 17)."""
+    return rs.stream_keys(master, index, 0, 17)
 
 
 def _slope(x_log10, y_log10):
     return float(np.polyfit(x_log10, y_log10, 1)[0])
+
+
+_ERROR_KEYS = ("err_AB", "err_Sigma", "err_AB_norm", "err_Sigma_norm")
+
+
+def _sweep(bundle, grid, seeds):
+    """``mals`` at every (n_r, repetition) of a grid, one call per seed.
+
+    seeds: (len(grid), reps) array.  Returns each of ``_ERROR_KEYS`` as a
+    (len(grid), reps) array.  Every runner repeats the estimator through here.
+    """
+    errs = {key: np.empty(seeds.shape) for key in _ERROR_KEYS}
+    for (gi, rep), seed in np.ndenumerate(seeds):
+        res = mals(bundle.system, bundle.schedule, bundle.init, int(grid[gi]), seed=int(seed))
+        for key in errs:
+            errs[key][gi, rep] = res.errors[key]
+    return errs
 
 
 # ---------------------------------------------------------------------------
@@ -182,47 +199,39 @@ def run_convergence(config):
     """Median/mean estimation errors across the rollout grid per input law."""
     t0 = time.perf_counter()
     bundle = get_preset(config.preset, noise_law=config.noise_law)
+    grid = list(config.n_r_grid)
+    lg = np.log10(np.asarray(grid, dtype=float))
+    # one seed counter runs over laws x grid x reps
+    counters = np.arange(len(config.input_laws) * len(grid) * config.reps)
     raw_rows = []
     summary_rows = []
     summary = {"config": _config_dict(config), "laws": {}}
-    counter = 0
-    for law in config.input_laws:
-        b = bundle.with_input_law(law)
-        med = {"err_AB": [], "err_Sigma": []}
-        for n_r in config.n_r_grid:
-            errs = {"err_AB": [], "err_Sigma": [], "err_AB_norm": [], "err_Sigma_norm": []}
-            for rep in range(config.reps):
-                seed = _rep_seed(config.seed, counter)
-                counter += 1
-                res = mals(b.system, b.schedule, b.init, int(n_r), seed=seed)
-                for key in errs:
-                    errs[key].append(res.errors[key])
-                raw_rows.append(
-                    [law, n_r, rep, seed]
-                    + [res.errors[k] for k in ("err_AB", "err_Sigma", "err_AB_norm", "err_Sigma_norm")]
-                )
+    for law, counter in zip(config.input_laws, counters.reshape(-1, len(grid), config.reps)):
+        seeds = _rep_seeds(config.seed, counter)
+        errs = _sweep(bundle.with_input_law(law), grid, seeds)
+        for (gi, rep), seed in np.ndenumerate(seeds):
+            raw_rows.append([law, grid[gi], rep, int(seed)] + [errs[k][gi, rep] for k in _ERROR_KEYS])
+        for gi, n_r in enumerate(grid):
             summary_rows.append(
                 [law, n_r]
-                + [np.mean(errs[k]) for k in errs]
-                + [np.median(errs[k]) for k in errs]
+                + [np.mean(errs[k][gi]) for k in _ERROR_KEYS]
+                + [np.median(errs[k][gi]) for k in _ERROR_KEYS]
             )
-            med["err_AB"].append(float(np.median(errs["err_AB"])))
-            med["err_Sigma"].append(float(np.median(errs["err_Sigma"])))
-        lg = np.log10(np.asarray(config.n_r_grid, dtype=float))
         law_summary = {}
-        for key, series in med.items():
+        for key in ("err_AB", "err_Sigma"):
+            series = [float(np.median(row)) for row in errs[key]]
             law_summary[f"median_{key}"] = series
             law_summary[f"slope_{key}"] = _slope(lg, np.log10(series))
             law_summary[f"monotone_{key}"] = bool(
-                all(a >= b2 for a, b2 in zip(series, series[1:]))
+                all(a >= b for a, b in zip(series, series[1:]))
             )
         summary["laws"][law] = law_summary
     summary["runtime_s"] = time.perf_counter() - t0
-    raw_header = ["law", "n_r", "rep", "seed", "err_AB", "err_Sigma", "err_AB_norm", "err_Sigma_norm"]
+    raw_header = ["law", "n_r", "rep", "seed", *_ERROR_KEYS]
     sum_header = (
         ["law", "n_r"]
-        + [f"mean_{k}" for k in ("err_AB", "err_Sigma", "err_AB_norm", "err_Sigma_norm")]
-        + [f"median_{k}" for k in ("err_AB", "err_Sigma", "err_AB_norm", "err_Sigma_norm")]
+        + [f"mean_{k}" for k in _ERROR_KEYS]
+        + [f"median_{k}" for k in _ERROR_KEYS]
     )
     return ExperimentReport(
         name="convergence",
@@ -243,7 +252,7 @@ def _config_dict(config):
 # tail frequencies (exceedance-vs-rollouts), optional bound envelope
 
 
-def run_tail_frequency(config, eps_list=None, with_bounds=False):
+def run_tail_frequency(config, with_bounds=False):
     """Relative frequencies of normalized errors exceeding fixed levels.
 
     Uses the first configured input law.  With ``with_bounds`` the population
@@ -255,30 +264,14 @@ def run_tail_frequency(config, eps_list=None, with_bounds=False):
     bundle = get_preset(config.preset, noise_law=config.noise_law).with_input_law(law)
     grid = [int(v) for v in config.tail_grid]
     reps = int(config.tail_reps)
-    errs = {
-        "err_AB_norm": np.empty((len(grid), reps)),
-        "err_Sigma_norm": np.empty((len(grid), reps)),
-        "err_AB": np.empty((len(grid), reps)),
-        "err_Sigma": np.empty((len(grid), reps)),
-    }
-    counter = 0
-    for gi, n_r in enumerate(grid):
-        for rep in range(reps):
-            seed = _rep_seed(config.seed ^ 0xA5, counter)
-            counter += 1
-            res = mals(bundle.system, bundle.schedule, bundle.init, n_r, seed=seed)
-            for key in errs:
-                errs[key][gi, rep] = res.errors[key]
+    seeds = _rep_seeds(config.seed ^ 0xA5, np.arange(len(grid) * reps).reshape(-1, reps))
+    errs = _sweep(bundle, grid, seeds)
     freq_rows = []
     summary = {"config": _config_dict(config), "law": law, "metrics": {}}
     for key in ("err_AB_norm", "err_Sigma_norm"):
         eps_star = float(np.median(errs[key][0]))
-        if eps_list is not None:
-            eps_grid = np.asarray(eps_list, dtype=float)
-        elif config.eps_grid:
-            eps_grid = np.asarray(config.eps_grid, dtype=float)
-        else:
-            eps_grid = np.geomspace(0.25 * eps_star, 4.0 * eps_star, 10)
+        eps_grid = (np.asarray(config.eps_grid, dtype=float) if config.eps_grid
+                    else np.geomspace(0.25 * eps_star, 4.0 * eps_star, 10))
         if eps_star not in eps_grid:
             eps_grid = np.sort(np.append(eps_grid, eps_star))
         for eps in eps_grid:
@@ -348,7 +341,7 @@ def run_equivalence_demo(config):
     base_tr = propagate_second(system, sched, mu0)
     alt_tr = propagate_second(alt, sched, mu0)
     est = mals(system, bundle.schedule, bundle.init, int(config.demo_n_r),
-               seed=_rep_seed(config.seed ^ 0x3C, 0))
+               seed=int(_rep_seeds(config.seed ^ 0x3C, 0)))
     est_tr = propagate_second_reduced(
         est.A_hat, est.B_hat, est.sigma_a_tilde_hat, est.sigma_b_tilde_hat, sched, mu0
     )
@@ -396,61 +389,51 @@ def run_baseline_comparison(config):
     t0 = time.perf_counter()
     grid = [int(v) for v in config.baseline_grid]
     reps = int(config.reps)
+    # MALS seed index: sys_idx * 1_000_000 + gi * 10_000 + rep
+    rep_index = 10_000 * np.arange(len(grid))[:, None] + np.arange(reps)
     raw_rows = []
     curve_tables = {}
     summary = {"config": _config_dict(config), "systems": {}}
     for sys_idx, sys_name in enumerate(config.baseline_systems):
         bundle = get_preset(sys_name, noise_law=config.noise_law).with_input_law("gaussian")
         system = bundle.system
-        ell = bundle.schedule.ell
-        checkpoints = [ell * n_r for n_r in grid]
+        samples = [bundle.schedule.ell * n_r for n_r in grid]
         ld = lift(system)
         truth_ab = np.hstack([system.A, system.B])
         truth_sig = np.hstack([ld.sigma_a_tilde, ld.sigma_b_tilde])
-        sys_summary = {}
-        per_alg = {}
         # --- MALS on n_r rollouts of length ell
-        rows_m = []
-        for gi, n_r in enumerate(grid):
-            assert checkpoints[gi] == ell * n_r, "sample-count parity violated"
-            for rep in range(reps):
-                seed = _rep_seed(config.seed ^ 0x88, sys_idx * 1_000_000 + gi * 10_000 + rep)
-                res = mals(system, bundle.schedule, bundle.init, n_r, seed=seed)
-                rows_m.append((ell * n_r, rep, res.errors["err_AB"], res.errors["err_Sigma"], False))
-        per_alg["MALS"] = rows_m
+        errs = _sweep(bundle, grid, _rep_seeds(config.seed ^ 0x88, sys_idx * 1_000_000 + rep_index))
+        # (err_AB, err_Sigma, diverged) per algorithm, each indexed [checkpoint, rep]
+        per_alg = {"MALS": (errs["err_AB"], errs["err_Sigma"], np.zeros(rep_index.shape, dtype=bool))}
         # --- RLS (i.i.d. standard normal inputs) and RLSp (the schedule, repeated)
-        T = ell * grid[-1]
         for alg_idx, (alg, law) in enumerate(
             (
                 ("RLS", GaussianInputLaw(system.m)),
                 ("RLSp", bundle.schedule),
             )
         ):
-            alg_seed = _rep_seed(config.seed ^ 0x77, sys_idx * 10 + alg_idx)
-            cps, ab, sa, sb, div = rls_batch_estimates(system, law, T, reps, alg_seed, checkpoints)
+            alg_seed = int(_rep_seeds(config.seed ^ 0x77, sys_idx * 10 + alg_idx))
+            cps, ab, sa, sb, div = rls_batch_estimates(system, law, samples[-1], reps, alg_seed, samples)
+            assert cps == samples, "sample-count parity violated"
             err_ab = np.linalg.norm(ab - truth_ab, 2, axis=(-2, -1))
             err_sig = np.linalg.norm(np.concatenate([sa, sb], -1) - truth_sig, 2, axis=(-2, -1))
-            per_alg[alg] = [
-                (c, r, float(err_ab[ci, r]), float(err_sig[ci, r]), bool(div[ci, r]))
-                for ci, c in enumerate(cps)
-                for r in range(reps)
-            ]
-        for alg, rows in per_alg.items():
-            for samples, rep, e_ab, e_sig, div in rows:
-                raw_rows.append([sys_name, alg, samples, rep, e_ab, e_sig, div])
+            per_alg[alg] = (err_ab, err_sig, div)
+        sys_summary = {}
+        for alg, (e_ab, e_sig, div) in per_alg.items():
             curve = []
             alg_sum = {}
-            for samples in [ell * n_r for n_r in grid]:
-                sel = [r for r in rows if r[0] == samples]
-                mean_ab = float(np.mean([r[2] for r in sel]))
-                mean_sig = float(np.mean([r[3] for r in sel]))
-                div_frac = float(np.mean([bool(r[4]) for r in sel]))
-                curve.append([samples, mean_ab, mean_sig, div_frac])
-                alg_sum[str(samples)] = {
+            for ci, c in enumerate(samples):
+                for r in range(reps):
+                    raw_rows.append([sys_name, alg, c, r, e_ab[ci, r], e_sig[ci, r], div[ci, r]])
+                mean_ab = float(np.mean(e_ab[ci]))
+                mean_sig = float(np.mean(e_sig[ci]))
+                div_frac = float(np.mean(div[ci]))
+                curve.append([c, mean_ab, mean_sig, div_frac])
+                alg_sum[str(c)] = {
                     "mean_err_AB": mean_ab,
-                    "median_err_AB": float(np.median([r[2] for r in sel])),
+                    "median_err_AB": float(np.median(e_ab[ci])),
                     "mean_err_Sigma": mean_sig,
-                    "median_err_Sigma": float(np.median([r[3] for r in sel])),
+                    "median_err_Sigma": float(np.median(e_sig[ci])),
                     "diverged_fraction": div_frac,
                 }
             curve_tables[f"baseline_{sys_name}_{alg}"] = (
@@ -468,4 +451,3 @@ def run_baseline_comparison(config):
         **curve_tables,
     }
     return ExperimentReport(name="baselines", summary=summary, tables=tables)
-

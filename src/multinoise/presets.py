@@ -127,19 +127,19 @@ PRESET_NAMES = (
 )
 
 
-def get_preset(name, noise_law="uniform", input_law="uniform"):
+def get_preset(name, noise_law="uniform"):
     """Build a named preset; unknown names raise ValueError."""
     init = FixedInitial(np.zeros(2))
     if name == "paper-4.1":
         A, B = _nominal(1.0)
         system = make_system(A, B, CovarianceNoise(benchmark_sigma_a(), benchmark_sigma_b(), law=noise_law))
-        schedule = design_inputs(1, 4, seed=SCHEDULE_SEED_L4, input_law=input_law)
+        schedule = design_inputs(1, 4, seed=SCHEDULE_SEED_L4)
         return PresetBundle(name=name, system=system, schedule=schedule, init=init)
     if name == "paper-4.1-additive":
         A, B = _nominal(1.0)
         base = make_system(A, B, CovarianceNoise(benchmark_sigma_a(), benchmark_sigma_b(), law=noise_law))
         system = embed_additive_noise(base, ADDITIVE_SIGMA2 * np.eye(2), law=noise_law)
-        schedule = augment_schedule(design_inputs(1, 6, seed=SCHEDULE_SEED_L6, input_law=input_law))
+        schedule = augment_schedule(design_inputs(1, 6, seed=SCHEDULE_SEED_L6))
         return PresetBundle(name=name, system=system, schedule=schedule, init=init, base_system=base)
     if name.startswith("paper-4.2-rho"):
         rest = name[len("paper-4.2-rho"):]
@@ -152,6 +152,6 @@ def get_preset(name, noise_law="uniform", input_law="uniform"):
             benchmark_sigma_a(), benchmark_sigma_b(), law=noise_law
         )
         system = make_system(A, B, noise)
-        schedule = design_inputs(1, 4, seed=SCHEDULE_SEED_L4, input_law=input_law)
+        schedule = design_inputs(1, 4, seed=SCHEDULE_SEED_L4)
         return PresetBundle(name=name, system=system, schedule=schedule, init=init)
     raise ValueError(f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}")

@@ -130,10 +130,6 @@ class SelectionMatrices:
             self._D = np.diag(d)
         return self._D
 
-    @property
-    def reduced_dim(self):
-        return svec_dim(self.n)
-
 
 _selection_cache: dict[int, SelectionMatrices] = {}
 

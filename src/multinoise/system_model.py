@@ -28,7 +28,6 @@ __all__ = [
     "make_system",
     "embed_additive_noise",
     "augment_schedule",
-    "Rollout",
     "RolloutSet",
     "InputError",
     "ROLLOUT_LEAF",
@@ -452,14 +451,6 @@ def augment_schedule(schedule):
 
 
 @dataclass
-class Rollout:
-    """One trajectory x_0, u_0, ..., x_{ell-1}, u_{ell-1}, x_ell."""
-
-    states: np.ndarray  # (ell + 1, n)
-    inputs: np.ndarray  # (ell, m)
-
-
-@dataclass
 class RolloutSet:
     """n_r independent rollouts sharing one input schedule."""
 
@@ -483,9 +474,6 @@ class RolloutSet:
     @property
     def m(self):
         return self.inputs.shape[2]
-
-    def rollout(self, k):
-        return Rollout(states=self.states[k], inputs=self.inputs[k])
 
     def to_json(self):
         return json.dumps(

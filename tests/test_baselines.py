@@ -8,6 +8,7 @@ from multinoise.baselines import (
     _mask_after,
     _rls_batch,
     covariance_from_fit,
+    rls_batch_estimates,
     rls_nominal,
     rls_second_moment,
     second_moment_regressors,
@@ -193,6 +194,23 @@ def test_early_exits_when_every_run_freezes_before_the_last_checkpoint():
         assert np.array_equal(out[-1], out[-2])
 
 
+def test_frozen_baseline_estimates_use_only_real_transitions():
+    # a diverged trajectory stores x_{d-1} again as x_d, so its RLS runs must
+    # freeze after the last real transition, pair d-2
+    system, _ = _oracle_case("paper-4.2-rho1.0")
+    T, reps, law = 2000, 6, GaussianInputLaw(1)
+    states, inputs, diverged_at = simulate_single_trajectories(system, law, T, reps, 8)
+    _, nominal, sigma_a, sigma_b, diverged = rls_batch_estimates(system, law, T, reps, 8, [T])
+    frozen = np.flatnonzero(diverged_at <= T)
+    assert frozen.size and diverged[0, frozen].all()
+    for r in frozen:
+        d = diverged_at[r]
+        est, _, _ = rls_nominal(states[r, :d], inputs[r, : d - 1])
+        assert np.array_equal(nominal[0, r], est[0][1])
+        ((_, sa, sb),), _, _ = rls_second_moment(states[r, :d], inputs[r, : d - 1], est)
+        assert np.array_equal(sigma_a[0, r], sa) and np.array_equal(sigma_b[0, r], sb)
+
+
 def test_rls_estimate_blowup_freezes_like_reference():
     rng = np.random.default_rng(0)
     phi = rng.standard_normal((4, 60, 3))
@@ -292,7 +310,7 @@ def test_periodic_draws_follow_periodic_moments():
 @pytest.mark.parametrize("input_law", ["uniform", "gaussian", "deterministic"])
 @pytest.mark.parametrize("preset", ["paper-4.1", "paper-4.2-rho0.8"])
 def test_single_trajectories_equal_rollouts_from_zero(preset, input_law, reps):
-    bundle = get_preset(preset, input_law=input_law)
+    bundle = get_preset(preset).with_input_law(input_law)
     system, schedule = bundle.system, bundle.schedule
     states, inputs, diverged_at = simulate_single_trajectories(
         system, schedule, schedule.ell, reps, seed=31

@@ -13,6 +13,8 @@ from multinoise.experiments import (
     run_equivalence_demo,
     run_tail_frequency,
 )
+from multinoise.mals import mals
+from multinoise.presets import get_preset
 
 
 SMALL = dict(
@@ -37,6 +39,8 @@ def test_config_rejects_unknown_preset():
 def test_config_rejects_descending_grid():
     with pytest.raises(ConfigError, match="ascending"):
         ExperimentConfig.from_dict({"n_r_grid": [100, 10]})
+    with pytest.raises(ConfigError, match="ascending"):
+        ExperimentConfig.from_dict({"n_r_grid": [100, 100]})
 
 
 def test_config_rejects_bad_law():
@@ -67,6 +71,19 @@ def test_convergence_report_and_determinism(tmp_path):
     assert len(rows) == len(SMALL["n_r_grid"]) * SMALL["reps"]
     assert "uniform" in rep1.summary["laws"]
     assert "slope_err_AB" in rep1.summary["laws"]["uniform"]
+
+
+def test_convergence_rows_are_direct_mals_calls():
+    cfg = ExperimentConfig.from_dict(
+        dict(preset="paper-4.2-rho0.8", input_laws=("gaussian", "deterministic"), n_r_grid=(20, 40),
+             reps=2, seed=5)
+    )
+    header, rows = run_convergence(cfg).tables["convergence_raw"]
+    assert len(rows) == 2 * 2 * 2 and len({row[3] for row in rows}) == len(rows)
+    for law, n_r, _, seed, *errs in rows:
+        b = get_preset(cfg.preset).with_input_law(law)
+        res = mals(b.system, b.schedule, b.init, n_r, seed=seed)
+        assert errs == [res.errors[k] for k in header[4:]]
 
 
 def test_csv_round_trips_through_import(tmp_path):
@@ -116,9 +133,10 @@ def test_tail_with_bound_envelope_cross_check():
 
 def test_tail_frequency_zero_beyond_worst_error():
     cfg = ExperimentConfig.from_dict(
-        dict(preset="paper-4.1", input_laws=("uniform",), tail_grid=(50,), tail_reps=20, seed=3)
+        dict(preset="paper-4.1", input_laws=("uniform",), tail_grid=(50,), tail_reps=20, seed=3,
+             eps_grid=(1e9,))
     )
-    rep = run_tail_frequency(cfg, eps_list=[1e9])
+    rep = run_tail_frequency(cfg)
     header, rows = rep.tables["tail_frequencies"]
     big = [float(r[3]) for r in rows if float(r[2]) == 1e9]
     assert big and all(f == 0.0 for f in big)
@@ -164,6 +182,29 @@ def test_baseline_comparison_small(tmp_path):
     assert sysnames == {"paper-4.2-rho0.6-nonoise", "paper-4.2-rho1.0"}
     for alg in ("MALS", "RLS", "RLSp"):
         assert alg in rep.summary["systems"]["paper-4.2-rho1.0"]
+
+
+def test_baseline_curves_and_summary_reduce_the_raw_rows():
+    cfg = ExperimentConfig.from_dict(
+        dict(baseline_grid=(50, 300), reps=4, seed=3,
+             baseline_systems=("paper-4.2-rho0.6", "paper-4.2-rho1.0"))
+    )
+    rep = run_baseline_comparison(cfg)
+    _, raw = rep.tables["baseline_raw"]
+    assert any(row[6] for row in raw)  # the rho 1.0 runs diverge: the flags are exercised
+    for sys_name, algs in rep.summary["systems"].items():
+        for alg, per_count in algs.items():
+            _, curve = rep.tables[f"baseline_{sys_name}_{alg}"]
+            assert [row[0] for row in curve] == [4 * 50, 4 * 300]
+            for (samples, mean_ab, mean_sig, div_frac), (key, s) in zip(curve, per_count.items()):
+                sel = [row for row in raw if row[:3] == [sys_name, alg, samples]]
+                assert key == str(samples) and [row[3] for row in sel] == list(range(4))
+                e_ab, e_sig, div = ([row[i] for row in sel] for i in (4, 5, 6))
+                assert mean_ab == s["mean_err_AB"] == np.mean(e_ab)
+                assert mean_sig == s["mean_err_Sigma"] == np.mean(e_sig)
+                assert div_frac == s["diverged_fraction"] == np.mean(div)
+                assert s["median_err_AB"] == np.median(e_ab)
+                assert s["median_err_Sigma"] == np.median(e_sig)
 
 
 # --- CLI ------------------------------------------------------------------------

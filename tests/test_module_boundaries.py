@@ -1,4 +1,5 @@
 import ast
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "multinoise"
@@ -18,3 +19,16 @@ def test_no_module_imports_a_private_name_from_a_sibling():
                 if alias.name.startswith("_")
             ]
     assert not offenders, offenders
+
+
+def test_every_name_in_all_is_defined_in_its_module():
+    undefined = []
+    for path in sorted(SRC.glob("*.py")):
+        name = "multinoise" if path.stem == "__init__" else f"multinoise.{path.stem}"
+        module = importlib.import_module(name)
+        for public in getattr(module, "__all__", ()):
+            obj = vars(module).get(public, undefined)
+            # functions and classes must come from this module, not be re-exported
+            if obj is undefined or getattr(obj, "__module__", name) != name:
+                undefined.append(f"{name}.{public}")
+    assert not undefined, undefined
