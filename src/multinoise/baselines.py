@@ -12,7 +12,7 @@ import numpy as np
 
 from . import rngstream as rs
 from .moment_oracle import lift_nominal
-from .shape_ops import selection_matrices
+from .shape_ops import outer_svec, outer_vec
 from .system_model import beyond_limit, simulate_trajectories
 
 __all__ = [
@@ -132,23 +132,9 @@ def second_moment_regressors(states, inputs):
     and inputs (..., T, m) may carry leading batch axes, kept in the outputs.
     """
     states = np.asarray(states, dtype=float)
-    inputs = np.asarray(inputs, dtype=float)
-    n = states.shape[-1]
-    m = inputs.shape[-1]
-    kept_n = selection_matrices(n).kept
-    kept_m = selection_matrices(m).kept
-    x0, x1, u = states[..., :-1, :], states[..., 1:, :], inputs
-    lead = u.shape[:-1]
-
-    def vec_outer(a, b):
-        # einsum index order (j, i) then row-major reshape = column-stacking vec
-        return np.einsum("...i,...j->...ji", a, b).reshape(lead + (-1,))
-
-    xx = vec_outer(x0, x0)[..., kept_n]
-    uu = vec_outer(u, u)[..., kept_m]
-    phi = np.concatenate([xx, uu, vec_outer(x0, u), vec_outer(u, x0)], axis=-1)
-    target = vec_outer(x1, x1)[..., kept_n]
-    return phi, target
+    x0, x1, u = states[..., :-1, :], states[..., 1:, :], np.asarray(inputs, dtype=float)
+    phi = np.concatenate([outer_svec(x0), outer_svec(u), outer_vec(x0, u), outer_vec(u, x0)], axis=-1)
+    return phi, outer_svec(x1)
 
 
 def rls_second_moment(states, inputs, nominal_estimates, checkpoints=None):

@@ -188,7 +188,7 @@ class BoundContext:
         return replace(self, n_r=n_r)
 
 
-def bound_context(system, schedule, init, n_r, eps_max=1.0):
+def bound_context(system, schedule, init, n_r):
     """Assemble a BoundContext from population moments and boundedness constants."""
     consts = constants_from_setup(system, schedule, init)
     x_t0 = None if getattr(init, "variant", "") == "Fixed" else svec(init.second_moment)
@@ -199,7 +199,7 @@ def bound_context(system, schedule, init, n_r, eps_max=1.0):
         m=system.m,
         ell=schedule.ell,
         n_r=n_r,
-        eps_max=eps_max,
+        eps_max=1.0,
         lam_min_zz=rep.lambda_min_zz,
         lam_max_zz=rep.lambda_max_zz,
         lam_min_dd=rep.lambda_min_dd,

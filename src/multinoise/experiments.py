@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -43,6 +44,10 @@ _LAWS = ("gaussian", "uniform", "deterministic")
 
 class ConfigError(ValueError):
     """Invalid experiment configuration (CLI exit code 2)."""
+
+
+def _is_int(v):
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 @dataclass
@@ -81,10 +86,14 @@ class ExperimentConfig:
         for name, grid in (("n_r_grid", self.n_r_grid), ("baseline_grid", self.baseline_grid),
                            ("tail_grid", self.tail_grid)):
             g = list(grid)
-            if not g or any(int(v) < 1 for v in g) or any(a >= b for a, b in zip(g, g[1:])):
-                raise ConfigError(f"{name} must be a nonempty strictly ascending list of positive counts")
-        if self.reps < 1 or self.tail_reps < 1:
-            raise ConfigError("repetition counts must be positive")
+            if not g or not all(_is_int(v) and v >= 1 for v in g) or any(a >= b for a, b in zip(g, g[1:])):
+                raise ConfigError(f"{name} must be a nonempty strictly ascending list of positive integers")
+        for name in ("reps", "tail_reps", "bound_n_r", "demo_n_r", "demo_periods"):
+            value = getattr(self, name)
+            if not (_is_int(value) and value >= 1):
+                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+        if not _is_int(self.seed):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         for sys_name in self.baseline_systems:
             if sys_name not in PRESET_NAMES:
                 raise ConfigError(f"unknown baseline system {sys_name!r}")
@@ -371,10 +380,9 @@ def run_equivalence_demo(config):
 
 
 def _tile_schedule(schedule, periods):
-    reps = max(1, int(periods))
     return InputSchedule(
-        nu=np.tile(schedule.nu, (reps, 1)),
-        ubar=np.tile(schedule.ubar, (reps, 1, 1)),
+        nu=np.tile(schedule.nu, (periods, 1)),
+        ubar=np.tile(schedule.ubar, (periods, 1, 1)),
         law=schedule.law,
         seed=schedule.seed,
     )

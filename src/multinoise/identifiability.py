@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .shape_ops import reshape_F, selection_matrices, svec_dim
-from .system_model import PSD_SLACK
+from .shape_ops import expand_both, reshape_F, svec_dim, svec_index
+from .system_model import is_psd
 
 __all__ = [
     "entry_map",
@@ -39,11 +39,6 @@ __all__ = [
 
 #: Strict-positivity threshold: lambda_min > STRICT_TOL * lambda_max counts as > 0.
 STRICT_TOL = 1e-8
-
-
-def _reduced_pos(i, j, n):
-    """1-based reduced index of the (i, j) pair, i <= j: (i-1)(n - i/2) + j."""
-    return (i - 1) * n + j - i * (i - 1) // 2
 
 
 @dataclass
@@ -92,8 +87,8 @@ def reduced_from_full(sigma, n, m=None):
 
 def _entry_map_rect(i, j, k, l, n, m):
     """entry_map generalized to an n x m noise matrix (SigmaB case)."""
-    row = _reduced_pos(i, j, n)
-    col = _reduced_pos(k, l, m)
+    row = int(svec_index(i - 1, j - 1, n)) + 1
+    col = int(svec_index(k - 1, l - 1, m)) + 1
     p = lambda a, b: (b - 1) * n + a
     if i == j and k == l:
         return EntryMap(row, col, "variance", [(1.0, (p(i, k), p(i, k)))])
@@ -169,10 +164,8 @@ class EquivalenceClass:
 
     def sigma_pair(self, alpha, beta):
         n, m = self.n, self.m
-        smn = selection_matrices(n)
-        smm = selection_matrices(m)
-        inner_a = smn.Q @ self.sigma_a_tilde @ smn.Q.T @ smn.D + build_E_alpha(alpha, n)
-        inner_b = smn.Q @ self.sigma_b_tilde @ smm.Q.T @ smm.D + build_E_beta(beta, n, m)
+        inner_a = expand_both(self.sigma_a_tilde, n, n) + build_E_alpha(alpha, n)
+        inner_b = expand_both(self.sigma_b_tilde, n, m) + build_E_beta(beta, n, m)
         return (
             reshape_F(inner_a, n, n, n, n),
             reshape_F(inner_b, n, m, n, m),
@@ -203,15 +196,10 @@ def equivalence_class(sigma_a_tilde, sigma_b_tilde, n, m):
     )
 
 
-def _is_psd(S):
-    w = np.linalg.eigvalsh(0.5 * (S + S.T))
-    return bool(w[0] >= -PSD_SLACK * max(abs(w[0]), abs(w[-1]), 1.0))
-
-
 def sigma_from_class(ec, alpha, beta):
     """Class member (SigmaA(alpha), SigmaB(beta)) with PSD membership flags."""
     sa, sb = ec.sigma_pair(alpha, beta)
-    return sa, sb, _is_psd(sa), _is_psd(sb)
+    return sa, sb, is_psd(sa), is_psd(sb)
 
 
 def scan_psd_feasible(ec, alphas):
@@ -308,15 +296,11 @@ def recover_under_constraints(sigma_a_tilde, constraints):
     if svec_dim(n) != nt or constraints.n != n:
         raise ValueError("reduced matrix size does not match the constraint dimension")
     ec = equivalence_class(sigma_a_tilde, np.zeros((nt, 1)), n, 1)
-    pairs = off_pairs(n)
-    alpha = np.zeros((len(pairs), len(pairs)))
+    pos = np.array([svec_index(i - 1, j - 1, n) for i, j in off_pairs(n)], dtype=int)
+    s = sigma_a_tilde[np.ix_(pos, pos)]  # reduced entry of each ((i,j), (k,l)) pair
     g, d = constraints.gamma, constraints.delta
-    for a, (i, j) in enumerate(pairs):
-        for b, (k, l) in enumerate(pairs):
-            s = sigma_a_tilde[_reduced_pos(i, j, n) - 1, _reduced_pos(k, l, n) - 1]
-            tau = constraints.tau[a, b]
-            u = (tau - d * s) / (g - d)  # E{Abar_ik Abar_jl}
-            alpha[a, b] = u - 0.5 * s
+    u = (constraints.tau - d * s) / (g - d)  # E{Abar_ik Abar_jl}
+    alpha = u - 0.5 * s
     sa, _, psd_a, _ = sigma_from_class(ec, alpha.ravel(), np.zeros(0))
     return sa, psd_a
 

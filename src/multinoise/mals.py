@@ -17,7 +17,7 @@ from .moment_oracle import (
     lift,
     nominal_blocks,
 )
-from .shape_ops import selection_matrices, svec_dim
+from .shape_ops import svec, svec_dim
 from .system_model import ROLLOUT_LEAF, InputSchedule, RolloutSet, iter_rollout_blocks
 
 __all__ = [
@@ -32,29 +32,25 @@ __all__ = [
     "mals",
 ]
 
-def design_inputs(m, ell, mean_law="uniform", wishart_scale=0.1, input_law="uniform", seed=0):
+#: Scale of the Wishart input covariances drawn by ``design_inputs``.
+WISHART_SCALE = 0.1
+
+
+def design_inputs(m, ell, input_law="uniform", seed=0):
     """Draw and fix an input schedule.
 
-    Means nu_t are i.i.d. from ``mean_law`` ("uniform" on [0,1]^m, or
-    "gaussian" standard normal).  Covariances Ubar_t are i.i.d. Wishart with
-    scale wishart_scale * I_m and m degrees of freedom (Bartlett draw), or
-    identically zero when input_law = "deterministic".
+    Means nu_t are i.i.d. uniform on [0,1]^m.  Covariances Ubar_t are i.i.d.
+    Wishart with scale WISHART_SCALE * I_m and m degrees of freedom (Bartlett
+    draw), or identically zero when input_law = "deterministic".
     """
     if m < 1 or ell < 1:
         raise ValueError("need m >= 1 and ell >= 1")
-    if wishart_scale < 0:
-        raise ValueError("wishart_scale must be nonnegative")
     rng = np.random.default_rng(np.random.SeedSequence([0x5EED, seed]))
-    if mean_law == "uniform":
-        nu = rng.random((ell, m))
-    elif mean_law == "gaussian":
-        nu = rng.standard_normal((ell, m))
-    else:
-        raise ValueError(f"unknown mean law {mean_law!r}")
+    nu = rng.random((ell, m))
     ubar = np.zeros((ell, m, m))
     if input_law != "deterministic":
         for t in range(ell):
-            ubar[t] = _wishart_bartlett(rng, m, wishart_scale)
+            ubar[t] = _wishart_bartlett(rng, m, WISHART_SCALE)
     return InputSchedule(nu=nu, ubar=ubar, law=input_law, seed=seed)
 
 
@@ -113,10 +109,7 @@ def _tree_sum(parts):
 def _reduce_leaves(leaves, n_r, schedule):
     """MomentTrajectory from per-leaf sums: tree-summed, then divided by n_r once."""
     mu = _tree_sum([s1 for s1, _ in leaves]) / n_r
-    second = _tree_sum([s2 for _, s2 in leaves]) / n_r
-    sym = 0.5 * (second + second.swapaxes(1, 2))
-    n = mu.shape[1]
-    x_t = sym.swapaxes(1, 2).reshape(len(sym), n * n)[:, selection_matrices(n).kept]  # svec per t
+    x_t = svec(_tree_sum([s2 for _, s2 in leaves]) / n_r)
     w, w_p, u_t = input_moments(mu, schedule)
     return MomentTrajectory(
         mu=mu, x_t=x_t, w=w, w_p=w_p, u_t=u_t, nu=schedule.nu.copy(), source="empirical"

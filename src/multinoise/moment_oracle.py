@@ -17,14 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .shape_ops import (
+    outer_vec,
+    reduce_both,
+    reduce_rows,
     reshape_G,
-    selection_matrices,
     smat,
     svec,
     svec_dim,
     svec_index_pairs,
-    vec,
 )
+from .system_model import is_psd
 
 __all__ = [
     "LiftedDynamics",
@@ -80,14 +82,11 @@ def lift_nominal(A, B):
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     n, m = A.shape[-1], B.shape[-1]
-    P1 = selection_matrices(n).P
-    Q1 = selection_matrices(n).Q
-    Q2 = selection_matrices(m).Q
     return (
-        P1 @ _kron(A, A) @ Q1,
-        P1 @ _kron(B, B) @ Q2,
-        P1 @ _kron(B, A),
-        P1 @ _kron(A, B),
+        reduce_both(_kron(A, A), n, n),
+        reduce_both(_kron(B, B), n, m),
+        reduce_rows(_kron(B, A), n),
+        reduce_rows(_kron(A, B), n),
     )
 
 
@@ -95,9 +94,6 @@ def lift(system):
     """Full lifted dynamics of a MultNoiseSystem."""
     n, m = system.n, system.m
     A_t, B_t, K_BA, K_AB = lift_nominal(system.A, system.B)
-    P1 = selection_matrices(n).P
-    Q1 = selection_matrices(n).Q
-    Q2 = selection_matrices(m).Q
     sap = reshape_G(system.sigma_a, n, n, n, n)
     sbp = reshape_G(system.sigma_b, n, m, n, m)
     return LiftedDynamics(
@@ -109,8 +105,8 @@ def lift(system):
         K_AB=K_AB,
         sigma_a_prime=sap,
         sigma_b_prime=sbp,
-        sigma_a_tilde=P1 @ sap @ Q1,
-        sigma_b_tilde=P1 @ sbp @ Q2,
+        sigma_a_tilde=reduce_both(sap, n, n),
+        sigma_b_tilde=reduce_both(sbp, n, m),
     )
 
 
@@ -185,7 +181,7 @@ def propagate_second_reduced(A, B, sigma_a_tilde, sigma_b_tilde, schedule, mu0, 
         x_t0 = svec(np.outer(mu0, mu0))
     x_t0 = np.asarray(x_t0, dtype=float).ravel()
     cov0 = smat(x_t0, n) - np.outer(mu0, mu0)
-    if np.min(np.linalg.eigvalsh(0.5 * (cov0 + cov0.T))) < -1e-9 * max(1.0, np.max(np.abs(cov0))):
+    if not is_psd(cov0):
         raise ValueError("initial second moment minus mu0 mu0' is not PSD")
     mu = propagate_first(A, B, schedule, mu0)
     w, w_p, u_t = input_moments(mu, schedule)
@@ -202,15 +198,9 @@ def propagate_second_reduced(A, B, sigma_a_tilde, sigma_b_tilde, schedule, mu0, 
 
 def input_moments(mu, schedule):
     """W_t = vec(mu_t nu_t'), W'_t = vec(nu_t mu_t') and Ut_t = svec(E{u_t u_t'}) for t < ell."""
-    ell, n, m = schedule.ell, mu.shape[1], schedule.m
-    w = np.empty((ell, n * m))
-    w_p = np.empty((ell, n * m))
-    u_t = np.empty((ell, svec_dim(m)))
-    for t in range(ell):
-        w[t] = vec(np.outer(mu[t], schedule.nu[t]))
-        w_p[t] = vec(np.outer(schedule.nu[t], mu[t]))
-        u_t[t] = svec(schedule.input_second_moment(t))
-    return w, w_p, u_t
+    mu, nu = mu[: schedule.ell], schedule.nu
+    u_t = svec(schedule.input_second_moment(np.arange(schedule.ell)))
+    return outer_vec(mu, nu), outer_vec(nu, mu), u_t
 
 
 @dataclass
@@ -306,7 +296,7 @@ def check_excitation(reg, n, m):
     )
 
 
-def controllable(A, B, tol=RANK_TOL):
+def controllable(A, B):
     """True iff [B AB ... A^{n-1}B] has full row rank n (relative tolerance)."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -316,4 +306,4 @@ def controllable(A, B, tol=RANK_TOL):
         blocks.append(A @ blocks[-1])
     ctrb = np.hstack(blocks)
     s = np.linalg.svd(ctrb, compute_uv=False)
-    return bool(s.size >= n and s[n - 1] > tol * s[0])
+    return bool(s.size >= n and s[n - 1] > RANK_TOL * s[0])

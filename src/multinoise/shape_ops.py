@@ -14,6 +14,8 @@ matrix-calculus literature; storage is 0-based numpy):
 
 from __future__ import annotations
 
+from functools import cache, cached_property
+
 import numpy as np
 
 __all__ = [
@@ -23,6 +25,12 @@ __all__ = [
     "smat",
     "svec_dim",
     "svec_index_pairs",
+    "svec_index",
+    "outer_vec",
+    "outer_svec",
+    "reduce_rows",
+    "reduce_both",
+    "expand_both",
     "SelectionMatrices",
     "selection_matrices",
     "reshape_F",
@@ -37,11 +45,11 @@ DENSE_LIMIT = 32
 
 
 def vec(M):
-    """Column-stacking vectorization of a matrix."""
+    """Column-stacking vectorization of a matrix, over leading batch axes."""
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2:
+    if M.ndim < 2:
         raise ValueError(f"vec expects a matrix, got ndim={M.ndim}")
-    return M.ravel(order="F")
+    return M.swapaxes(-1, -2).reshape(M.shape[:-2] + (M.shape[-2] * M.shape[-1],))
 
 
 def mat(v, p, q):
@@ -66,11 +74,20 @@ def svec_index_pairs(n):
     return [(i, j) for j in range(1, n + 1) for i in range(j, n + 1)]
 
 
-class SelectionMatrices:
-    """Elimination/duplication/symmetrizer/half-weight matrices for size n.
+def svec_index(i, j, n):
+    """0-based svec position of entry (i, j) (0-based, either triangle) of symmetric n x n matrices."""
+    col, row = np.minimum(i, j), np.maximum(i, j)  # the lower-triangle partner
+    return col * (2 * n - col - 1) // 2 + row
 
-    Attributes (dense, materialized for n <= 32; larger n should use the
-    ``kept``/``mirror`` index arrays as gathers):
+
+class SelectionMatrices:
+    """Index maps of the reduced coordinates for size n, and the dense
+    elimination/duplication/symmetrizer/half-weight matrices built from them.
+
+    kept : (n(n+1)/2,) vec positions kept by svec, ascending
+    svec_pos : (n^2,) svec index of every vec position (its lower-triangle partner's)
+
+    Dense, built on first use for n <= DENSE_LIMIT only:
 
     P : (n(n+1)/2, n^2) elimination matrix, 0/1 valued
     Q : (n^2, n(n+1)/2) duplication matrix, 0/1 valued
@@ -82,99 +99,107 @@ class SelectionMatrices:
         if n < 1:
             raise ValueError("selection matrices need n >= 1")
         self.n = n
-        # kept vec positions (0-based): (j-1)n+i with i >= j, ascending
-        self.kept = np.array([p for p in range(n * n) if p % n >= p // n])
-        # mirror[p] = position of the symmetric partner of vec position p
-        pos = np.arange(n * n)
-        i, j = pos % n, pos // n
-        self.mirror = i * n + j
-        self._P = self._Q = self._T = self._D = None
+        j, i = np.divmod(np.arange(n * n), n)  # vec position p = j n + i holds entry (i, j)
+        self.kept = np.flatnonzero(i >= j)
+        self.svec_pos = svec_index(i, j, n)
 
-    def _dense_ok(self):
+    def _unit_rows(self, size, rows):
+        """Rows ``rows`` of the size x size identity, refused for n > DENSE_LIMIT."""
         if self.n > DENSE_LIMIT:
             raise ValueError(
                 f"dense selection matrices are only materialized for n <= {DENSE_LIMIT}; "
-                "use the kept/mirror index arrays instead"
+                "use the kept/svec_pos index arrays instead"
             )
+        return np.eye(size)[rows]
 
-    @property
+    @cached_property
     def P(self):
-        if self._P is None:
-            self._dense_ok()
-            self._P = np.eye(self.n * self.n)[self.kept]
-        return self._P
+        return self._unit_rows(self.n * self.n, self.kept)
 
-    @property
-    def T(self):
-        if self._T is None:
-            self._dense_ok()
-            nn = self.n * self.n
-            T = np.zeros((nn, nn))
-            src = np.where(np.isin(np.arange(nn), self.kept), np.arange(nn), self.mirror)
-            T[np.arange(nn), src] = 1.0
-            self._T = T
-        return self._T
-
-    @property
+    @cached_property
     def Q(self):
-        if self._Q is None:
-            self._Q = self.T[:, self.kept]
-        return self._Q
+        return self._unit_rows(svec_dim(self.n), self.svec_pos)
 
-    @property
+    @cached_property
+    def T(self):
+        return self._unit_rows(self.n * self.n, self.kept[self.svec_pos])
+
+    @cached_property
     def D(self):
-        if self._D is None:
-            self._dense_ok()
-            d = np.full(self.n * self.n, 0.5)
-            d[[i * self.n + i for i in range(self.n)]] = 1.0
-            self._D = np.diag(d)
-        return self._D
+        nn = self.n * self.n
+        d = np.full(nn, 0.5)
+        d[:: self.n + 1] = 1.0  # diagonal positions (i-1)n+i
+        return self._unit_rows(nn, np.arange(nn)) * d
 
 
-_selection_cache: dict[int, SelectionMatrices] = {}
-
-
+@cache
 def selection_matrices(n):
     """Cached SelectionMatrices for dimension n."""
-    sm = _selection_cache.get(n)
-    if sm is None:
-        sm = SelectionMatrices(n)
-        _selection_cache[n] = sm
-    return sm
+    return SelectionMatrices(n)
 
 
-def svec(S, tol=SYM_TOL):
-    """Half-vectorization of a symmetric matrix, svec(S) = P @ vec(S).
+def svec(S):
+    """Half-vectorization of symmetric matrices, svec(S) = P @ vec(S), over leading batch axes.
 
-    The input is symmetrized as (S + S.T)/2 before reduction; asymmetry
-    beyond ``tol`` (relative to max |entry|) is an error.
+    Each matrix is symmetrized as (S + S.T)/2 before reduction; asymmetry
+    beyond SYM_TOL (relative to its max |entry|) is an error.
     """
     S = np.asarray(S, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise ValueError(f"svec expects a square matrix, got shape {S.shape}")
-    scale = np.max(np.abs(S)) if S.size else 0.0
-    asym = np.max(np.abs(S - S.T)) if S.size else 0.0
-    if asym > tol * max(scale, 1e-300):
-        raise ValueError(f"svec: input asymmetric beyond tolerance ({asym:.3e} rel {tol:.1e})")
-    n = S.shape[0]
-    Ssym = 0.5 * (S + S.T)
-    # P @ vec(Ssym), applied as an index gather
-    return vec(Ssym)[selection_matrices(n).kept]
+    if S.ndim < 2 or S.shape[-1] != S.shape[-2]:
+        raise ValueError(f"svec expects square matrices, got shape {S.shape}")
+    kept = selection_matrices(S.shape[-1]).kept
+    St = S.swapaxes(-1, -2)
+    scale = np.abs(S).max(axis=(-2, -1))
+    asym = np.abs(S - St).max(axis=(-2, -1))
+    if np.any(asym > SYM_TOL * np.maximum(scale, 1e-300)):
+        raise ValueError(
+            f"svec: input asymmetric beyond tolerance ({np.max(asym):.3e} rel {SYM_TOL:.1e})"
+        )
+    # the index maps are in range by construction; mode="clip" only skips the bounds check
+    return np.take(vec(0.5 * (S + St)), kept, axis=-1, mode="clip")
 
 
 def smat(v, n):
-    """Inverse of ``svec``: rebuild the symmetric n x n matrix."""
-    v = np.asarray(v, dtype=float).ravel()
-    if v.size != svec_dim(n):
-        raise ValueError(f"smat: vector length {v.size} != n(n+1)/2 = {svec_dim(n)}")
-    S = np.zeros((n, n))
-    k = 0
-    for j in range(n):
-        for i in range(j, n):
-            S[i, j] = v[k]
-            S[j, i] = v[k]
-            k += 1
-    return S
+    """Inverse of ``svec``: rebuild symmetric n x n matrices, over leading batch axes."""
+    v = np.asarray(v, dtype=float)
+    if v.shape[-1:] != (svec_dim(n),):
+        raise ValueError(f"smat: vector length {v.shape[-1:]} != n(n+1)/2 = {svec_dim(n)}")
+    # the gather yields vec(S); S is symmetric, so its row-major reshape is S itself
+    gathered = np.take(v, selection_matrices(n).svec_pos, axis=-1, mode="clip")
+    return gathered.reshape(v.shape[:-1] + (n, n))
+
+
+def outer_vec(a, b):
+    """vec(a b') for vectors a (..., p) and b (..., q), over leading batch axes."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    # einsum index order (j, i) then row-major reshape = column-stacking vec
+    prod = np.einsum("...i,...j->...ji", a, b)
+    return prod.reshape(prod.shape[:-2] + (a.shape[-1] * b.shape[-1],))
+
+
+def outer_svec(a):
+    """svec(a a') for vectors a (..., n), over leading batch axes.
+
+    a a' is symmetric by construction, so no symmetry check is made.
+    """
+    a = np.asarray(a, dtype=float)
+    return np.take(outer_vec(a, a), selection_matrices(a.shape[-1]).kept, axis=-1, mode="clip")
+
+
+def reduce_rows(M, n):
+    """P_n M: the svec rows of M, whose rows are indexed by vec positions of n x n matrices."""
+    return selection_matrices(n).P @ M
+
+
+def reduce_both(M, n, m):
+    """P_n M Q_m: the reduced form of an (n^2, m^2) matrix acting on vec of symmetric m x m matrices."""
+    return selection_matrices(n).P @ M @ selection_matrices(m).Q
+
+
+def expand_both(S, n, m):
+    """Q_n S Q_m' D_m: an (n^2, m^2) matrix whose reduction P_n (.) Q_m gives back S."""
+    smm = selection_matrices(m)
+    return selection_matrices(n).Q @ S @ smm.Q.T @ smm.D
 
 
 def reshape_F(B, m, n, p, q):

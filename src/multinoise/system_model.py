@@ -32,6 +32,7 @@ __all__ = [
     "InputError",
     "ROLLOUT_LEAF",
     "beyond_limit",
+    "is_psd",
     "simulate_trajectories",
     "iter_rollout_blocks",
     "simulate_rollouts",
@@ -67,19 +68,28 @@ class InputError(ValueError):
     """A rollout file that is malformed or inconsistent with its own header."""
 
 
+def _psd_eigenvalues(w):
+    """The PSD rule on ascending eigenvalues: w[0] >= -PSD_SLACK * max(|w[0]|, |w[-1]|, 1)."""
+    return bool(w[0] >= -PSD_SLACK * max(abs(w[0]), abs(w[-1]), 1.0))
+
+
+def is_psd(S):
+    """Whether the symmetric part of S is positive semidefinite up to PSD_SLACK."""
+    S = np.asarray(S, dtype=float)
+    return _psd_eigenvalues(np.linalg.eigvalsh(0.5 * (S + S.T)))
+
+
 def _psd_factor(S, name):
     """Return L with L L' = S for symmetric PSD S (eigenvalue clipping).
 
-    Eigenvalues below -PSD_SLACK * scale are an error; small negatives are
+    Matrices that fail ``is_psd`` are an error; small negative eigenvalues are
     clipped to zero (empirical covariances carry rounding noise).
     """
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ValueError(f"{name} must be square, got {S.shape}")
-    Ssym = 0.5 * (S + S.T)
-    w, V = np.linalg.eigh(Ssym)
-    scale = max(abs(w[0]), abs(w[-1]), 1.0)
-    if w[0] < -PSD_SLACK * scale:
+    w, V = np.linalg.eigh(0.5 * (S + S.T))
+    if not _psd_eigenvalues(w):
         raise ValueError(f"{name} is not positive semidefinite (min eig {w[0]:.3e})")
     return V * np.sqrt(np.clip(w, 0.0, None))
 
@@ -326,8 +336,9 @@ class InputSchedule:
         return self.nu.shape[1]
 
     def input_second_moment(self, t):
-        """E{u_t u_t'} = Ubar_t + nu_t nu_t'."""
-        return self.ubar[t] + np.outer(self.nu[t], self.nu[t])
+        """E{u_t u_t'} = Ubar_t + nu_t nu_t' for a time index, or stacked for an index array."""
+        nu = self.nu[t]
+        return self.ubar[t] + nu[..., :, None] * nu[..., None, :]
 
     def sample(self, seed, ks, t):
         """Draw u_t for rollout indices ks; mean nu_t, central second moment Ubar_t.

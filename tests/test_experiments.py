@@ -48,6 +48,41 @@ def test_config_rejects_bad_law():
         ExperimentConfig.from_dict({"input_laws": ["lognormal"]})
 
 
+@pytest.mark.parametrize("key", ["n_r_grid", "baseline_grid", "tail_grid"])
+@pytest.mark.parametrize("grid", [[20.5, 40], [True, 40], ["20", "40"], [0, 40]])
+def test_config_rejects_non_integer_grid_entries(key, grid):
+    with pytest.raises(ConfigError, match=f"{key} must be .* positive integers"):
+        ExperimentConfig.from_dict({key: grid})
+
+
+@pytest.mark.parametrize("key", ["reps", "tail_reps", "bound_n_r", "demo_n_r", "demo_periods"])
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "3", 0, None])
+def test_config_rejects_non_integer_counts(key, value):
+    with pytest.raises(ConfigError, match=f"{key} must be a positive integer"):
+        ExperimentConfig.from_dict({key: value})
+
+
+@pytest.mark.parametrize("value", [1.5, True, "7", None])
+def test_config_rejects_non_integer_seed(value):
+    with pytest.raises(ConfigError, match="seed must be an integer"):
+        ExperimentConfig.from_dict({"seed": value})
+
+
+def test_config_accepts_numpy_integer_counts():
+    cfg = ExperimentConfig.from_dict(
+        {"n_r_grid": [np.int64(20), 40], "reps": np.int32(2), "seed": np.uint64(5)}
+    )
+    assert cfg.reps == 2 and cfg.n_r_grid == (20, 40)
+
+
+def test_cli_non_integer_count_is_a_config_error(tmp_path, capsys):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"preset": "paper-4.1", "input_laws": ["uniform"],
+                             "n_r_grid": [20, 40], "reps": 2.5, "out": str(tmp_path)}))
+    assert main(["experiment", "convergence", "--config", str(p)]) == 2
+    assert capsys.readouterr().err == "config error: reps must be a positive integer, got 2.5\n"
+
+
 def test_config_file_roundtrip(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"preset": "paper-4.2-rho0.8", "reps": 5}))

@@ -61,9 +61,10 @@ def test_design_inputs_wishart_matrix_psd():
 def test_design_inputs_rejects_bad_args():
     with pytest.raises(ValueError):
         design_inputs(0, 4)
-    with pytest.raises(ValueError):
+    # the mean law and the Wishart scale are fixed, no longer keyword options
+    with pytest.raises(TypeError):
         design_inputs(1, 4, mean_law="cauchy")
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         design_inputs(1, 4, wishart_scale=-1.0)
 
 

@@ -32,3 +32,19 @@ def test_every_name_in_all_is_defined_in_its_module():
             if obj is undefined or getattr(obj, "__module__", name) != name:
                 undefined.append(f"{name}.{public}")
     assert not undefined, undefined
+
+
+def test_only_shape_ops_knows_the_selection_matrices():
+    # the reduced (svec) coordinate map lives behind shape_ops' helpers; the
+    # package __init__ only re-exports it
+    names = {"selection_matrices", "SelectionMatrices"}
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem in ("shape_ops", "__init__"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom):
+                offenders += [f"{path.name}: imports {a.name}" for a in node.names if a.name in names]
+            elif isinstance(node, ast.Attribute) and node.attr in names:
+                offenders.append(f"{path.name}: uses .{node.attr}")
+    assert not offenders, offenders

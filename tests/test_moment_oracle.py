@@ -17,13 +17,17 @@ from multinoise.moment_oracle import (
     propagate_first,
     propagate_second,
     propagate_second_reduced,
+    input_moments,
 )
+from multinoise.identifiability import equivalence_class, sigma_from_class
 from multinoise.presets import get_preset
 from multinoise.shape_ops import selection_matrices, smat, svec, vec
 from multinoise.system_model import (
     CovarianceNoise,
     InputSchedule,
     ZeroNoise,
+    PSD_SLACK,
+    is_psd,
     make_system,
     simulate_rollouts,
 )
@@ -113,6 +117,44 @@ def test_propagate_second_full_vec_cross_check(bench_system, bench_schedule):
         mu = BENCH_A @ mu + BENCH_B @ nu
         assert np.allclose(svec(X.reshape(n, n, order="F")), tr.x_t[t + 1], atol=1e-12)
         assert np.allclose(mu, tr.mu[t + 1], atol=1e-13)
+
+
+def test_input_moments_equal_the_per_step_loop():
+    rng = np.random.default_rng(12)
+    for n, m in ((1, 1), (3, 2), (5, 5)):
+        sched = design_inputs(m, 7, seed=n)
+        mu = rng.standard_normal((sched.ell + 1, n))
+        w, w_p, u_t = input_moments(mu, sched)
+        for t in range(sched.ell):
+            assert np.array_equal(w[t], vec(np.outer(mu[t], sched.nu[t])))
+            assert np.array_equal(w_p[t], vec(np.outer(sched.nu[t], mu[t])))
+            assert u_t[t].tobytes() == svec(sched.ubar[t] + np.outer(sched.nu[t], sched.nu[t])).tobytes()
+
+
+@pytest.mark.parametrize("min_eig, accepted", [(-0.5 * PSD_SLACK, True), (-2.0 * PSD_SLACK, False)])
+def test_one_psd_rule_for_noise_initial_moments_and_class_members(bench_schedule, min_eig, accepted):
+    # an initial covariance, a noise covariance and a class member of unit
+    # scale whose smallest eigenvalue is min_eig get the same verdict
+    cov = np.diag([1.0, min_eig])
+    assert is_psd(cov) == accepted
+    mu0 = np.array([0.5, -0.25])
+    x_t0 = svec(cov + np.outer(mu0, mu0))
+    cov0 = smat(x_t0, 2) - np.outer(mu0, mu0)
+    assert is_psd(cov0) == accepted
+    if accepted:
+        propagate_second_reduced(
+            BENCH_A, BENCH_B, BENCH_SIGMA_A_TILDE, BENCH_SIGMA_B_TILDE, bench_schedule, mu0, x_t0
+        )
+        CovarianceNoise(np.diag([1.0, 1.0, 1.0, min_eig]), np.eye(2))
+    else:
+        with pytest.raises(ValueError, match="PSD"):
+            propagate_second_reduced(
+                BENCH_A, BENCH_B, BENCH_SIGMA_A_TILDE, BENCH_SIGMA_B_TILDE, bench_schedule, mu0, x_t0
+            )
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            CovarianceNoise(np.diag([1.0, 1.0, 1.0, min_eig]), np.eye(2))
+    ec = equivalence_class(np.array([[min_eig]]), np.ones((1, 1)), 1, 1)
+    assert sigma_from_class(ec, np.zeros(0), np.zeros(0))[2] == accepted
 
 
 def test_propagate_second_rejects_bad_initial_moment(bench_system, bench_schedule):
