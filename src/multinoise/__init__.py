@@ -27,9 +27,8 @@ from .mals import (
     EstimationResult,
     design_inputs,
     empirical_moments,
-    estimate_covariance,
-    estimate_nominal,
     mals,
+    solve,
 )
 from .moment_oracle import (
     assemble_population,

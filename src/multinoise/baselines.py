@@ -13,7 +13,7 @@ import numpy as np
 from . import rngstream as rs
 from .moment_oracle import lift_nominal
 from .shape_ops import outer_svec, outer_vec
-from .system_model import beyond_limit, simulate_trajectories
+from .system_model import FixedInitial, beyond_limit, simulate_trajectories
 
 __all__ = [
     "RlsState",
@@ -228,5 +228,4 @@ def simulate_single_trajectories(system, input_law, T, reps, seed):
     trajectory freezes at its last in-range state and diverged_at[r] is the
     first invalid step index (T + 1 if none).
     """
-    x0 = np.zeros((reps, system.n))
-    return simulate_trajectories(system, input_law, x0, np.arange(reps), T, seed)
+    return simulate_trajectories(system, input_law, FixedInitial(np.zeros(system.n)), np.arange(reps), T, seed)

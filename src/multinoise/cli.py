@@ -31,6 +31,7 @@ from .identifiability import classify_uniqueness
 from .mals import mals
 from .moment_oracle import assemble_population, check_excitation, controllable
 from .presets import PRESET_NAMES, get_preset
+from .shape_ops import svec_index_pairs
 from .system_model import InputError, RolloutSet, simulate_rollouts
 
 
@@ -97,7 +98,9 @@ def cmd_oracle(args):
     bundle = get_preset(config.preset, noise_law=config.noise_law)
     reg, tr = assemble_population(bundle.system, bundle.schedule, np.zeros(bundle.system.n))
     out = _outdir(config) / "moments.csv"
-    tr.write_csv(out)
+    n = bundle.system.n
+    header = ["t"] + [f"mu_{i}" for i in range(1, n + 1)] + [f"Xt_{i}{j}" for i, j in svec_index_pairs(n)]
+    write_table(out, header, ([t, *mu, *x_t] for t, (mu, x_t) in enumerate(zip(tr.mu, tr.x_t))))
     rep = check_excitation(reg, bundle.system.n, bundle.system.m)
     summary = {
         "controllable_nominal": controllable(bundle.system.A, bundle.system.B),

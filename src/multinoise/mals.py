@@ -1,5 +1,6 @@
 """Multiple-trajectory averaging least squares: input design, moment
-averaging over rollouts, and the two closed-form least-squares solves.
+averaging over rollouts, and ``solve``, which runs the two closed-form
+least-squares solves on any moment trajectory.
 """
 
 from __future__ import annotations
@@ -24,9 +25,7 @@ __all__ = [
     "design_inputs",
     "empirical_moments",
     "simulated_moments",
-    "estimate_nominal",
-    "estimate_covariance",
-    "estimate_from_population",
+    "solve",
     "attach_errors",
     "EstimationResult",
     "mals",
@@ -139,23 +138,6 @@ def _solve(Y, Z, tag):
     return X, diag
 
 
-def estimate_nominal(moments):
-    """[A_hat B_hat] = Y_hat Z_hat' (Z_hat Z_hat')^+ from averaged moments."""
-    theta, diag = _solve(*nominal_blocks(moments), "z")
-    return theta[:, : moments.n], theta[:, moments.n :], diag
-
-
-def estimate_covariance(moments, A_hat, B_hat):
-    """Residual regression for the reduced covariances, coupled through (A_hat, B_hat).
-
-    Residual columns use the lifted matrices built from the nominal estimates;
-    the solve is C_hat D_hat' (D_hat D_hat')^+.
-    """
-    sol, diag = _solve(*covariance_blocks(moments, A_hat, B_hat), "d")
-    nt = svec_dim(moments.n)
-    return sol[:, :nt], sol[:, nt:], diag
-
-
 @dataclass
 class EstimationResult:
     """MALS output: nominal and reduced-covariance estimates plus diagnostics."""
@@ -205,8 +187,29 @@ def attach_errors(result, system):
     return result
 
 
+def solve(moments):
+    """MALS on averaged (or exact) moments: both least-squares solves.
+
+    First [A_hat B_hat] = Y Z' (Z Z')^+; then the residual columns C are
+    formed with the lifted matrices of that (A_hat, B_hat), and the reduced
+    covariances are C D' (D D')^+.  Exact moments recover the truth whenever
+    both Grams invert.
+    """
+    n, nt = moments.n, svec_dim(moments.n)
+    theta, diag_z = _solve(*nominal_blocks(moments), "z")
+    A_hat, B_hat = theta[:, :n], theta[:, n:]
+    sol, diag_d = _solve(*covariance_blocks(moments, A_hat, B_hat), "d")
+    return EstimationResult(
+        A_hat=A_hat,
+        B_hat=B_hat,
+        sigma_a_tilde_hat=sol[:, :nt],
+        sigma_b_tilde_hat=sol[:, nt:],
+        diagnostics={**diag_z, **diag_d},
+    )
+
+
 def mals(source, schedule=None, init=None, n_r=None, seed=0, truth=None):
-    """Run the full estimator.
+    """Run the full estimator: averaged moments, ``solve``, then errors against the truth.
 
     ``source`` is either a MultNoiseSystem (rollouts are simulated with the
     given schedule/init/n_r/seed and reduced block by block, in O(block)
@@ -223,29 +226,9 @@ def mals(source, schedule=None, init=None, n_r=None, seed=0, truth=None):
         moments = simulated_moments(source, schedule, init, n_r, seed)
         if truth is None:
             truth = source
-    A_hat, B_hat, diag_z = estimate_nominal(moments)
-    sa, sb, diag_d = estimate_covariance(moments, A_hat, B_hat)
-    result = EstimationResult(
-        A_hat=A_hat,
-        B_hat=B_hat,
-        sigma_a_tilde_hat=sa,
-        sigma_b_tilde_hat=sb,
-        diagnostics={**diag_z, **diag_d, "n_r": int(n_r), "ell": moments.ell},
-    )
+    result = solve(moments)
+    result.diagnostics.update(n_r=int(n_r), ell=moments.ell)
     if truth is not None:
         attach_errors(result, truth)
     return result
 
-
-def estimate_from_population(reg):
-    """Oracle feed: solve the two least-squares problems on exact population blocks."""
-    theta, diag_z = _solve(reg.Y, reg.Z, "z")
-    sol, diag_d = _solve(reg.C, reg.D, "d")
-    n, nt = reg.Y.shape[0], reg.C.shape[0]
-    return EstimationResult(
-        A_hat=theta[:, :n],
-        B_hat=theta[:, n:],
-        sigma_a_tilde_hat=sol[:, :nt],
-        sigma_b_tilde_hat=sol[:, nt:],
-        diagnostics={**diag_z, **diag_d},
-    )

@@ -11,7 +11,6 @@ vec-covariances through the selection matrices P, Q and the reshaping G.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,6 @@ from .shape_ops import (
     smat,
     svec,
     svec_dim,
-    svec_index_pairs,
 )
 from .system_model import is_psd
 
@@ -39,7 +37,6 @@ __all__ = [
     "input_moments",
     "RegressionMatrices",
     "assemble_population",
-    "assemble_from_moments",
     "nominal_blocks",
     "covariance_blocks",
     "ExcitationReport",
@@ -129,21 +126,6 @@ class MomentTrajectory:
     @property
     def n(self):
         return self.mu.shape[1]
-
-    def write_csv(self, path):
-        """Columns t, mu_1.., Xt_11, Xt_21, ... (reduced entries in svec order)."""
-        n = self.n
-        header = (
-            ["t"]
-            + [f"mu_{i}" for i in range(1, n + 1)]
-            + [f"Xt_{i}{j}" for i, j in svec_index_pairs(n)]
-        )
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            for t in range(self.ell + 1):
-                row = [t] + [f"{v:.17g}" for v in self.mu[t]] + [f"{v:.17g}" for v in self.x_t[t]]
-                w.writerow(row)
 
 
 def propagate_first(A, B, schedule, mu0):
@@ -244,17 +226,16 @@ def covariance_blocks(tr, A, B):
 
 
 def assemble_population(system, schedule, mu0, x_t0=None):
-    """Exact regression matrices; recovery identities hold when Grams invert."""
+    """Exact regression matrices and the exact moment trajectory they are built from.
+
+    C is coupled to the true (A, B), so C = [sigma_a_tilde  sigma_b_tilde] D;
+    ``mals.solve`` of the trajectory recovers the truth when both Grams invert.
+    """
     tr = propagate_second(system, schedule, mu0, x_t0)
-    return assemble_from_moments(tr, system.A, system.B), tr
-
-
-def assemble_from_moments(tr, A, B):
-    """Build Y, Z, C, D from a moment trajectory, C coupled to the nominal (A, B)."""
     Y, Z = nominal_blocks(tr)
-    C, D = covariance_blocks(tr, A, B)
+    C, D = covariance_blocks(tr, system.A, system.B)
     nt = svec_dim(tr.n)
-    return RegressionMatrices(Y=Y, Z=Z, C=C, D=D, M1=D[:nt], L1=tr.w[::-1].T, U=D[nt:])
+    return RegressionMatrices(Y=Y, Z=Z, C=C, D=D, M1=D[:nt], L1=tr.w[::-1].T, U=D[nt:]), tr
 
 
 @dataclass

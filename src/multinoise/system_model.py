@@ -69,29 +69,33 @@ class InputError(ValueError):
 
 
 def _psd_eigenvalues(w):
-    """The PSD rule on ascending eigenvalues: w[0] >= -PSD_SLACK * max(|w[0]|, |w[-1]|, 1)."""
-    return bool(w[0] >= -PSD_SLACK * max(abs(w[0]), abs(w[-1]), 1.0))
+    """The PSD rule on ascending eigenvalues, over leading axes: w[0] >= -PSD_SLACK * max(|w[0]|, |w[-1]|, 1)."""
+    lo, hi = w[..., 0], w[..., -1]
+    return lo >= -PSD_SLACK * np.fmax(np.fmax(np.abs(lo), np.abs(hi)), 1.0)
 
 
 def is_psd(S):
     """Whether the symmetric part of S is positive semidefinite up to PSD_SLACK."""
     S = np.asarray(S, dtype=float)
-    return _psd_eigenvalues(np.linalg.eigvalsh(0.5 * (S + S.T)))
+    return bool(_psd_eigenvalues(np.linalg.eigvalsh(0.5 * (S + S.T))))
 
 
 def _psd_factor(S, name):
-    """Return L with L L' = S for symmetric PSD S (eigenvalue clipping).
+    """Return L with L L' = S for symmetric PSD S (eigenvalue clipping), over leading axes.
 
-    Matrices that fail ``is_psd`` are an error; small negative eigenvalues are
-    clipped to zero (empirical covariances carry rounding noise).
+    Matrices that fail the PSD rule of ``is_psd`` are an error naming the
+    first of them; small negative eigenvalues are clipped to zero (empirical
+    covariances carry rounding noise).
     """
     S = np.asarray(S, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
+    if S.ndim < 2 or S.shape[-2] != S.shape[-1]:
         raise ValueError(f"{name} must be square, got {S.shape}")
-    w, V = np.linalg.eigh(0.5 * (S + S.T))
-    if not _psd_eigenvalues(w):
-        raise ValueError(f"{name} is not positive semidefinite (min eig {w[0]:.3e})")
-    return V * np.sqrt(np.clip(w, 0.0, None))
+    w, V = np.linalg.eigh(0.5 * (S + S.swapaxes(-1, -2)))
+    bad = np.argwhere(~_psd_eigenvalues(w))
+    if len(bad):
+        at = "".join(f"[{i}]" for i in bad[0])
+        raise ValueError(f"{name}{at} is not positive semidefinite (min eig {w[tuple(bad[0])][0]:.3e})")
+    return V * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
 
 
 class ZeroNoise:
@@ -280,6 +284,8 @@ class TruncatedGaussianInitial:
         self.radius = float(radius)
         if self.radius <= 0:
             raise ValueError("truncation radius must be positive")
+        if self.cov.shape != (self.mu.size,) * 2:
+            raise ValueError(f"initial covariance must be {self.mu.size} x {self.mu.size}, got {self.cov.shape}")
         self._L = _psd_factor(self.cov, "initial covariance")
         self._zvar = float(truncnorm.var(-self.radius, self.radius))
         self.mean = self.mu
@@ -325,7 +331,7 @@ class InputSchedule:
             raise ValueError("schedule shapes inconsistent")
         if self.law == "deterministic" and np.any(self.ubar != 0):
             raise ValueError("deterministic schedule requires zero input covariances")
-        self._factors = np.stack([_psd_factor(U, f"Ubar[{t}]") for t, U in enumerate(self.ubar)])
+        self._factors = _psd_factor(self.ubar, "Ubar")
 
     @property
     def ell(self):
@@ -360,10 +366,7 @@ class InputSchedule:
         if self.law == "deterministic":
             c_nu = 0.0
         else:
-            c_nu = max(
-                (float(np.linalg.norm(M, 2)) * _SQRT3 * np.sqrt(self.m) for M in self._factors),
-                default=0.0,
-            )
+            c_nu = float(np.linalg.norm(self._factors, 2, axis=(-2, -1)).max()) * _SQRT3 * np.sqrt(self.m)
         c_u = max(float(np.linalg.norm(v)) for v in self.nu) + c_nu
         return c_u, c_nu
 
@@ -602,22 +605,15 @@ def iter_rollout_blocks(system, schedule, init, n_r, seed):
         raise ValueError(f"schedule input dim {schedule.m} != system m {system.m}")
     ell = schedule.ell
     for k0 in range(0, n_r, ROLLOUT_LEAF):
-        k1 = min(k0 + ROLLOUT_LEAF, n_r)
-        # numpy takes a one-row matrix product through gemv, which rounds
-        # differently from the gemm of a larger batch, so a lone last rollout
-        # is simulated beside its predecessor and keeps its bits.
-        lo = k0 - 1 if k1 - k0 == 1 and k0 > 0 else k0
-        ks = np.arange(lo, k1)
-        states, inputs, diverged_at = simulate_trajectories(
-            system, schedule, init.sample(seed, ks), ks, ell, seed
-        )
+        ks = np.arange(k0, min(k0 + ROLLOUT_LEAF, n_r))
+        states, inputs, diverged_at = simulate_trajectories(system, schedule, init, ks, ell, seed)
         t = int(diverged_at.min())
         if t <= ell:
-            bad = lo + int(np.argmax(diverged_at == t))
+            bad = k0 + int(np.argmax(diverged_at == t))
             raise SimulationDiverged(
                 f"state exceeded {DIVERGENCE_LIMIT:g} at t={t}, rollout {bad}"
             )
-        yield k0, states[k0 - lo :], inputs[k0 - lo :]
+        yield k0, states, inputs
 
 
 def simulate_rollouts(system, schedule, init, n_r, seed):
@@ -626,9 +622,7 @@ def simulate_rollouts(system, schedule, init, n_r, seed):
     The rollouts are simulated block by block (``iter_rollout_blocks``), and
     every (rollout, time, role) tuple draws from its own keyed stream, so the
     result is independent of batching and of how many rollouts are requested:
-    for k >= 2 the first k rollouts of any larger set are identical.  A lone
-    rollout (n_r = 1) goes through one-row matrix products and may differ
-    from rollout 0 of a larger set in the last bit.
+    the first k rollouts of any larger set are identical.
     """
     states = inputs = None
     for k0, xs, us in iter_rollout_blocks(system, schedule, init, n_r, seed):
@@ -640,8 +634,8 @@ def simulate_rollouts(system, schedule, init, n_r, seed):
     return RolloutSet(states=states, inputs=inputs, schedule=schedule, seed=seed)
 
 
-def simulate_trajectories(system, input_law, x0, ks, T, seed):
-    """Run the trajectories with rollout indices ks for T steps from states x0.
+def simulate_trajectories(system, input_law, init, ks, T, seed):
+    """Run the trajectories with rollout indices ks for T steps from x_0 = init.sample(seed, ks).
 
     This is the one state recursion, shared by the rollout and the
     single-trajectory simulators.  ``input_law.sample(seed, ks, t)`` draws
@@ -654,6 +648,12 @@ def simulate_trajectories(system, input_law, x0, ks, T, seed):
     diverged_at (len(ks),), the first step index whose state went beyond
     the limit (T + 1 if none).
     """
+    if len(ks) == 1:
+        # numpy takes a one-row matrix product through gemv, which rounds
+        # differently from the gemm of a larger batch, so a lone trajectory
+        # is run twice and keeps the bits it has in any larger set.
+        states, inputs, diverged_at = simulate_trajectories(system, input_law, init, np.repeat(ks, 2), T, seed)
+        return states[:1], inputs[:1], diverged_at[:1]
     n, m = system.n, system.m
     ts = np.arange(T)
     u = input_law.sample(seed, ks, ts)  # (T, len(ks), m)
@@ -662,7 +662,7 @@ def simulate_trajectories(system, input_law, x0, ks, T, seed):
     Bu = np.einsum("tkij,tkj->tki", Bbar, u)
     uB = u @ system.B.T
     states = np.empty((len(ks), T + 1, n))
-    states[:, 0, :] = x = x0
+    states[:, 0, :] = x = init.sample(seed, ks)
     alive = np.ones(len(ks), dtype=bool)
     all_alive = True
     diverged_at = np.full(len(ks), T + 1, dtype=int)

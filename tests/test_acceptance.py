@@ -15,7 +15,7 @@ from multinoise.experiments import (
     run_tail_frequency,
 )
 from multinoise.identifiability import build_E_alpha, off_pairs
-from multinoise.mals import attach_errors, mals
+from multinoise.mals import attach_errors, mals, solve
 from multinoise.moment_oracle import (
     assemble_population,
     check_excitation,
@@ -23,7 +23,6 @@ from multinoise.moment_oracle import (
     propagate_first,
     propagate_second,
 )
-from multinoise.mals import estimate_from_population
 from multinoise.presets import benchmark_sigma_a_alpha
 from multinoise.shape_ops import (
     reshape_F,
@@ -95,10 +94,10 @@ def test_criterion_03_operator_algebra():
 
 
 def test_criterion_04_population_recovery(bench_system, bench_schedule):
-    reg, _ = assemble_population(bench_system, bench_schedule, np.zeros(2))
+    reg, tr = assemble_population(bench_system, bench_schedule, np.zeros(2))
     rep = check_excitation(reg, 2, 1)
     assert rep.pass_z and rep.pass_d
-    res = attach_errors(estimate_from_population(reg), bench_system)
+    res = attach_errors(solve(tr), bench_system)
     assert res.errors["err_AB"] <= 1e-9
     assert res.errors["err_Sigma"] <= 1e-9
     _ok(4, f"population moments recover truth: err_AB={res.errors['err_AB']:.2e}, "

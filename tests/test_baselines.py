@@ -320,6 +320,17 @@ def test_single_trajectories_equal_rollouts_from_zero(preset, input_law, reps):
     assert np.all(diverged_at == schedule.ell + 1)
 
 
+@pytest.mark.parametrize("law", ["schedule", "gaussian"])
+def test_lone_single_trajectory_equals_the_first_of_three(law):
+    bundle = get_preset("paper-4.2-rho0.8")
+    input_law = GaussianInputLaw(1) if law == "gaussian" else bundle.schedule
+    for seed in range(8):
+        one = simulate_single_trajectories(bundle.system, input_law, 200, 1, seed=seed)
+        three = simulate_single_trajectories(bundle.system, input_law, 200, 3, seed=seed)
+        for a, b in zip(one, three):
+            assert np.array_equal(a, b[:1]), seed
+
+
 def test_single_trajectory_divergence_step_is_the_one_rollouts_name():
     system = make_system(8.0 * np.eye(2), BENCH_B, CovarianceNoise(BENCH_SIGMA_A, BENCH_SIGMA_B))
     ell = 20

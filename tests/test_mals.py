@@ -7,10 +7,9 @@ import pytest
 from multinoise.mals import (
     design_inputs,
     empirical_moments,
-    estimate_covariance,
-    estimate_nominal,
     mals,
     simulated_moments,
+    solve,
 )
 from multinoise.moment_oracle import lift, propagate_first, propagate_second
 from multinoise.presets import get_preset
@@ -160,14 +159,13 @@ def test_mals_memory_does_not_grow_with_rollouts():
 
 def test_oracle_moments_recover_exactly(bench_system, bench_schedule):
     tr = propagate_second(bench_system, bench_schedule, np.zeros(2))
-    A_hat, B_hat, diag = estimate_nominal(tr)
-    assert np.linalg.norm(np.hstack([A_hat, B_hat]) - np.hstack([BENCH_A, BENCH_B]), 2) <= 1e-10
-    assert not diag["used_pinv_z"]
-    sa, sb, diag_d = estimate_covariance(tr, A_hat, B_hat)
+    res = solve(tr)
+    assert np.linalg.norm(res.nominal() - np.hstack([BENCH_A, BENCH_B]), 2) <= 1e-10
+    assert not res.diagnostics["used_pinv_z"]
     ld = lift(bench_system)
-    err = np.linalg.norm(np.hstack([sa, sb]) - np.hstack([ld.sigma_a_tilde, ld.sigma_b_tilde]), 2)
+    err = np.linalg.norm(res.covariance() - np.hstack([ld.sigma_a_tilde, ld.sigma_b_tilde]), 2)
     assert err <= 1e-10
-    assert not diag_d["used_pinv_d"]
+    assert not res.diagnostics["used_pinv_d"]
 
 
 def test_zero_noise_any_nr_exact_recovery(zero_init):

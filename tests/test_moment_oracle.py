@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from multinoise.mals import (
-    design_inputs,
-    empirical_moments,
-    estimate_covariance,
-    estimate_from_population,
-    estimate_nominal,
-)
+from multinoise.mals import design_inputs, empirical_moments, solve
 from multinoise.moment_oracle import (
     assemble_population,
     check_excitation,
@@ -19,8 +13,8 @@ from multinoise.moment_oracle import (
     propagate_second_reduced,
     input_moments,
 )
+from multinoise.cli import main
 from multinoise.identifiability import equivalence_class, sigma_from_class
-from multinoise.presets import get_preset
 from multinoise.shape_ops import selection_matrices, smat, svec, vec
 from multinoise.system_model import (
     CovarianceNoise,
@@ -212,27 +206,14 @@ def test_second_moment_psd_preservation():
 
 
 def test_population_recovery_identities(bench_system, bench_schedule):
-    reg, _ = assemble_population(bench_system, bench_schedule, np.zeros(2))
+    reg, tr = assemble_population(bench_system, bench_schedule, np.zeros(2))
     rep = check_excitation(reg, 2, 1)
     assert rep.pass_z and rep.pass_d
-    res = estimate_from_population(reg)
+    res = solve(tr)
     ld = lift(bench_system)
     assert np.linalg.norm(res.nominal() - np.hstack([BENCH_A, BENCH_B]), 2) <= 1e-10
     truth = np.hstack([ld.sigma_a_tilde, ld.sigma_b_tilde])
     assert np.linalg.norm(res.covariance() - truth, 2) <= 1e-10
-
-
-@pytest.mark.parametrize("preset", ["paper-4.1", "paper-4.2-rho0.8"])
-def test_moment_estimators_match_population_solve_on_exact_moments(preset):
-    b = get_preset(preset)
-    reg, tr = assemble_population(b.system, b.schedule, np.zeros(b.system.n))
-    pop = estimate_from_population(reg)
-    A_hat, B_hat, _ = estimate_nominal(tr)
-    assert np.array_equal(np.hstack([A_hat, B_hat]), pop.nominal())
-    # the covariance blocks are coupled to (A_hat, B_hat) here, to the true (A, B) there
-    sa, sb, _ = estimate_covariance(tr, A_hat, B_hat)
-    truth = pop.covariance()
-    assert np.linalg.norm(np.hstack([sa, sb]) - truth) <= 1e-9 * np.linalg.norm(truth)
 
 
 def test_degenerate_zero_input_fails_excitation():
@@ -305,9 +286,8 @@ def test_monte_carlo_error_shrinks(bench_system, bench_schedule, zero_init):
 
 def test_trajectory_csv_export(tmp_path, bench_system, bench_schedule):
     tr = propagate_second(bench_system, bench_schedule, np.zeros(2))
-    path = tmp_path / "moments.csv"
-    tr.write_csv(path)
-    header, rows = _read_csv(path)
+    assert main(["oracle", "--preset", "paper-4.1", "--out", str(tmp_path)]) == 0
+    header, rows = _read_csv(tmp_path / "moments.csv")
     assert header == ["t", "mu_1", "mu_2", "Xt_11", "Xt_21", "Xt_22"]
     assert len(rows) == bench_schedule.ell + 1
     got = np.array([[float(v) for v in row[1:]] for row in rows])

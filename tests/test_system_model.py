@@ -23,6 +23,7 @@ from multinoise.system_model import (
     simulate_rollouts,
 )
 from multinoise.mals import design_inputs
+from multinoise.presets import get_preset
 
 from conftest import BENCH_A, BENCH_B, BENCH_SIGMA_A, BENCH_SIGMA_B
 
@@ -103,6 +104,27 @@ def test_rollouts_do_not_depend_on_their_block(bench_system, bench_schedule, k):
     small = simulate_rollouts(bench_system, bench_schedule, init, k, seed=9)
     assert np.array_equal(big.states[:k], small.states)
     assert np.array_equal(big.inputs[:k], small.inputs)
+
+
+@pytest.mark.parametrize("noise_law", ["uniform", "gaussian"])
+@pytest.mark.parametrize(
+    "init",
+    [
+        FixedInitial(np.zeros(2)),
+        UniformBoxInitial([0.5, -0.5], [1.0, 2.0]),
+        TruncatedGaussianInitial([0.3, -0.1], np.array([[0.5, 0.2], [0.2, 0.4]])),
+    ],
+    ids=["fixed", "box", "truncated-gaussian"],
+)
+def test_every_rollout_prefix_equals_the_larger_set(noise_law, init):
+    # a lone rollout takes the same matrix products as a batch, so even k = 1 keeps its bits
+    b = get_preset("paper-4.1", noise_law=noise_law)
+    for seed in range(8):
+        full = simulate_rollouts(b.system, b.schedule, init, 5, seed=seed)
+        for k in (1, 2, 3):
+            part = simulate_rollouts(b.system, b.schedule, init, k, seed=seed)
+            assert np.array_equal(part.states, full.states[:k]), (seed, k)
+            assert np.array_equal(part.inputs, full.inputs[:k]), (seed, k)
 
 
 def test_mean_matches_first_moment_oracle(bench_system, bench_schedule, zero_init):
@@ -255,6 +277,29 @@ def test_truncated_gaussian_moments():
 def test_deterministic_schedule_rejects_nonzero_cov():
     with pytest.raises(ValueError, match="deterministic"):
         InputSchedule(nu=np.ones((2, 1)), ubar=np.full((2, 1, 1), 0.1), law="deterministic")
+
+
+def test_truncated_gaussian_rejects_mismatched_covariance():
+    with pytest.raises(ValueError, match="initial covariance must be 2 x 2"):
+        TruncatedGaussianInitial([0.3, -0.1], np.eye(3))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_schedule_factors_equal_per_matrix_factors(m):
+    ubar = design_inputs(m, 2000, seed=m).ubar
+    sched = InputSchedule(nu=np.zeros((2000, m)), ubar=ubar)
+    for t, U in enumerate(ubar):
+        w, V = np.linalg.eigh(0.5 * (U + U.T))
+        assert np.array_equal(sched._factors[t], V * np.sqrt(np.clip(w, 0.0, None))), t
+    c_nu = max(float(np.linalg.norm(M, 2)) * np.sqrt(3.0) * np.sqrt(m) for M in sched._factors)
+    assert sched.deviation_bounds()[1] == c_nu
+
+
+def test_schedule_names_its_first_non_psd_covariance():
+    ubar = np.full((5, 1, 1), 0.1)
+    ubar[[2, 4]] = -1.0
+    with pytest.raises(ValueError, match=r"^Ubar\[2\] is not positive semidefinite"):
+        InputSchedule(nu=np.zeros((5, 1)), ubar=ubar)
 
 
 def test_schedule_deviation_bounds():
