@@ -3,7 +3,7 @@ moment-based identification from multiple trajectories, noise-covariance
 identifiability, finite-sample error bounds, and benchmark experiments.
 """
 
-from .baselines import rls_nominal, rls_second_moment
+from .baselines import rls_fit
 from .bounds import (
     BoundContext,
     bound_context,

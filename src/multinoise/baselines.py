@@ -6,8 +6,6 @@ drives them with the MALS input schedule itself, repeating with its period.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import rngstream as rs
@@ -16,9 +14,7 @@ from .shape_ops import outer_svec, outer_vec
 from .system_model import FixedInitial, beyond_limit, simulate_trajectories
 
 __all__ = [
-    "RlsState",
-    "rls_nominal",
-    "rls_second_moment",
+    "rls_fit",
     "second_moment_regressors",
     "covariance_from_fit",
     "rls_batch_estimates",
@@ -30,52 +26,35 @@ __all__ = [
 INIT_COV = 1e6
 
 
-@dataclass
-class RlsState:
-    """Final recursion state of one RLS run."""
-
-    theta: np.ndarray
-    P: np.ndarray
-    steps: int
-    diverged: bool
-
-
 def _rls_batch(phi, target, checkpoints):
     """Unit-forgetting RLS over batched trajectories, frozen on divergence.
 
     phi: (R, T, d) regressors, target: (R, T, p) responses.  Returns
-    (estimates at checkpoints: (len(cp), R, p, d), diverged: (R,), states, cps).
-    A run freezes once its regressor, response or updated estimate leaves the
-    finite range (|entry| > DIVERGENCE_LIMIT): the estimate rolls back to the
-    last valid value and the divergence flag persists.
+    (estimates at checkpoints: (len(cp), R, p, d), diverged: (R,), cps,
+    freeze_step: (R,), the 1-based step of each run's freeze, T + 1 if none).
+    A run freezes at its first regressor or response outside the finite range
+    (|entry| > DIVERGENCE_LIMIT), or at the step whose updated estimate leaves
+    it, which is rolled back.  A frozen run's data are zero from its freeze
+    step on: a zero step leaves theta and the exactly symmetric P unchanged,
+    bit for bit, so every run goes through the same recursion.
     """
     R, T, d = phi.shape
     p = target.shape[2]
+    cps = sorted(set(int(c) for c in checkpoints))
+    if not cps or cps[0] < 1 or cps[-1] > T:
+        raise ValueError(f"checkpoints must be a non-empty list in 1..{T}, got {list(checkpoints)}")
+    bad = beyond_limit(phi, 2) | beyond_limit(target, 2)  # (R, T)
+    freeze_step = np.where(bad.any(axis=1), bad.argmax(axis=1) + 1, T + 1)
+    stop = freeze_step.max() - 1  # every step from here on is zero data
+    live = (np.arange(stop)[:, None] < freeze_step - 1)[:, :, None]
+    phi_t = np.where(live, phi[:, :stop].swapaxes(0, 1), 0.0)  # time-major: step t is phi_t[t]
+    target_t = np.where(live, target[:, :stop].swapaxes(0, 1), 0.0)
     theta = np.zeros((R, p, d))
     P = np.tile(INIT_COV * np.eye(d), (R, 1, 1))
-    alive = np.ones(R, dtype=bool)
-    freeze_step = np.full(R, T + 1, dtype=int)  # 1-based step of first freeze
-    cps = sorted(set(int(c) for c in checkpoints))
-    if any(c < 1 or c > T for c in cps):
-        raise ValueError(f"checkpoints must lie in 1..{T}")
     out = np.empty((len(cps), R, p, d))
-    phi_t = phi.swapaxes(0, 1)  # time-major views: step t is phi_t[t]
-    target_t = target.swapaxes(0, 1)
-    bad_data = (beyond_limit(phi, 2) | beyond_limit(target, 2)).T  # (T, R)
-    any_bad = bad_data.any(axis=1).tolist()
-    all_alive = True  # while set, the masking and freeze bookkeeping are no-ops
-    nxt = 0
-    for t in range(T):
+    nxt = t = 0
+    while t < stop:
         ph, y = phi_t[t], target_t[t]
-        if not all_alive or any_bad[t]:
-            bad = bad_data[t]
-            freeze_step[alive & bad] = t + 1
-            alive &= ~bad
-            all_alive = False
-            if not alive.any():
-                break
-            ph = np.where(alive[:, None], ph, 0.0)
-            y = np.where(alive[:, None], y, 0.0)
         Pph = np.einsum("rij,rj->ri", P, ph)
         denom = 1.0 + np.einsum("ri,ri->r", ph, Pph)
         gain = Pph / denom[:, None]
@@ -83,45 +62,43 @@ def _rls_batch(phi, target, checkpoints):
         theta_new = theta + np.einsum("rp,rd->rpd", resid, gain)
         P_new = P - np.einsum("ri,rj->rij", gain, Pph)
         P_new = 0.5 * (P_new + P_new.swapaxes(1, 2))
-        if all_alive and not (beyond_limit(theta_new) or beyond_limit(P_new)):
-            theta, P = theta_new, P_new
-        else:
-            blown = alive & (beyond_limit(theta_new, (1, 2)) | beyond_limit(P_new, (1, 2)))
+        if beyond_limit(theta_new) or beyond_limit(P_new):
+            blown = beyond_limit(theta_new, (1, 2)) | beyond_limit(P_new, (1, 2))
+            theta_new[blown], P_new[blown] = theta[blown], P[blown]
             freeze_step[blown] = t + 1
-            keep = (alive & ~blown)[:, None, None]
-            theta = np.where(keep, theta_new, theta)
-            P = np.where(keep, P_new, P)
-            alive &= ~blown
-            all_alive = False
-        while nxt < len(cps) and cps[nxt] == t + 1:
+            phi_t[t + 1 :, blown] = 0.0
+            target_t[t + 1 :, blown] = 0.0
+            stop = freeze_step.max() - 1
+        theta, P = theta_new, P_new
+        t += 1
+        while nxt < len(cps) and cps[nxt] == t:
             out[nxt] = theta
             nxt += 1
-        if not all_alive and not alive.any():
-            break
     # every run is frozen from here on: later checkpoints repeat the frozen estimates
     out[nxt:] = theta
-    states = [
-        RlsState(theta=theta[r], P=P[r], steps=T, diverged=bool(~alive[r])) for r in range(R)
-    ]
-    return out, ~alive, states, cps, freeze_step
+    return out, freeze_step <= T, cps, freeze_step
 
 
-def rls_nominal(states, inputs, checkpoints=None):
-    """RLS for [A B] on one trajectory: regressor (x_t, u_t), target x_{t+1}.
+def rls_fit(states, inputs, checkpoints):
+    """Nominal and covariance RLS on single trajectories.
 
-    Returns (estimates, diverged, final_state) where estimates is a list of
-    (samples, [A_hat B_hat]) pairs at the requested sample counts
-    (default: the full length only).
+    states (R, T+1, n) and inputs (R, T, m).  The nominal recursion regresses
+    x_{t+1} on (x_t, u_t); the second-moment recursion fits the reduced
+    quadratic regression, from which the lifted nominal part is subtracted at
+    every checkpoint.  Returns (cps, nominal, sigma_a, sigma_b, frozen),
+    indexed [checkpoint, run]: [A_hat B_hat], the reduced-covariance
+    estimates (SigmaA_tilde', SigmaB_tilde'), and whether either recursion
+    froze at or before the checkpoint.
     """
     states = np.asarray(states, dtype=float)
     inputs = np.asarray(inputs, dtype=float)
-    T = inputs.shape[0]
-    if checkpoints is None:
-        checkpoints = [T]
-    phi = np.concatenate([states[:-1], inputs], axis=1)[None]
-    target = states[1:][None].copy()
-    out, div, st, cps, _ = _rls_batch(phi, target, checkpoints)
-    return [(c, out[i, 0]) for i, c in enumerate(cps)], bool(div[0]), st[0]
+    if states.ndim != 3 or inputs.ndim != 3 or states.shape[:2] != (inputs.shape[0], inputs.shape[1] + 1):
+        raise ValueError(f"states {states.shape} and inputs {inputs.shape} must be (R, T+1, n) and (R, T, m)")
+    phi_n = np.concatenate([states[:, :-1], inputs], axis=2)
+    est_n, _, cps, freeze_n = _rls_batch(phi_n, states[:, 1:], checkpoints)
+    est_2, _, _, freeze_2 = _rls_batch(*second_moment_regressors(states, inputs), checkpoints)
+    sa, sb = covariance_from_fit(est_2, est_n, states.shape[2])
+    return cps, est_n, sa, sb, np.minimum(freeze_n, freeze_2) <= np.array(cps)[:, None]
 
 
 def second_moment_regressors(states, inputs):
@@ -135,30 +112,6 @@ def second_moment_regressors(states, inputs):
     x0, x1, u = states[..., :-1, :], states[..., 1:, :], np.asarray(inputs, dtype=float)
     phi = np.concatenate([outer_svec(x0), outer_svec(u), outer_vec(x0, u), outer_vec(u, x0)], axis=-1)
     return phi, outer_svec(x1)
-
-
-def rls_second_moment(states, inputs, nominal_estimates, checkpoints=None):
-    """RLS covariance estimation on one trajectory, coupled to nominal estimates.
-
-    nominal_estimates: list of (samples, [A_hat B_hat]) at the same sample
-    counts (from rls_nominal).  At every checkpoint the lifted nominal part
-    P1 (A_hat kron A_hat) Q1 (resp. B) is subtracted from the fitted
-    second-moment blocks to give (SigmaA_tilde', SigmaB_tilde') estimates.
-    Returns (list of (samples, SA_tilde, SB_tilde), diverged, final_state).
-    """
-    states = np.asarray(states, dtype=float)
-    inputs = np.asarray(inputs, dtype=float)
-    T = inputs.shape[0]
-    if checkpoints is None:
-        checkpoints = [T]
-    phi, target = second_moment_regressors(states, inputs)
-    out, div, st, cps, _ = _rls_batch(phi[None], target[None], checkpoints)
-    nom = dict(nominal_estimates)
-    for c in cps:
-        if c not in nom:
-            raise ValueError(f"no nominal estimate at sample count {c}")
-    sa, sb = covariance_from_fit(out[:, 0], np.stack([nom[c] for c in cps]), states.shape[-1])
-    return [(c, sa[i], sb[i]) for i, c in enumerate(cps)], bool(div[0]), st[0]
 
 
 def covariance_from_fit(fit, nominal, n):
@@ -175,34 +128,16 @@ def covariance_from_fit(fit, nominal, n):
 
 
 def rls_batch_estimates(system, input_law, T, reps, seed, checkpoints):
-    """Nominal and covariance RLS on reps single trajectories of length T.
+    """rls_fit on reps single trajectories of length T simulated from x_0 = 0.
 
-    Data past a trajectory's divergence point is invalidated so the recursions
-    freeze there.  Returns (cps, nominal, sigma_a, sigma_b, diverged), indexed
-    [checkpoint, rep]: [A_hat B_hat], the reduced-covariance estimates, and
-    whether the trajectory or either recursion froze at or before the checkpoint.
+    A diverged trajectory stores x_{d-1} again as x_d (d = diverged_at), so its
+    states from d on are set to NaN: pair d-1 is then invalid, and both
+    recursions freeze after the last real transition.  Returns rls_fit's
+    (cps, nominal, sigma_a, sigma_b, frozen).
     """
     states, inputs, diverged_at = simulate_single_trajectories(system, input_law, T, reps, seed)
-    # a diverged trajectory stores x_{d-1} again as x_d (d = diverged_at), so
-    # pair d-1 already regresses that frozen copy: invalidate from d-1 on
-    last_pair = diverged_at - 1
-    phi_n = np.concatenate([states[:, :-1], inputs], axis=2)
-    tgt_n = states[:, 1:].copy()
-    _mask_after(phi_n, last_pair)
-    _mask_after(tgt_n, last_pair)
-    est_n, _, _, cps, freeze_n = _rls_batch(phi_n, tgt_n, checkpoints)
-    phi2, tgt2 = second_moment_regressors(states, inputs)
-    _mask_after(phi2, last_pair)
-    _mask_after(tgt2, last_pair)
-    est_2, _, _, _, freeze_2 = _rls_batch(phi2, tgt2, checkpoints)
-    sa, sb = covariance_from_fit(est_2, est_n, system.n)
-    first_freeze = np.minimum(np.minimum(diverged_at, freeze_n), freeze_2)
-    return cps, est_n, sa, sb, first_freeze <= np.array(cps)[:, None]
-
-
-def _mask_after(arr, diverged_at):
-    """Invalidate regression data past each trajectory's divergence point."""
-    arr[np.arange(arr.shape[1]) >= diverged_at[:, None]] = np.inf
+    states[np.arange(T + 1) >= diverged_at[:, None]] = np.nan
+    return rls_fit(states, inputs, checkpoints)
 
 
 class GaussianInputLaw:

@@ -1,16 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 
 from multinoise.baselines import (
     INIT_COV,
     GaussianInputLaw,
-    RlsState,
-    _mask_after,
     _rls_batch,
     covariance_from_fit,
     rls_batch_estimates,
-    rls_nominal,
-    rls_second_moment,
+    rls_fit,
     second_moment_regressors,
     simulate_single_trajectories,
 )
@@ -103,10 +102,7 @@ def _ref_rls_batch(phi, target, checkpoints):
         while nxt < len(cps) and cps[nxt] == t + 1:
             out[nxt] = theta
             nxt += 1
-    states = [
-        RlsState(theta=theta[r], P=P[r], steps=T, diverged=bool(~alive[r])) for r in range(R)
-    ]
-    return out, ~alive, states, cps, freeze_step
+    return out, ~alive, cps, freeze_step
 
 
 def _ref_regression_data(states, inputs, diverged_at):
@@ -126,11 +122,9 @@ def _ref_regression_data(states, inputs, diverged_at):
 def _assert_rls_matches_reference(phi, target, checkpoints):
     got = _rls_batch(phi, target, checkpoints)
     ref = _ref_rls_batch(phi, target, checkpoints)
-    for i in (0, 1, 3, 4):  # estimates, diverged, checkpoints, freeze steps
-        assert np.array_equal(got[i], ref[i])
-    for g, r in zip(got[2], ref[2]):
-        assert np.array_equal(g.theta, r.theta) and np.array_equal(g.P, r.P)
-        assert (g.steps, g.diverged) == (r.steps, r.diverged)
+    assert len(got) == len(ref) == 4
+    for g, r in zip(got, ref):  # estimates, diverged, checkpoints, freeze steps
+        assert np.array_equal(g, r)
     return got
 
 
@@ -166,13 +160,11 @@ def test_simulation_and_rls_match_per_step_reference(case, law):
     if case == "paper-4.2-rho1.0":
         assert np.all(diverged_at <= T)
     (phi_n, tgt_n), (phi_2, tgt_2) = _ref_regression_data(states, inputs, diverged_at)
-    # the batched regressors and the broadcast mask reproduce the per-trajectory forms
+    # the batched regressors reproduce the per-trajectory forms on the steps before divergence
     phi_b, tgt_b = second_moment_regressors(states, inputs)
-    tgt_nb = states[:, 1:].copy()
-    for arr in (phi_b, tgt_b, tgt_nb):
-        _mask_after(arr, diverged_at)
-    assert np.array_equal(phi_b, phi_2) and np.array_equal(tgt_b, tgt_2)
-    assert np.array_equal(tgt_nb, tgt_n)
+    before = np.arange(T) < diverged_at[:, None]
+    assert np.array_equal(phi_b[before], phi_2[before]) and np.array_equal(tgt_b[before], tgt_2[before])
+    assert np.array_equal(states[:, 1:][before], tgt_n[before])
     cps = [7, 600, T]
     _assert_rls_matches_reference(phi_n, tgt_n, cps)
     _assert_rls_matches_reference(phi_2, tgt_2, cps)
@@ -189,7 +181,7 @@ def test_early_exits_when_every_run_freezes_before_the_last_checkpoint():
     assert diverged_at.max() < T - 100  # the simulator stops early
     cps = [50, diverged_at.max() + 20, T - 1, T]
     for phi, target in _ref_regression_data(states, inputs, diverged_at):
-        out, diverged, _, _, freeze = _assert_rls_matches_reference(phi, target, cps)
+        out, diverged, _, freeze = _assert_rls_matches_reference(phi, target, cps)
         assert diverged.all() and freeze.max() < cps[-2]  # the recursion stops early
         assert np.array_equal(out[-1], out[-2])
 
@@ -205,10 +197,9 @@ def test_frozen_baseline_estimates_use_only_real_transitions():
     assert frozen.size and diverged[0, frozen].all()
     for r in frozen:
         d = diverged_at[r]
-        est, _, _ = rls_nominal(states[r, :d], inputs[r, : d - 1])
-        assert np.array_equal(nominal[0, r], est[0][1])
-        ((_, sa, sb),), _, _ = rls_second_moment(states[r, :d], inputs[r, : d - 1], est)
-        assert np.array_equal(sigma_a[0, r], sa) and np.array_equal(sigma_b[0, r], sb)
+        _, est, sa, sb, _ = rls_fit(states[r : r + 1, :d], inputs[r : r + 1, : d - 1], [d - 1])
+        assert np.array_equal(nominal[0, r], est[0, 0])
+        assert np.array_equal(sigma_a[0, r], sa[0, 0]) and np.array_equal(sigma_b[0, r], sb[0, 0])
 
 
 def test_rls_estimate_blowup_freezes_like_reference():
@@ -220,26 +211,51 @@ def test_rls_estimate_blowup_freezes_like_reference():
     target[2, 30] = np.nan
     phi[3, 40, 0] = np.inf
     phi[0, 50] = 2e12
-    out, diverged, _, _, freeze = _assert_rls_matches_reference(phi, target, [2, 10, 45, 60])
+    phi[1, 20, 2] = np.nan  # data going bad after the blow-up keep the blow-up step
+    cps = [2, 10, 45, 60]
+    out, diverged, _, freeze = _assert_rls_matches_reference(phi, target, cps)
     assert freeze.tolist() == [51, 4, 31, 41] and diverged.all()
+    # each row of the batch is the same run alone
+    for r in range(4):
+        alone = _assert_rls_matches_reference(phi[r : r + 1], target[r : r + 1], cps)
+        assert np.array_equal(alone[0][:, 0], out[:, r]) and alone[3][0] == freeze[r]
+    # every run blows up before T with valid data: later checkpoints repeat the frozen estimates
+    phi = rng.standard_normal((3, 60, 3))
+    target = rng.standard_normal((3, 60, 2))
+    phi[:, :8] *= 1e-3
+    target[np.arange(3), [3, 5, 7]] = 9e11
+    out, diverged, _, freeze = _assert_rls_matches_reference(phi, target, cps)
+    assert freeze.tolist() == [4, 6, 8] and diverged.all()
+    assert np.array_equal(out[1], out[2]) and np.array_equal(out[2], out[3])
+
+
+def test_rls_rejects_malformed_input():
+    states, inputs = np.zeros((2, 11, 2)), np.zeros((2, 10, 1))
+    for st, ip in ((states[:, :-1], inputs), (states, inputs[:1]), (states[0], inputs[0])):
+        with pytest.raises(ValueError, match=re.escape(f"states {st.shape} and inputs {ip.shape} must")):
+            rls_fit(st, ip, [5])
+    with pytest.raises(ValueError, match="non-empty"):
+        _rls_batch(np.zeros((2, 10, 3)), np.zeros((2, 10, 2)), [])
+    with pytest.raises(ValueError, match=r"in 1\.\.10"):
+        _rls_batch(np.zeros((2, 10, 3)), np.zeros((2, 10, 2)), [0, 5])
 
 
 def test_rls_zero_noise_converges():
     s = make_system(A_STABLE, BENCH_B, ZeroNoise())
     st, ip, div = simulate_single_trajectories(s, GaussianInputLaw(1), 10_000, 1, seed=5)
-    est, diverged, state = rls_nominal(st[0], ip[0])
-    assert not diverged
-    assert np.linalg.norm(est[-1][1] - np.hstack([A_STABLE, BENCH_B]), 2) <= 1e-6
+    _, est, _, _, frozen = rls_fit(st, ip, [10_000])
+    assert not frozen.any()
+    assert np.linalg.norm(est[-1, 0] - np.hstack([A_STABLE, BENCH_B]), 2) <= 1e-6
 
 
 def test_rls_equals_batch_ols():
     s = make_system(A_STABLE, BENCH_B, CovarianceNoise(BENCH_SIGMA_A, BENCH_SIGMA_B))
     T = 400
     st, ip, _ = simulate_single_trajectories(s, GaussianInputLaw(1), T, 1, seed=9)
-    est, _, _ = rls_nominal(st[0], ip[0], checkpoints=[T])
+    _, est, _, _, _ = rls_fit(st, ip, [T])
     phi = np.concatenate([st[0][:-1], ip[0]], axis=1)
     ols = np.linalg.lstsq(phi, st[0][1:], rcond=None)[0].T
-    rel = np.linalg.norm(est[-1][1] - ols, 2) / max(np.linalg.norm(ols, 2), 1e-300)
+    rel = np.linalg.norm(est[-1, 0] - ols, 2) / max(np.linalg.norm(ols, 2), 1e-300)
     assert rel <= 1e-8
 
 
@@ -247,11 +263,9 @@ def test_rls_covariance_zero_noise_tends_to_zero():
     s = make_system(A_STABLE, BENCH_B, ZeroNoise())
     T = 5000
     st, ip, _ = simulate_single_trajectories(s, GaussianInputLaw(1), T, 1, seed=6)
-    nom, _, _ = rls_nominal(st[0], ip[0], checkpoints=[T])
-    cov, diverged, _ = rls_second_moment(st[0], ip[0], nom, checkpoints=[T])
-    _, sa, sb = cov[-1]
-    assert not diverged
-    assert np.linalg.norm(np.hstack([sa, sb]), 2) <= 1e-5
+    _, _, sa, sb, frozen = rls_fit(st, ip, [T])
+    assert not frozen.any()
+    assert np.linalg.norm(np.hstack([sa[-1, 0], sb[-1, 0]]), 2) <= 1e-5
 
 
 def test_rls_covariance_error_decreases_when_second_moment_stable():
@@ -261,9 +275,8 @@ def test_rls_covariance_error_decreases_when_second_moment_stable():
     T = 40_000
     cps = [400, 40_000]
     st, ip, _ = simulate_single_trajectories(s, GaussianInputLaw(1), T, 1, seed=13)
-    nom, _, _ = rls_nominal(st[0], ip[0], checkpoints=cps)
-    cov, _, _ = rls_second_moment(st[0], ip[0], nom, checkpoints=cps)
-    errs = [np.linalg.norm(np.hstack([sa, sb]) - truth, 2) for _, sa, sb in cov]
+    _, _, sa, sb, _ = rls_fit(st, ip, cps)
+    errs = [np.linalg.norm(np.hstack([a, b]) - truth, 2) for a, b in zip(sa[:, 0], sb[:, 0])]
     assert errs[-1] < errs[0]
 
 
@@ -277,9 +290,9 @@ def test_marginally_stable_divergence_flag_and_freeze():
     uu = ip[0].copy()
     traj[div[0]:] = np.inf
     cps = [div[0] + 10, T]
-    est, diverged, state = rls_nominal(traj, uu, checkpoints=cps)
-    assert diverged and state.diverged
-    assert np.array_equal(est[0][1], est[1][1])
+    _, est, _, _, frozen = rls_fit(traj[None], uu[None], cps)
+    assert frozen.all()
+    assert np.array_equal(est[0, 0], est[1, 0])
 
 
 def test_simulated_divergence_is_monotone():
