@@ -21,8 +21,8 @@ from . import rngstream as rs
 from .baselines import GaussianInputLaw, rls_batch_estimates
 from .bounds import bound_context, delta_AB, eta
 from .identifiability import sigma_from_class
-from .mals import mals
-from .moment_oracle import lift, propagate_second, propagate_second_reduced
+from .mals import EstimationResult, attach_errors, mals, simulated_moments, solve
+from .moment_oracle import propagate_second, propagate_second_reduced
 from .presets import PRESET_NAMES, get_preset
 from .shape_ops import svec_index_pairs
 from .system_model import CovarianceNoise, InputSchedule, make_system
@@ -83,17 +83,20 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown input law {law!r}")
         if self.noise_law not in ("uniform", "gaussian"):
             raise ConfigError(f"unknown noise law {self.noise_law!r}")
-        for name, grid in (("n_r_grid", self.n_r_grid), ("baseline_grid", self.baseline_grid),
-                           ("tail_grid", self.tail_grid)):
-            g = list(grid)
+        # numpy integers are accepted and stored as int, so seeds hash and summaries serialize alike
+        for name in ("n_r_grid", "baseline_grid", "tail_grid"):
+            g = list(getattr(self, name))
             if not g or not all(_is_int(v) and v >= 1 for v in g) or any(a >= b for a, b in zip(g, g[1:])):
                 raise ConfigError(f"{name} must be a nonempty strictly ascending list of positive integers")
+            setattr(self, name, tuple(map(int, g)))
         for name in ("reps", "tail_reps", "bound_n_r", "demo_n_r", "demo_periods"):
             value = getattr(self, name)
             if not (_is_int(value) and value >= 1):
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+            setattr(self, name, int(value))
         if not _is_int(self.seed):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        self.seed = int(self.seed)
         for sys_name in self.baseline_systems:
             if sys_name not in PRESET_NAMES:
                 raise ConfigError(f"unknown baseline system {sys_name!r}")
@@ -105,8 +108,7 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         coerced = dict(d)
-        for key in ("input_laws", "n_r_grid", "baseline_grid", "tail_grid", "eps_grid",
-                    "baseline_systems"):
+        for key in ("input_laws", "eps_grid", "baseline_systems"):  # __post_init__ makes the grids tuples
             if key in coerced and coerced[key] is not None:
                 coerced[key] = tuple(coerced[key])
         try:
@@ -187,17 +189,16 @@ _ERROR_KEYS = ("err_AB", "err_Sigma", "err_AB_norm", "err_Sigma_norm")
 
 
 def _sweep(bundle, grid, seeds):
-    """``mals`` at every (n_r, repetition) of a grid, one call per seed.
+    """``mals`` at every (n_r, repetition) of a grid, one stacked estimate per n_r.
 
     seeds: (len(grid), reps) array.  Returns each of ``_ERROR_KEYS`` as a
-    (len(grid), reps) array.  Every runner repeats the estimator through here.
+    (len(grid), reps) array, each entry bit for bit its own ``mals`` call.
+    Every runner repeats the estimator through here.
     """
-    errs = {key: np.empty(seeds.shape) for key in _ERROR_KEYS}
-    for (gi, rep), seed in np.ndenumerate(seeds):
-        res = mals(bundle.system, bundle.schedule, bundle.init, int(grid[gi]), seed=int(seed))
-        for key in errs:
-            errs[key][gi, rep] = res.errors[key]
-    return errs
+    system, schedule, init = bundle.system, bundle.schedule, bundle.init
+    res = [attach_errors(solve(simulated_moments(system, schedule, init, n_r, row)), system)
+           for n_r, row in zip(grid, seeds)]
+    return {key: np.stack([r.errors[key] for r in res]) for key in _ERROR_KEYS}
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +272,7 @@ def run_tail_frequency(config, with_bounds=False):
     t0 = time.perf_counter()
     law = config.input_laws[0] if config.input_laws else "uniform"
     bundle = get_preset(config.preset, noise_law=config.noise_law).with_input_law(law)
-    grid = [int(v) for v in config.tail_grid]
-    reps = int(config.tail_reps)
+    grid, reps = config.tail_grid, config.tail_reps
     seeds = _rep_seeds(config.seed ^ 0xA5, np.arange(len(grid) * reps).reshape(-1, reps))
     errs = _sweep(bundle, grid, seeds)
     freq_rows = []
@@ -349,7 +349,7 @@ def run_equivalence_demo(config):
     mu0 = np.zeros(system.n)
     base_tr = propagate_second(system, sched, mu0)
     alt_tr = propagate_second(alt, sched, mu0)
-    est = mals(system, bundle.schedule, bundle.init, int(config.demo_n_r),
+    est = mals(system, bundle.schedule, bundle.init, config.demo_n_r,
                seed=int(_rep_seeds(config.seed ^ 0x3C, 0)))
     est_tr = propagate_second_reduced(
         est.A_hat, est.B_hat, est.sigma_a_tilde_hat, est.sigma_b_tilde_hat, sched, mu0
@@ -395,8 +395,7 @@ def _tile_schedule(schedule, periods):
 def run_baseline_comparison(config):
     """MALS vs single-trajectory RLS/RLSp across the benchmark systems."""
     t0 = time.perf_counter()
-    grid = [int(v) for v in config.baseline_grid]
-    reps = int(config.reps)
+    grid, reps = config.baseline_grid, config.reps
     # MALS seed index: sys_idx * 1_000_000 + gi * 10_000 + rep
     rep_index = 10_000 * np.arange(len(grid))[:, None] + np.arange(reps)
     raw_rows = []
@@ -406,9 +405,6 @@ def run_baseline_comparison(config):
         bundle = get_preset(sys_name, noise_law=config.noise_law).with_input_law("gaussian")
         system = bundle.system
         samples = [bundle.schedule.ell * n_r for n_r in grid]
-        ld = lift(system)
-        truth_ab = np.hstack([system.A, system.B])
-        truth_sig = np.hstack([ld.sigma_a_tilde, ld.sigma_b_tilde])
         # --- MALS on n_r rollouts of length ell
         errs = _sweep(bundle, grid, _rep_seeds(config.seed ^ 0x88, sys_idx * 1_000_000 + rep_index))
         # (err_AB, err_Sigma, diverged) per algorithm, each indexed [checkpoint, rep]
@@ -423,9 +419,8 @@ def run_baseline_comparison(config):
             alg_seed = int(_rep_seeds(config.seed ^ 0x77, sys_idx * 10 + alg_idx))
             cps, ab, sa, sb, div = rls_batch_estimates(system, law, samples[-1], reps, alg_seed, samples)
             assert cps == samples, "sample-count parity violated"
-            err_ab = np.linalg.norm(ab - truth_ab, 2, axis=(-2, -1))
-            err_sig = np.linalg.norm(np.concatenate([sa, sb], -1) - truth_sig, 2, axis=(-2, -1))
-            per_alg[alg] = (err_ab, err_sig, div)
+            rls = attach_errors(EstimationResult(ab[..., : system.n], ab[..., system.n :], sa, sb, {}), system)
+            per_alg[alg] = (rls.errors["err_AB"], rls.errors["err_Sigma"], div)
         sys_summary = {}
         for alg, (e_ab, e_sig, div) in per_alg.items():
             curve = []

@@ -68,33 +68,25 @@ def empirical_moments(rollouts):
 
     W_hat uses the designed means (vec(mu_hat nu')), and Ut the designed input
     moments, not sampled input statistics.  The rollouts are cut into leaves
-    of ROLLOUT_LEAF consecutive rollouts, each leaf is summed, and the leaf
-    sums are added in a fixed pairwise tree (``_reduce_leaves``).  The bits
-    therefore equal those of ``simulated_moments`` for the same rollouts and
-    do not depend on how the rollouts were produced or blocked; they still
-    depend on rollout order, since permuting the rollouts changes the sums'
-    rounding.
+    of ROLLOUT_LEAF consecutive rollouts (``_leaf_moments``), so the bits
+    equal those of ``simulated_moments`` for the same rollouts, however they
+    were produced or blocked; they still depend on rollout order, since
+    permuting the rollouts changes the sums' rounding.
     """
     if rollouts.n_r < 1:
         raise ValueError("empty rollout set")
-    states = rollouts.states
-    leaves = [_leaf_sums(states[k : k + ROLLOUT_LEAF]) for k in range(0, rollouts.n_r, ROLLOUT_LEAF)]
-    return _reduce_leaves(leaves, rollouts.n_r, rollouts.schedule)
+    leaves = ((0, rollouts.states[k : k + ROLLOUT_LEAF]) for k in range(0, rollouts.n_r, ROLLOUT_LEAF))
+    return _leaf_moments(leaves, rollouts.n_r, rollouts.schedule)
 
 
 def simulated_moments(system, schedule, init, n_r, seed):
     """``empirical_moments`` of ``simulate_rollouts(...)``, bit for bit, in O(block) memory.
 
-    Each block of ``iter_rollout_blocks`` is reduced to its leaf sums as soon
-    as it is simulated, so the (n_r, ell+1, n) state array is never built.
+    A 1-D vector of seeds adds a leading repetition axis to the state
+    moments; entry r equals the call with seed[r] bit for bit.
     """
-    leaves = [_leaf_sums(xs) for _, xs, _ in iter_rollout_blocks(system, schedule, init, n_r, seed)]
-    return _reduce_leaves(leaves, n_r, schedule)
-
-
-def _leaf_sums(states):
-    """Sums over the rollouts of one leaf (b, ell+1, n): of x_t, (ell+1, n), and of x_t x_t', (ell+1, n, n)."""
-    return states.sum(axis=0), np.stack([xt.T @ xt for xt in states.swapaxes(0, 1)])
+    leaves = ((r, xs) for r, _, xs, _ in iter_rollout_blocks(system, schedule, init, n_r, seed))
+    return _leaf_moments(leaves, n_r, schedule, np.shape(seed))
 
 
 def _tree_sum(parts):
@@ -105,10 +97,19 @@ def _tree_sum(parts):
     return parts[0]
 
 
-def _reduce_leaves(leaves, n_r, schedule):
-    """MomentTrajectory from per-leaf sums: tree-summed, then divided by n_r once."""
-    mu = _tree_sum([s1 for s1, _ in leaves]) / n_r
-    x_t = svec(_tree_sum([s2 for _, s2 in leaves]) / n_r)
+def _leaf_moments(leaves, n_r, schedule, shape=()):
+    """MomentTrajectory from (repetition, states (b, ell+1, n)) leaves, each reduced to its sums as it comes.
+
+    A repetition's leaf sums are added in a fixed pairwise tree and divided by
+    n_r once; the state moments get the leading axes ``shape`` of the seeds.
+    """
+    sums = {}  # repetition -> leaf sums, in the order the leaves come
+    for r, xs in leaves:
+        xt = xs.swapaxes(0, 1)
+        sums.setdefault(r, []).append((xs.sum(axis=0), xt.swapaxes(1, 2) @ xt))
+    mu = np.stack([_tree_sum([s1 for s1, _ in parts]) for parts in sums.values()]) / n_r
+    x_t = np.stack([_tree_sum([s2 for _, s2 in parts]) for parts in sums.values()]) / n_r
+    mu, x_t = mu.reshape(shape + mu.shape[1:]), svec(x_t.reshape(shape + x_t.shape[1:]))
     w, w_p, u_t = input_moments(mu, schedule)
     return MomentTrajectory(
         mu=mu, x_t=x_t, w=w, w_p=w_p, u_t=u_t, nu=schedule.nu.copy(), source="empirical"
@@ -116,31 +117,36 @@ def _reduce_leaves(leaves, n_r, schedule):
 
 
 def _solve(Y, Z, tag):
-    """Least-squares solution Y Z' (Z Z')^+ via symmetric eigendecomposition.
+    """Least-squares solution Y Z' (Z Z')^+ via symmetric eigendecomposition, per matrix of a stack.
 
     Returns the solution and its diagnostics lambda_min_<tag><tag>,
     lambda_max_<tag><tag> and used_pinv_<tag>.  The pseudoinverse path
     (eigenvalues at or below RANK_TOL * lambda_max dropped) triggers exactly
     when lambda_min <= RANK_TOL * lambda_max.
     """
-    gram = Z @ Z.T
-    w, V = np.linalg.eigh(0.5 * (gram + gram.T))
-    lam_min, lam_max = float(w[0]), float(w[-1])
-    tol = RANK_TOL * max(lam_max, 0.0)
+    gram = Z @ Z.swapaxes(-1, -2)
+    w, V = np.linalg.eigh(0.5 * (gram + gram.swapaxes(-1, -2)))
+    lam_min, lam_max = w[..., 0], w[..., -1]
+    tol = RANK_TOL * np.maximum(lam_max, 0.0)
+    keep = w > tol[..., None]
     # without the fallback every eigenvalue exceeds tol and this is exactly 1 / w
-    w_inv = np.where(w > tol, 1.0 / np.where(w > tol, w, 1.0), 0.0)
-    X = (Y @ Z.T @ V) * w_inv @ V.T
+    w_inv = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
+    X = (Y @ Z.swapaxes(-1, -2) @ V) * w_inv[..., None, :] @ V.swapaxes(-1, -2)
     diag = {
         f"lambda_min_{tag}{tag}": lam_min,
         f"lambda_max_{tag}{tag}": lam_max,
-        f"used_pinv_{tag}": bool(lam_min <= tol),
+        f"used_pinv_{tag}": lam_min <= tol,
     }
     return X, diag
 
 
 @dataclass
 class EstimationResult:
-    """MALS output: nominal and reduced-covariance estimates plus diagnostics."""
+    """MALS output: nominal and reduced-covariance estimates plus diagnostics.
+
+    A stacked solve adds a leading repetition axis to each estimate and makes
+    each diagnostic and error an array over the repetitions.
+    """
 
     A_hat: np.ndarray
     B_hat: np.ndarray
@@ -150,10 +156,10 @@ class EstimationResult:
     errors: dict = field(default_factory=dict)
 
     def nominal(self):
-        return np.hstack([self.A_hat, self.B_hat])
+        return np.concatenate([self.A_hat, self.B_hat], axis=-1)
 
     def covariance(self):
-        return np.hstack([self.sigma_a_tilde_hat, self.sigma_b_tilde_hat])
+        return np.concatenate([self.sigma_a_tilde_hat, self.sigma_b_tilde_hat], axis=-1)
 
     def to_json(self):
         return json.dumps(
@@ -168,22 +174,27 @@ class EstimationResult:
         )
 
 
+def _scalars(values):
+    """``values`` with each 0-d array as a Python scalar; the arrays of a stacked result stay."""
+    return {key: v.tolist() if np.ndim(v) == 0 else v for key, v in values.items()}
+
+
 def attach_errors(result, system):
-    """Record spectral-norm errors against the true system."""
+    """Record spectral-norm errors against the true system, per repetition of a stacked result."""
     ld = lift(system)
     truth_ab = np.hstack([system.A, system.B])
     truth_sig = np.hstack([ld.sigma_a_tilde, ld.sigma_b_tilde])
-    err_ab = float(np.linalg.norm(result.nominal() - truth_ab, 2))
-    err_sig = float(np.linalg.norm(result.covariance() - truth_sig, 2))
+    err_ab = np.linalg.norm(result.nominal() - truth_ab, 2, axis=(-2, -1))
+    err_sig = np.linalg.norm(result.covariance() - truth_sig, 2, axis=(-2, -1))
     nrm_ab = float(np.linalg.norm(truth_ab, 2))
     nrm_sig = float(np.linalg.norm(truth_sig, 2))
-    result.errors = {
+    result.errors = _scalars({
         "err_AB": err_ab,
         "err_Sigma": err_sig,
         # absolute error stands in for the normalized one when the truth is zero
         "err_AB_norm": err_ab / nrm_ab if nrm_ab > 0 else err_ab,
         "err_Sigma_norm": err_sig / nrm_sig if nrm_sig > 0 else err_sig,
-    }
+    })
     return result
 
 
@@ -193,18 +204,18 @@ def solve(moments):
     First [A_hat B_hat] = Y Z' (Z Z')^+; then the residual columns C are
     formed with the lifted matrices of that (A_hat, B_hat), and the reduced
     covariances are C D' (D D')^+.  Exact moments recover the truth whenever
-    both Grams invert.
+    both Grams invert.  Stacked moments give each repetition its own call's bits.
     """
     n, nt = moments.n, svec_dim(moments.n)
     theta, diag_z = _solve(*nominal_blocks(moments), "z")
-    A_hat, B_hat = theta[:, :n], theta[:, n:]
+    A_hat, B_hat = theta[..., :n], theta[..., n:]
     sol, diag_d = _solve(*covariance_blocks(moments, A_hat, B_hat), "d")
     return EstimationResult(
         A_hat=A_hat,
         B_hat=B_hat,
-        sigma_a_tilde_hat=sol[:, :nt],
-        sigma_b_tilde_hat=sol[:, nt:],
-        diagnostics={**diag_z, **diag_d},
+        sigma_a_tilde_hat=sol[..., :nt],
+        sigma_b_tilde_hat=sol[..., nt:],
+        diagnostics=_scalars({**diag_z, **diag_d}),
     )
 
 

@@ -109,23 +109,23 @@ def lift(system):
 
 @dataclass
 class MomentTrajectory:
-    """Exact or empirical moment sequences along a schedule."""
+    """Exact or empirical moment sequences along a schedule; the state moments may carry a repetition axis."""
 
-    mu: np.ndarray       # (ell + 1, n)
-    x_t: np.ndarray      # (ell + 1, n(n+1)/2) reduced second moments
-    w: np.ndarray        # (ell, n*m)  vec(mu nu')
-    w_p: np.ndarray      # (ell, n*m)  vec(nu mu')
+    mu: np.ndarray       # (..., ell + 1, n)
+    x_t: np.ndarray      # (..., ell + 1, n(n+1)/2) reduced second moments
+    w: np.ndarray        # (..., ell, n*m)  vec(mu nu')
+    w_p: np.ndarray      # (..., ell, n*m)  vec(nu mu')
     u_t: np.ndarray      # (ell, m(m+1)/2) reduced input second moments
     nu: np.ndarray       # (ell, m) designed input means
     source: str = "exact"
 
     @property
     def ell(self):
-        return self.mu.shape[0] - 1
+        return self.mu.shape[-2] - 1
 
     @property
     def n(self):
-        return self.mu.shape[1]
+        return self.mu.shape[-1]
 
 
 def propagate_first(A, B, schedule, mu0):
@@ -180,7 +180,7 @@ def propagate_second_reduced(A, B, sigma_a_tilde, sigma_b_tilde, schedule, mu0, 
 
 def input_moments(mu, schedule):
     """W_t = vec(mu_t nu_t'), W'_t = vec(nu_t mu_t') and Ut_t = svec(E{u_t u_t'}) for t < ell."""
-    mu, nu = mu[: schedule.ell], schedule.nu
+    mu, nu = mu[..., : schedule.ell, :], schedule.nu
     u_t = svec(schedule.input_second_moment(np.arange(schedule.ell)))
     return outer_vec(mu, nu), outer_vec(nu, mu), u_t
 
@@ -203,11 +203,15 @@ class RegressionMatrices:
     U: np.ndarray    # [Ut_{ell-1} ... Ut_0]
 
 
+def _vstack(top, bottom):
+    """np.vstack([top, bottom]) with ``bottom`` (no leading axes) repeated over those of ``top``."""
+    return np.concatenate([top, np.broadcast_to(bottom, top.shape[:-2] + bottom.shape)], axis=-2)
+
+
 def nominal_blocks(tr):
-    """Nominal least-squares blocks (Y, Z) of a (exact or empirical) moment trajectory."""
-    ell = tr.ell
-    Y = tr.mu[ell:0:-1].T  # columns mu_ell .. mu_1
-    Z = np.vstack([tr.mu[ell - 1 :: -1].T, tr.nu[::-1].T])
+    """Nominal least-squares blocks (Y, Z) of a (exact or empirical, maybe stacked) moment trajectory."""
+    Y = tr.mu.swapaxes(-1, -2)[..., tr.ell : 0 : -1]  # columns mu_ell .. mu_1
+    Z = _vstack(tr.mu.swapaxes(-1, -2)[..., tr.ell - 1 :: -1], tr.nu[::-1].T)
     return Y, Z
 
 
@@ -216,12 +220,13 @@ def covariance_blocks(tr, A, B):
 
     Residual columns C_t are formed with the lifted matrices of (A, B); with
     exact moments and the true (A, B) they equal
-    [sigma_a_tilde  sigma_b_tilde] @ D column-for-column.
+    [sigma_a_tilde  sigma_b_tilde] @ D column-for-column.  A stacked
+    trajectory takes stacked (A, B).
     """
-    A_t, B_t, K_BA, K_AB = lift_nominal(A, B)
-    pred = tr.x_t[:-1] @ A_t.T + tr.w @ K_BA.T + tr.w_p @ K_AB.T + tr.u_t @ B_t.T
-    C = (tr.x_t[1:] - pred)[::-1].T  # columns C_ell .. C_1
-    D = np.vstack([tr.x_t[:-1][::-1].T, tr.u_t[::-1].T])
+    A_tT, B_tT, K_BAT, K_ABT = (M.swapaxes(-1, -2) for M in lift_nominal(A, B))
+    pred = tr.x_t[..., :-1, :] @ A_tT + tr.w @ K_BAT + tr.w_p @ K_ABT + tr.u_t @ B_tT
+    C = (tr.x_t[..., 1:, :] - pred)[..., ::-1, :].swapaxes(-1, -2)  # columns C_ell .. C_1
+    D = _vstack(tr.x_t[..., -2::-1, :].swapaxes(-1, -2), tr.u_t[::-1].T)
     return C, D
 
 

@@ -12,6 +12,8 @@ position is a plain counter, which is what makes the scheme order-free.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 from scipy.special import ndtr, ndtri
 
@@ -56,13 +58,25 @@ def _mix64(z):
 def stream_keys(seed, k, t, role):
     """64-bit stream seeds for rollout indices ``k`` (scalar or array).
 
-    ``t`` is a time index or a 1-D array of them; an array adds a leading
-    time axis, giving shape (len(t),) + shape(k).  The hash is the same
-    either way, so key [i, j] equals stream_keys(seed, k[j], t[i], role).
+    ``seed`` is an integer (taken mod 2^64) or an array of non-negative
+    integers broadcasting against ``k``: key j is stream_keys(seed[j], k[j],
+    t, role).  ``t`` is a time index or a 1-D array of them; an array adds a
+    leading time axis, giving shape (len(t),) + shape(k).  The hash is the
+    same either way, so key [i, j] equals stream_keys(seed, k[j], t[i], role).
     """
     k = np.asarray(k, dtype=np.uint64)
+    if np.ndim(seed):
+        seed = np.asarray(seed)
+        if seed.dtype.kind not in "ui" or (seed < 0).any():
+            raise ValueError(f"seed array must hold non-negative integers: {np.array2string(seed, threshold=8)}")
+        try:
+            seed, k = np.broadcast_arrays(seed.astype(np.uint64), k)
+        except ValueError:
+            raise ValueError(f"seed array of shape {seed.shape} does not broadcast against k {k.shape}") from None
+    else:
+        seed = np.uint64(operator.index(seed) & 0xFFFFFFFFFFFFFFFF)
     with np.errstate(over="ignore"):
-        s = _mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + _GAMMA)
+        s = _mix64(seed + _GAMMA)
         s = _mix64(s ^ ((k + np.uint64(1)) * _GAMMA))
         t = np.uint64(t)
         if t.ndim:

@@ -586,16 +586,18 @@ def _rollout_array(rollouts, key, what, shape):
 
 
 def iter_rollout_blocks(system, schedule, init, n_r, seed):
-    """Simulate rollouts 0..n_r-1 in blocks of ROLLOUT_LEAF consecutive indices.
+    """Simulate rollouts 0..n_r-1 for a seed, or for each repetition r of a 1-D vector seed[r].
 
-    Yields ``(k0, states, inputs)`` per block, with states (b, ell+1, n) and
-    inputs (b, ell, m) of rollouts k0..k0+b-1, in rollout order; only the
-    last block may be shorter.  Every (rollout, time, role) tuple draws from
-    its own keyed stream, so a rollout does not depend on its block.  The
-    arguments are checked when iteration starts; a diverged state raises
-    SimulationDiverged naming the earliest step at which a rollout of the
-    first diverging block diverged, and the lowest global rollout index that
-    diverged at that step.
+    Yields ``(r, k0, states, inputs)`` per leaf of ROLLOUT_LEAF consecutive
+    rollouts k0..k0+b-1 of repetition r (0 for a scalar seed), with states
+    (b, ell+1, n) and inputs (b, ell, m), in (repetition, rollout) order.
+    Blocks of at most ROLLOUT_LEAF rows are simulated at once: whole
+    repetitions share one when n_r <= ROLLOUT_LEAF.  Every (seed, rollout,
+    time, role) tuple draws from its own keyed stream, so a rollout does not
+    depend on its block.  The arguments are checked when iteration starts; a
+    diverged state raises SimulationDiverged naming, for the first diverging
+    repetition, the earliest step at which a rollout of its first diverging
+    leaf diverged, and the lowest rollout index that diverged at that step.
     """
     if n_r < 1:
         raise ValueError("n_r must be >= 1")
@@ -603,17 +605,21 @@ def iter_rollout_blocks(system, schedule, init, n_r, seed):
         raise ValueError("schedule length must be >= 1")
     if schedule.m != system.m:
         raise ValueError(f"schedule input dim {schedule.m} != system m {system.m}")
-    ell = schedule.ell
-    for k0 in range(0, n_r, ROLLOUT_LEAF):
-        ks = np.arange(k0, min(k0 + ROLLOUT_LEAF, n_r))
-        states, inputs, diverged_at = simulate_trajectories(system, schedule, init, ks, ell, seed)
-        t = int(diverged_at.min())
-        if t <= ell:
-            bad = k0 + int(np.argmax(diverged_at == t))
-            raise SimulationDiverged(
-                f"state exceeded {DIVERGENCE_LIMIT:g} at t={t}, rollout {bad}"
-            )
-        yield k0, states, inputs
+    ell, seeds = schedule.ell, np.atleast_1d(seed)
+    per_block = max(1, ROLLOUT_LEAF // n_r)  # repetitions per block
+    for r0 in range(0, len(seeds), per_block):
+        for k0 in range(0, n_r, ROLLOUT_LEAF):  # one leaf per repetition when per_block > 1
+            b, block_seeds = min(ROLLOUT_LEAF, n_r - k0), seeds[r0 : r0 + per_block]
+            ks = np.tile(np.arange(k0, k0 + b), len(block_seeds))
+            row_seed = np.repeat(block_seeds, b) if np.ndim(seed) else seed
+            states, inputs, diverged_at = simulate_trajectories(system, schedule, init, ks, ell, row_seed)
+            for i in range(len(block_seeds)):
+                rows = slice(i * b, (i + 1) * b)
+                t = int(diverged_at[rows].min())
+                if t <= ell:
+                    bad = k0 + int(np.argmax(diverged_at[rows] == t))
+                    raise SimulationDiverged(f"state exceeded {DIVERGENCE_LIMIT:g} at t={t}, rollout {bad}")
+                yield r0 + i, k0, states[rows], inputs[rows]
 
 
 def simulate_rollouts(system, schedule, init, n_r, seed):
@@ -625,7 +631,7 @@ def simulate_rollouts(system, schedule, init, n_r, seed):
     the first k rollouts of any larger set are identical.
     """
     states = inputs = None
-    for k0, xs, us in iter_rollout_blocks(system, schedule, init, n_r, seed):
+    for _, k0, xs, us in iter_rollout_blocks(system, schedule, init, n_r, seed):
         if states is None:
             states = np.empty((n_r,) + xs.shape[1:])
             inputs = np.empty((n_r,) + us.shape[1:])

@@ -13,6 +13,7 @@ from multinoise.baselines import (
     second_moment_regressors,
     simulate_single_trajectories,
 )
+from multinoise import baselines
 from multinoise.mals import design_inputs
 from multinoise.moment_oracle import lift, lift_nominal
 from multinoise.presets import get_preset
@@ -24,6 +25,7 @@ from multinoise.system_model import (
     InputSchedule,
     SimulationDiverged,
     ZeroNoise,
+    beyond_limit,
     make_system,
     simulate_rollouts,
 )
@@ -220,13 +222,35 @@ def test_rls_estimate_blowup_freezes_like_reference():
         alone = _assert_rls_matches_reference(phi[r : r + 1], target[r : r + 1], cps)
         assert np.array_equal(alone[0][:, 0], out[:, r]) and alone[3][0] == freeze[r]
     # every run blows up before T with valid data: later checkpoints repeat the frozen estimates
+    phi, target = _runs_blowing_up_at_4_6_8(rng)
+    out, diverged, _, freeze = _assert_rls_matches_reference(phi, target, cps)
+    assert freeze.tolist() == [4, 6, 8] and diverged.all()
+    assert np.array_equal(out[1], out[2]) and np.array_equal(out[2], out[3])
+
+
+def _runs_blowing_up_at_4_6_8(rng):
+    """Regressors (3, 60, 3) and responses (3, 60, 2), all in range, whose estimates blow up at steps 4, 6 and 8."""
     phi = rng.standard_normal((3, 60, 3))
     target = rng.standard_normal((3, 60, 2))
     phi[:, :8] *= 1e-3
     target[np.arange(3), [3, 5, 7]] = 9e11
-    out, diverged, _, freeze = _assert_rls_matches_reference(phi, target, cps)
+    return phi, target
+
+
+def test_rls_stops_once_every_run_has_blown_up(monkeypatch):
+    phi, target = _runs_blowing_up_at_4_6_8(np.random.default_rng(1))
+    steps = []
+
+    def counting(a, axis=None):
+        if axis is None and a.shape == (3, 2, 3):  # theta_new (R, p, d), checked once per step
+            steps.append(1)
+        return beyond_limit(a, axis)
+
+    monkeypatch.setattr(baselines, "beyond_limit", counting)
+    _, diverged, _, freeze = _rls_batch(phi, target, [2, 10, 45, 60])
     assert freeze.tolist() == [4, 6, 8] and diverged.all()
-    assert np.array_equal(out[1], out[2]) and np.array_equal(out[2], out[3])
+    # the last run blows up at step 8 of 60, after which every step would be zero data
+    assert len(steps) == 8
 
 
 def test_rls_rejects_malformed_input():

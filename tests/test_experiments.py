@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,6 +75,38 @@ def test_config_accepts_numpy_integer_counts():
         {"n_r_grid": [np.int64(20), 40], "reps": np.int32(2), "seed": np.uint64(5)}
     )
     assert cfg.reps == 2 and cfg.n_r_grid == (20, 40)
+
+
+def test_numpy_integer_config_runs_like_int_config(tmp_path):
+    np_cfg = ExperimentConfig(preset="paper-4.1", input_laws=("uniform",), n_r_grid=(np.int64(20), np.uint32(40)),
+                              reps=np.int64(2), tail_grid=(np.int16(10),), tail_reps=np.int32(3),
+                              seed=np.int64(3))
+    cfg = ExperimentConfig(preset="paper-4.1", input_laws=("uniform",), n_r_grid=(20, 40), reps=2,
+                           tail_grid=(10,), tail_reps=3, seed=3)
+    for name in ("n_r_grid", "reps", "tail_grid", "tail_reps", "seed", "bound_n_r"):
+        value = getattr(np_cfg, name)
+        assert all(type(v) is int for v in (value if isinstance(value, tuple) else (value,))), name
+    for run in (run_convergence, run_tail_frequency):
+        run(np_cfg).write(tmp_path / "np")  # the summary JSON holds the config
+        run(cfg).write(tmp_path / "int")
+    for p in sorted((tmp_path / "int").glob("*.csv")):
+        assert (tmp_path / "np" / p.name).read_bytes() == p.read_bytes(), p.name
+
+
+def test_mals_accepts_numpy_integer_seeds():
+    b = get_preset("paper-4.1")
+    want = mals(b.system, b.schedule, b.init, 30, seed=5).to_json()
+    for seed in (np.int64(5), np.uint64(5), np.int32(5)):
+        assert mals(b.system, b.schedule, b.init, 30, seed=seed).to_json() == want
+
+
+def test_sweep_csvs_keep_their_pinned_bytes(tmp_path):
+    pins = json.loads((Path(__file__).parent / "csv_pins.json").read_text())
+    cfg = ExperimentConfig.from_dict(pins["config"])
+    run_convergence(cfg).write(tmp_path)
+    run_tail_frequency(cfg).write(tmp_path)
+    for name, digest in pins["sha256"].items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_cli_non_integer_count_is_a_config_error(tmp_path, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from multinoise.mals import (
+    attach_errors,
     design_inputs,
     empirical_moments,
     mals,
@@ -12,7 +13,8 @@ from multinoise.mals import (
     solve,
 )
 from multinoise.moment_oracle import lift, propagate_first, propagate_second
-from multinoise.presets import get_preset
+from multinoise import system_model
+from multinoise.presets import PRESET_NAMES, get_preset
 from multinoise.shape_ops import selection_matrices, vec
 from multinoise.system_model import (
     ROLLOUT_LEAF,
@@ -20,6 +22,7 @@ from multinoise.system_model import (
     FixedInitial,
     InputSchedule,
     RolloutSet,
+    SimulationDiverged,
     ZeroNoise,
     make_system,
     simulate_rollouts,
@@ -264,3 +267,68 @@ def test_estimation_result_json(bench_system, bench_schedule, zero_init):
     assert np.array(d["A_hat"]).shape == (2, 2)
     assert np.array(d["SigmaA_tilde_hat"]).shape == (3, 3)
     assert "lambda_min_zz" in d["diagnostics"]
+
+
+# --- stacked repetitions ----------------------------------------------------
+
+# repetition counts that do not divide ROLLOUT_LEAF; at n_r = 100 the 83
+# repetitions fill one block of 81 and start a second one
+STACK_REPS = {1: 5, 2: 7, 100: 83, LEAF: 3, LEAF + 1: 2}
+
+
+@pytest.mark.parametrize("law", ["gaussian", "uniform", "deterministic"])
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_stacked_repetitions_equal_one_call_per_seed(preset, law):
+    b = get_preset(preset).with_input_law(law)
+    for n_r, reps in STACK_REPS.items():
+        seeds = np.arange(reps, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15) + np.uint64(n_r)
+        stacked_moments = simulated_moments(b.system, b.schedule, b.init, n_r, seeds)
+        stacked = attach_errors(solve(stacked_moments), b.system)
+        for r, seed in enumerate(seeds.tolist()):
+            one = mals(b.system, b.schedule, b.init, n_r, seed=seed)
+            moments = simulated_moments(b.system, b.schedule, b.init, n_r, seed)
+            for name in ("mu", "x_t", "w", "w_p"):
+                assert np.array_equal(getattr(stacked_moments, name)[r], getattr(moments, name)), (n_r, r, name)
+            for name in ("A_hat", "B_hat", "sigma_a_tilde_hat", "sigma_b_tilde_hat"):
+                assert np.array_equal(getattr(stacked, name)[r], getattr(one, name)), (n_r, r, name)
+            for group in ("diagnostics", "errors"):
+                for key, got in getattr(stacked, group).items():
+                    assert np.array_equal(got[r], getattr(one, group)[key]), (n_r, r, key)
+
+
+def test_stacked_blocks_stay_within_the_leaf(monkeypatch):
+    rows = []
+    simulate = system_model.simulate_trajectories
+
+    def spy(system, law, init, ks, T, seed):
+        rows.append(len(ks))
+        return simulate(system, law, init, ks, T, seed)
+
+    monkeypatch.setattr(system_model, "simulate_trajectories", spy)
+    b = get_preset("paper-4.1")
+    for n_r, reps, blocks in ((100, 83, [8100, 200]), (LEAF, 3, [LEAF] * 3), (LEAF + 1, 2, [LEAF, 1, 2, LEAF, 1, 2]),
+                              (3000, 5, [6000, 6000, 3000]), (1, 3, [3])):
+        rows.clear()
+        simulated_moments(b.system, b.schedule, b.init, n_r, np.arange(reps))
+        # a lone rollout is run as two rows, which the spy sees as a second call
+        assert rows == blocks and max(rows) <= LEAF, (n_r, rows)
+
+
+def test_stacked_divergence_names_the_first_failing_repetition():
+    s = make_system([[1.25]], [[1.0]], CovarianceNoise([[1.0]], [[0.0]], law="gaussian"))
+    sched, init = design_inputs(1, 150, seed=0), FixedInitial([1.0])
+    seeds = [3, 4, 9, 6, 7]
+    messages = []
+    for seed in seeds:
+        try:
+            mals(s, sched, init, 40, seed=seed)
+        except SimulationDiverged as exc:
+            messages.append(str(exc))
+        else:
+            messages.append(None)
+    # the first failing repetition is not the first one, and a later one diverges at an earlier step
+    assert messages[:2] == [None, None] and messages[2] is not None and messages[3] is not None
+    assert messages[3] != messages[2]
+    with pytest.raises(SimulationDiverged) as exc:
+        simulated_moments(s, sched, init, 40, np.array(seeds))
+    assert str(exc.value) == messages[2]

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 import scipy.special
 import scipy.stats
 
@@ -109,3 +110,41 @@ def test_in_place_mixing_draws_equal_out_of_place_reference():
         assert np.array_equal(rs.unit_variance(seed, k, t, role, 3, "gaussian"), scipy.special.ndtri(u))
         lo, hi = scipy.special.ndtr(-1.5), scipy.special.ndtr(1.5)
         assert np.array_equal(rs.truncated_normal(seed, k, t, role, 3, 1.5), scipy.special.ndtri(lo + u * (hi - lo)))
+
+
+def test_seed_array_keys_equal_scalar_seed_keys():
+    seeds = np.array([0, 1, 2**63, 2**64 - 1, 77], dtype=np.uint64)
+    ks, ts = np.array([0, 3, 3, 9, 0]), np.array([0, 1, 40])
+    for t in (0, 7, ts):
+        got = rs.stream_keys(seeds, ks, t, rs.ROLE_NOISE_A)
+        want = np.stack([rs.stream_keys(int(s), k, t, rs.ROLE_NOISE_A) for s, k in zip(seeds, ks)], axis=-1)
+        assert np.array_equal(got, want)
+    # signed integer arrays and a one-seed array broadcast like the scalar
+    assert np.array_equal(rs.stream_keys(np.array([5, 6]), ks[:2], 2, 0),
+                          [rs.stream_keys(5, ks[0], 2, 0), rs.stream_keys(6, ks[1], 2, 0)])
+    assert np.array_equal(rs.stream_keys(np.array([5]), ks, 2, 0), rs.stream_keys(5, ks, 2, 0))
+    # the draws follow their keys
+    assert np.array_equal(rs.uniform01(seeds, ks, ts, rs.ROLE_INPUT, 3),
+                          np.stack([rs.uniform01(int(s), k, ts, rs.ROLE_INPUT, 3) for s, k in zip(seeds, ks)], axis=1))
+
+
+def test_scalar_seed_of_any_integer_type():
+    ks = np.arange(4)
+    for seed in (np.int64(5), np.int32(5), np.uint64(5), np.array(5)):
+        assert np.array_equal(rs.stream_keys(seed, ks, 1, 0), rs.stream_keys(5, ks, 1, 0))
+    # Python integers are taken mod 2^64, numpy ones too
+    assert np.array_equal(rs.stream_keys(np.int64(-1), ks, 1, 0), rs.stream_keys(2**64 - 1, ks, 1, 0))
+    assert np.array_equal(rs.stream_keys(-1, ks, 1, 0), rs.stream_keys(2**64 - 1, ks, 1, 0))
+
+
+@pytest.mark.parametrize(
+    "seed, match",
+    [
+        (np.array([1, -2, 3]), "must hold non-negative integers"),
+        (np.array([1.0, 2.0, 3.0]), "must hold non-negative integers"),
+        (np.array([1, 2]), r"seed array of shape \(2,\) does not broadcast against k \(3,\)"),
+    ],
+)
+def test_malformed_seed_arrays_are_rejected(seed, match):
+    with pytest.raises(ValueError, match=match):
+        rs.stream_keys(seed, np.arange(3), 0, 0)
