@@ -8,8 +8,9 @@ above 1 are meaningful (vacuous) and are clipped only at reporting time.
 
 Probabilities are assembled in log space so large n_r cannot underflow
 intermediate terms; covering-number prefactors like 9^(n+m) enter as
-(n+m) log 9.  Arguments outside a formula's derivation range evaluate to
-+inf (vacuous) rather than raising, except where noted.
+(n+m) log 9.  Each input is checked once, where it enters: a bound is +inf
+(vacuous) for eps <= 0, the Bernstein leaf and the Gram-inverse bound state
+their own rules, and BoundContext rejects singular Grams.
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ def constants_from_setup(system, schedule, init):
 
 @dataclass
 class BoundContext:
-    """Population quantities entering the bound formulas."""
+    """Population quantities entering the bound formulas; both Grams must be nonsingular."""
 
     n: int
     m: int
@@ -176,6 +177,10 @@ class BoundContext:
     def __post_init__(self):
         if not (0 < self.eps_max <= 1.0):
             raise ValueError("eps_max must lie in (0, 1]")
+        for lo, hi in (("lam_min_zz", "lam_max_zz"), ("lam_min_dd", "lam_max_dd")):
+            lam_min, lam_max = getattr(self, lo), getattr(self, hi)
+            if not (0 < lam_min <= lam_max):
+                raise ValueError(f"{lo} = {lam_min:.3e} must lie in (0, {hi} = {lam_max:.3e}]: singular Gram")
         if self.n + self.m > VACUOUS_DIMENSION:
             warnings.warn(
                 f"n + m = {self.n + self.m} > {VACUOUS_DIMENSION}: covering prefactors "
@@ -191,8 +196,7 @@ class BoundContext:
 def bound_context(system, schedule, init, n_r):
     """Assemble a BoundContext from population moments and boundedness constants."""
     consts = constants_from_setup(system, schedule, init)
-    x_t0 = None if getattr(init, "variant", "") == "Fixed" else svec(init.second_moment)
-    reg, _ = assemble_population(system, schedule, init.mean, x_t0)
+    reg, _ = assemble_population(system, schedule, init.mean, svec(init.second_moment))
     rep = check_excitation(reg, system.n, system.m)
     return BoundContext(
         n=system.n,
@@ -226,9 +230,9 @@ def bound_context(system, schedule, init, n_r):
 def _log_bernstein(pref_log, n_r, c2ell, eps):
     """log of pref * exp(-1.5 n_r eps^2 / (3 c2ell + eps sqrt(c2ell))).
 
-    c2ell = ell * c^2 with c the per-sample a.s. bound.  Returns -inf when the
-    noise constant vanishes (the averaged quantity is exact) and +inf for
-    nonpositive eps (outside the derivation range: vacuous).
+    c2ell = ell * c^2 with c the per-sample a.s. bound.  Returns +inf when
+    eps rounded to 0 on its way here (vacuous) and -inf when the noise
+    constant vanishes (the averaged quantity is exact).
     """
     if eps <= 0:
         return np.inf
@@ -264,8 +268,6 @@ class _Pair:
 
 
 def _log_gram_0(pair, ctx, eps):
-    if eps <= 0:
-        return np.inf
     lam = pair.lam(ctx)[1]
     return pair.deviation(ctx, np.sqrt(lam + eps) - np.sqrt(lam))
 
@@ -285,8 +287,8 @@ def _log_gram_m(pair, ctx, eps):
 
 
 def _log_gram(pair, ctx, eps):
-    # vacuous (inf) outside 0 < eps < eps_max; strictness enforced by delta_ZZ / eta_DD
-    if eps <= 0 or eps >= ctx.eps_max:
+    # vacuous (inf) for eps >= eps_max; strictness enforced by delta_ZZ / eta_DD
+    if eps >= ctx.eps_max:
         return np.inf
     lam_min, lam_max = pair.lam(ctx)
     first = _log_gram_0(pair, ctx, 0.5 * lam_min**2 * (1.0 - eps / ctx.eps_max) * eps)
@@ -296,8 +298,6 @@ def _log_gram(pair, ctx, eps):
 
 def _log_product(pair, ctx, eps):
     # the first term uses lambda_min of the regressor Gram, as in the proof
-    if eps <= 0:
-        return np.inf
     return _logsumexp(
         [
             pair.cross(ctx, pair.lam(ctx)[0] * eps / 3.0),
@@ -315,13 +315,14 @@ def _log_product(pair, ctx, eps):
 def _bound(name, log_fn, doc=None, ranged=False):
     """exp of the log-space ``log_fn``: the public bound ``name`` and its unchecked form.
 
-    A ``ranged`` bound (delta_ZZ, eta_DD) is public with ``strict=True``: it
-    raises outside 0 < eps < eps_max unless called with strict=False.  The
-    unchecked form, which the families use, is +inf (vacuous) there.
+    Both are +inf (vacuous) for eps <= 0.  A ``ranged`` bound (delta_ZZ,
+    eta_DD) is public with ``strict=True``: it raises outside
+    0 < eps < eps_max unless called with strict=False.  The unchecked form,
+    which the families use, is +inf (vacuous) there.
     """
 
     def unchecked(ctx, eps):
-        return float(np.exp(log_fn(ctx, eps)))
+        return np.inf if eps <= 0 else float(np.exp(log_fn(ctx, eps)))
 
     def checked(ctx, eps, strict=True):
         if strict and not (0 < eps < ctx.eps_max):
@@ -363,8 +364,6 @@ def _log_delta_Y(ctx, eps):
 
 
 def _log_delta_YZ(ctx, eps):
-    if eps <= 0:
-        return np.inf
     s = 0.5 * (ctx.norm_Y + ctx.norm_Z)
     return _log_delta_Y(ctx, np.sqrt(eps + s * s) - s)
 
@@ -419,8 +418,6 @@ def _log_eta_L(ctx, eps):
 
 def _log_eta_kron(ctx, eps, norm):
     """Lifted-nominal tail: norm = ||A|| for eta_A, ||B|| for eta_B."""
-    if eps <= 0:
-        return np.inf
     return _logsumexp(
         [
             _log_product(_NOMINAL, ctx, 0.5 * np.sqrt(eps)),
@@ -430,8 +427,6 @@ def _log_eta_kron(ctx, eps, norm):
 
 
 def _log_eta_AB(ctx, eps):
-    if eps <= 0:
-        return np.inf
     root = _log_product(_NOMINAL, ctx, np.sqrt(eps / 3.0))
     return _logsumexp(
         [
@@ -443,8 +438,6 @@ def _log_eta_AB(ctx, eps):
 
 
 def _log_eta_AM(ctx, eps):
-    if eps <= 0:
-        return np.inf
     return _logsumexp(
         [
             _log_eta_kron(ctx, eps / (3.0 * ctx.norm_M1), ctx.norm_A),
@@ -456,8 +449,6 @@ def _log_eta_AM(ctx, eps):
 
 
 def _log_eta_KL(ctx, eps):
-    if eps <= 0:
-        return np.inf
     return _logsumexp(
         [
             _log_eta_AB(ctx, eps / (3.0 * ctx.norm_L1)),
@@ -469,8 +460,6 @@ def _log_eta_KL(ctx, eps):
 
 
 def _log_eta_C(ctx, eps):
-    if eps <= 0:
-        return np.inf
     return _logsumexp(
         [
             _log_eta_D(ctx, eps / 5.0),
@@ -482,8 +471,6 @@ def _log_eta_C(ctx, eps):
 
 
 def _log_eta_CD(ctx, eps):
-    if eps <= 0:
-        return np.inf
     return _logsumexp(
         [
             _log_eta_C(ctx, np.sqrt(eps / 3.0)),

@@ -12,6 +12,7 @@ import csv
 import json
 import numbers
 import time
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -50,6 +51,27 @@ def _is_int(v):
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
+def _is_positive_real(v):
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and 0 < v < np.inf
+
+
+def _entries(value):
+    """The entries of a config list as a tuple; None for a string or a non-iterable."""
+    return tuple(value) if isinstance(value, Iterable) and not isinstance(value, str) else None
+
+
+def _known_names(config, field_name, known, what):
+    """Config list ``field_name`` as a tuple of names, each one of ``known``."""
+    value = getattr(config, field_name)
+    names = _entries(value)
+    if names is None:
+        raise ConfigError(f"{field_name} must be a list of names, got {value!r}")
+    for name in names:
+        if name not in known:
+            raise ConfigError(f"unknown {what} {name!r}")
+    return names
+
+
 @dataclass
 class ExperimentConfig:
     """Mirrors the JSON config file accepted by the CLI."""
@@ -78,14 +100,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.preset not in PRESET_NAMES:
             raise ConfigError(f"unknown preset {self.preset!r}; known: {', '.join(PRESET_NAMES)}")
-        for law in self.input_laws:
-            if law not in _LAWS:
-                raise ConfigError(f"unknown input law {law!r}")
+        self.input_laws = _known_names(self, "input_laws", _LAWS, "input law")
         if self.noise_law not in ("uniform", "gaussian"):
             raise ConfigError(f"unknown noise law {self.noise_law!r}")
         # numpy integers are accepted and stored as int, so seeds hash and summaries serialize alike
         for name in ("n_r_grid", "baseline_grid", "tail_grid"):
-            g = list(getattr(self, name))
+            g = _entries(getattr(self, name))
             if not g or not all(_is_int(v) and v >= 1 for v in g) or any(a >= b for a, b in zip(g, g[1:])):
                 raise ConfigError(f"{name} must be a nonempty strictly ascending list of positive integers")
             setattr(self, name, tuple(map(int, g)))
@@ -97,9 +117,11 @@ class ExperimentConfig:
         if not _is_int(self.seed):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         self.seed = int(self.seed)
-        for sys_name in self.baseline_systems:
-            if sys_name not in PRESET_NAMES:
-                raise ConfigError(f"unknown baseline system {sys_name!r}")
+        eps = _entries(self.eps_grid)
+        if eps is None or not all(_is_positive_real(v) for v in eps):
+            raise ConfigError(f"eps_grid must be a list of finite positive numbers, got {self.eps_grid!r}")
+        self.eps_grid = tuple(int(v) if _is_int(v) else float(v) for v in eps)
+        self.baseline_systems = _known_names(self, "baseline_systems", PRESET_NAMES, "baseline system")
 
     @classmethod
     def from_dict(cls, d):
@@ -107,14 +129,7 @@ class ExperimentConfig:
         unknown = set(d) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        coerced = dict(d)
-        for key in ("input_laws", "eps_grid", "baseline_systems"):  # __post_init__ makes the grids tuples
-            if key in coerced and coerced[key] is not None:
-                coerced[key] = tuple(coerced[key])
-        try:
-            return cls(**coerced)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+        return cls(**d)
 
     @classmethod
     def from_json_file(cls, path):
@@ -396,8 +411,11 @@ def run_baseline_comparison(config):
     """MALS vs single-trajectory RLS/RLSp across the benchmark systems."""
     t0 = time.perf_counter()
     grid, reps = config.baseline_grid, config.reps
-    # MALS seed index: sys_idx * 1_000_000 + gi * 10_000 + rep
-    rep_index = 10_000 * np.arange(len(grid))[:, None] + np.arange(reps)
+    # MALS seed index: sys_idx * sys_stride + gi * row_stride + rep, distinct for every
+    # (system, grid point, rep); the strides are 1_000_000 and 10_000 unless the config outgrows them
+    row_stride = max(10_000, reps)
+    sys_stride = max(1_000_000, len(grid) * row_stride)
+    rep_index = row_stride * np.arange(len(grid))[:, None] + np.arange(reps)
     raw_rows = []
     curve_tables = {}
     summary = {"config": _config_dict(config), "systems": {}}
@@ -406,7 +424,7 @@ def run_baseline_comparison(config):
         system = bundle.system
         samples = [bundle.schedule.ell * n_r for n_r in grid]
         # --- MALS on n_r rollouts of length ell
-        errs = _sweep(bundle, grid, _rep_seeds(config.seed ^ 0x88, sys_idx * 1_000_000 + rep_index))
+        errs = _sweep(bundle, grid, _rep_seeds(config.seed ^ 0x88, sys_idx * sys_stride + rep_index))
         # (err_AB, err_Sigma, diverged) per algorithm, each indexed [checkpoint, rep]
         per_alg = {"MALS": (errs["err_AB"], errs["err_Sigma"], np.zeros(rep_index.shape, dtype=bool))}
         # --- RLS (i.i.d. standard normal inputs) and RLSp (the schedule, repeated)

@@ -93,7 +93,6 @@ class PresetBundle:
     system: object
     schedule: InputSchedule
     init: object
-    base_system: object = None  # pre-embedding system for the additive preset
 
     def with_input_law(self, law):
         """Same designed moments, different sampling law around them.
@@ -104,13 +103,7 @@ class PresetBundle:
         sched = self.schedule
         ubar = np.zeros_like(sched.ubar) if law == "deterministic" else sched.ubar
         new = InputSchedule(nu=sched.nu.copy(), ubar=ubar.copy(), law=law, seed=sched.seed)
-        return PresetBundle(
-            name=self.name,
-            system=self.system,
-            schedule=new,
-            init=self.init,
-            base_system=self.base_system,
-        )
+        return PresetBundle(name=self.name, system=self.system, schedule=new, init=self.init)
 
     def equivalence(self):
         ld = lift(self.system)
@@ -140,7 +133,7 @@ def get_preset(name, noise_law="uniform"):
         base = make_system(A, B, CovarianceNoise(benchmark_sigma_a(), benchmark_sigma_b(), law=noise_law))
         system = embed_additive_noise(base, ADDITIVE_SIGMA2 * np.eye(2), law=noise_law)
         schedule = augment_schedule(design_inputs(1, 6, seed=SCHEDULE_SEED_L6))
-        return PresetBundle(name=name, system=system, schedule=schedule, init=init, base_system=base)
+        return PresetBundle(name=name, system=system, schedule=schedule, init=init)
     if name.startswith("paper-4.2-rho"):
         rest = name[len("paper-4.2-rho"):]
         nonoise = rest.endswith("-nonoise")

@@ -101,7 +101,6 @@ def _psd_factor(S, name):
 class ZeroNoise:
     """No multiplicative noise."""
 
-    kind = "Zero"
     law = "uniform"
 
     def implied_sigma_a(self, n):
@@ -125,8 +124,6 @@ class CovarianceNoise:
     unit-variance components; law "uniform" (bounded a.s.) by default,
     "gaussian" optionally (then no a.s. bound exists).
     """
-
-    kind = "EntrywiseBounded"
 
     def __init__(self, sigma_a, sigma_b, law="uniform"):
         if law not in ("uniform", "gaussian"):
@@ -172,8 +169,6 @@ class EigenStructuredNoise:
     delta_j^2; the implied covariances are rank-sum outer products of the
     vectorized directions.
     """
-
-    kind = "EigenStructured"
 
     def __init__(self, a_dirs, sigmas, b_dirs, deltas, law="uniform"):
         if law not in ("uniform", "gaussian"):
@@ -228,8 +223,6 @@ class EigenStructuredNoise:
 class FixedInitial:
     """Deterministic initial state."""
 
-    variant = "Fixed"
-
     def __init__(self, x0):
         self.x0 = np.asarray(x0, dtype=float).ravel()
         self.mean = self.x0
@@ -245,8 +238,6 @@ class FixedInitial:
 
 class UniformBoxInitial:
     """Independent per-component uniform on [center - half, center + half]."""
-
-    variant = "UniformBox"
 
     def __init__(self, center, half_width):
         self.center = np.asarray(center, dtype=float).ravel()
@@ -273,8 +264,6 @@ class TruncatedGaussianInitial:
     Componentwise truncation keeps the components independent, so the second
     moment stays closed-form: cov = L L' * var(truncnorm(radius)).
     """
-
-    variant = "TruncatedGaussian"
 
     def __init__(self, mean, cov, radius=3.0):
         from scipy.stats import truncnorm
@@ -318,7 +307,7 @@ class InputSchedule:
     ubar: np.ndarray        # (ell, m, m)
     law: str = "uniform"
     seed: int | None = None
-    _factors: np.ndarray = field(default=None, repr=False, compare=False)  # (ell, m, m)
+    _factors: np.ndarray = field(init=False, default=None, repr=False, compare=False)  # (ell, m, m)
 
     def __post_init__(self):
         self.nu = np.atleast_2d(np.asarray(self.nu, dtype=float))

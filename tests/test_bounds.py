@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -27,7 +28,14 @@ from multinoise.bounds import (
 )
 from multinoise.mals import design_inputs
 from multinoise.presets import get_preset
-from multinoise.system_model import CovarianceNoise, make_system
+from multinoise.system_model import (
+    CovarianceNoise,
+    FixedInitial,
+    InputSchedule,
+    TruncatedGaussianInitial,
+    UniformBoxInitial,
+    make_system,
+)
 
 from conftest import BENCH_A, BENCH_B, BENCH_SIGMA_A, BENCH_SIGMA_B
 
@@ -253,6 +261,51 @@ def test_context_validates_eps_max():
         _context(eps_max=1.5)
 
 
+@pytest.mark.parametrize(
+    "lam",
+    [
+        {"lam_min_zz": 0.0},
+        {"lam_min_zz": -1e-12},
+        {"lam_min_zz": 6.0},  # above lam_max_zz = 5
+        {"lam_min_zz": float("nan")},
+        {"lam_min_dd": 0.0},
+        {"lam_min_dd": 4.0},  # above lam_max_dd = 3
+        {"lam_min_dd": 0.01, "lam_max_dd": float("nan")},
+    ],
+)
+def test_context_rejects_singular_or_misordered_grams(lam):
+    with pytest.raises(ValueError, match=next(iter(lam))):
+        _context(**lam)
+
+
+def test_context_accepts_equal_gram_extremes():
+    _context(lam_min_zz=5.0, lam_max_zz=5.0, lam_min_dd=3.0, lam_max_dd=3.0)
+
+
+def test_bound_context_rejects_a_singular_gram():
+    # zero inputs from x0 = 0 keep every moment at 0, so Z Z' is exactly singular
+    b = get_preset("paper-4.1")
+    sched = InputSchedule(nu=np.zeros((4, 1)), ubar=np.zeros((4, 1, 1)), law="deterministic")
+    with pytest.raises(ValueError, match="lam_min_zz = 0.000e\\+00 must lie in"):
+        bound_context(b.system, sched, b.init, 1000)
+
+
+def test_nan_eps_gives_nan_from_every_bound():
+    b = get_preset("paper-4.1")
+    ctx = bound_context(b.system, b.schedule, b.init, 2000)
+    nan = float("nan")
+    flags = {"valid_AB", "valid_sigma"}
+    for family in (delta_family, eta_family):
+        fam = family(ctx, nan)
+        for key in set(fam) - flags:
+            kw = {"strict": False} if key in ("delta_ZZ", "eta_DD") else {}
+            assert np.isnan(fam[key]) and np.isnan(getattr(bounds, key)(ctx, nan, **kw)), key
+        assert not any(fam[f] for f in flags & set(fam))
+    for ranged in (delta_ZZ, eta_DD):
+        with pytest.raises(ValueError):
+            ranged(ctx, nan)
+
+
 def test_vacuous_dimension_warning():
     with pytest.warns(RuntimeWarning, match="vacuous"):
         _context(n=15, m=10)
@@ -269,6 +322,27 @@ def test_bound_families_match_pinned_bits():
         fam = {**delta_family(ctx, float(eps)), **eta_family(ctx, float(eps))}
         got = {k: v if isinstance(v, bool) else float(v).hex() for k, v in fam.items()}
         assert got == expected, key
+
+
+_PINNED_INITS = {
+    "FixedInitial([0.3, -0.2])": FixedInitial([0.3, -0.2]),
+    "UniformBoxInitial([0.1, -0.2], [0.3, 0.2])": UniformBoxInitial([0.1, -0.2], [0.3, 0.2]),
+    "TruncatedGaussianInitial([0.1, 0.05], [[0.04, 0.01], [0.01, 0.02]], 2.0)": (
+        TruncatedGaussianInitial([0.1, 0.05], [[0.04, 0.01], [0.01, 0.02]], 2.0)
+    ),
+}
+
+
+def test_bound_contexts_match_pinned_bits():
+    # float.hex of every BoundContext field on paper-4.1 under each initial law: every
+    # law enters the population moments through the same svec(second_moment) path
+    pins = json.loads((Path(__file__).parent / "bound_pins.json").read_text())["contexts"]
+    assert set(pins) == set(_PINNED_INITS)
+    b = get_preset("paper-4.1")
+    for label, expected in pins.items():
+        ctx = bound_context(b.system, b.schedule, _PINNED_INITS[label], 100000)
+        got = {f.name: float(getattr(ctx, f.name)).hex() for f in dataclasses.fields(ctx)}
+        assert got == expected, label
 
 
 def test_public_bounds_are_the_family_entries():

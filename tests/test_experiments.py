@@ -117,6 +117,59 @@ def test_cli_non_integer_count_is_a_config_error(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: reps must be a positive integer, got 2.5\n"
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"input_laws": 5}, "input_laws must be a list of names, got 5"),
+        ({"input_laws": "uniform"}, "input_laws must be a list of names, got 'uniform'"),
+        ({"baseline_systems": 7}, "baseline_systems must be a list of names, got 7"),
+        ({"eps_grid": 0.5}, "eps_grid must be a list of finite positive numbers, got 0.5"),
+        ({"eps_grid": ["x"]}, "eps_grid must be a list of finite positive numbers"),
+        ({"eps_grid": [[1, 2]]}, "eps_grid must be a list of finite positive numbers"),
+        ({"eps_grid": [-1, 0.5]}, "eps_grid must be a list of finite positive numbers"),
+        ({"eps_grid": [0.1, 0]}, "eps_grid must be a list of finite positive numbers"),
+        ({"eps_grid": [0.1, float("nan")]}, "eps_grid must be a list of finite positive numbers"),
+        ({"eps_grid": [0.1, float("inf")]}, "eps_grid must be a list of finite positive numbers"),
+        ({"eps_grid": [True]}, "eps_grid must be a list of finite positive numbers"),
+    ],
+    ids=["laws-int", "laws-str", "systems-int", "eps-float", "eps-str", "eps-nested", "eps-negative",
+         "eps-zero", "eps-nan", "eps-inf", "eps-bool"],
+)
+def test_cli_malformed_list_field_is_a_config_error(tmp_path, capsys, entry, message):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(entry))
+    assert main(["bounds", "--config", str(p), "--n-r", "500", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_eps_grid_keeps_ints_and_unwraps_numpy_scalars():
+    cfg = ExperimentConfig(eps_grid=[1, np.float32(0.5), np.int64(2), 0.25])
+    assert cfg.eps_grid == (1, 0.5, 2, 0.25)
+    assert [type(v) for v in cfg.eps_grid] == [int, float, int, float]
+    assert ExperimentConfig.from_dict({"input_laws": ["uniform"]}).input_laws == ("uniform",)
+
+
+@pytest.mark.parametrize("grid, reps, systems", [((1, 2), 10_001, 1), (tuple(range(1, 102)), 1, 2)])
+def test_baseline_mals_seeds_are_distinct(monkeypatch, grid, reps, systems):
+    # more than 10,000 reps, or more than 100 grid points, once gave two MALS runs one seed
+    import multinoise.experiments as ex
+
+    seen = []
+
+    def spy(bundle, grid, seeds):
+        seen.append(np.array(seeds))
+        return {key: np.zeros(np.shape(seeds)) for key in ex._ERROR_KEYS}
+
+    monkeypatch.setattr(ex, "_sweep", spy)
+    cfg = ExperimentConfig(baseline_grid=grid, reps=reps,
+                           baseline_systems=ExperimentConfig().baseline_systems[:systems])
+    run_baseline_comparison(cfg)
+    seeds = np.concatenate([s.ravel() for s in seen])
+    assert seeds.size == systems * len(grid) * reps
+    assert np.unique(seeds).size == seeds.size
+
+
 def test_config_file_roundtrip(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"preset": "paper-4.2-rho0.8", "reps": 5}))
