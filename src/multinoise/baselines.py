@@ -10,8 +10,8 @@ import numpy as np
 
 from . import rngstream as rs
 from .moment_oracle import lift_nominal
-from .shape_ops import outer_svec, outer_vec
-from .system_model import FixedInitial, beyond_limit, simulate_trajectories
+from .shape_ops import outer_svec, outer_vec, svec_dim
+from .system_model import TIME_CHUNK, FixedInitial, beyond_limit, simulate_trajectories
 
 __all__ = [
     "rls_fit",
@@ -36,44 +36,50 @@ def _rls_batch(phi, target, checkpoints):
     (|entry| > DIVERGENCE_LIMIT), or at the step whose updated estimate leaves
     it, which is rolled back.  A frozen run's data are zero from its freeze
     step on: a zero step leaves theta and the exactly symmetric P unchanged,
-    bit for bit, so every run goes through the same recursion.
+    bit for bit, so every run goes through the same recursion.  The data are
+    scanned and copied time-major TIME_CHUNK steps at a time, and the
+    recursion stops once every run has frozen.
     """
     R, T, d = phi.shape
     p = target.shape[2]
     cps = sorted(set(int(c) for c in checkpoints))
     if not cps or cps[0] < 1 or cps[-1] > T:
         raise ValueError(f"checkpoints must be a non-empty list in 1..{T}, got {list(checkpoints)}")
-    bad = beyond_limit(phi, 2) | beyond_limit(target, 2)  # (R, T)
-    freeze_step = np.where(bad.any(axis=1), bad.argmax(axis=1) + 1, T + 1)
-    stop = freeze_step.max() - 1  # every step from here on is zero data
-    live = (np.arange(stop)[:, None] < freeze_step - 1)[:, :, None]
-    phi_t = np.where(live, phi[:, :stop].swapaxes(0, 1), 0.0)  # time-major: step t is phi_t[t]
-    target_t = np.where(live, target[:, :stop].swapaxes(0, 1), 0.0)
     theta = np.zeros((R, p, d))
     P = np.tile(INIT_COV * np.eye(d), (R, 1, 1))
     out = np.empty((len(cps), R, p, d))
+    freeze_step = np.full(R, T + 1)
     nxt = t = 0
+    stop = T  # every step from here on is zero data
     while t < stop:
-        ph, y = phi_t[t], target_t[t]
-        Pph = np.einsum("rij,rj->ri", P, ph)
-        denom = 1.0 + np.einsum("ri,ri->r", ph, Pph)
-        gain = Pph / denom[:, None]
-        resid = y - np.einsum("rpd,rd->rp", theta, ph)
-        theta_new = theta + np.einsum("rp,rd->rpd", resid, gain)
-        P_new = P - np.einsum("ri,rj->rij", gain, Pph)
-        P_new = 0.5 * (P_new + P_new.swapaxes(1, 2))
-        if beyond_limit(theta_new) or beyond_limit(P_new):
-            blown = beyond_limit(theta_new, (1, 2)) | beyond_limit(P_new, (1, 2))
-            theta_new[blown], P_new[blown] = theta[blown], P[blown]
-            freeze_step[blown] = t + 1
-            phi_t[t + 1 :, blown] = 0.0
-            target_t[t + 1 :, blown] = 0.0
-            stop = freeze_step.max() - 1
-        theta, P = theta_new, P_new
-        t += 1
-        while nxt < len(cps) and cps[nxt] == t:
-            out[nxt] = theta
-            nxt += 1
+        c0, c1 = t, min(t + TIME_CHUNK, T)
+        bad = beyond_limit(phi[:, c0:c1], 2) | beyond_limit(target[:, c0:c1], 2)  # (R, c1 - c0)
+        freeze_step = np.minimum(freeze_step, np.where(bad.any(axis=1), c0 + bad.argmax(axis=1) + 1, T + 1))
+        stop = freeze_step.max() - 1
+        live = (np.arange(c0, c1)[:, None] < freeze_step - 1)[:, :, None]
+        phi_t = np.where(live, phi[:, c0:c1].swapaxes(0, 1), 0.0)  # time-major: step t is phi_t[t - c0]
+        target_t = np.where(live, target[:, c0:c1].swapaxes(0, 1), 0.0)
+        while t < c1 and t < stop:
+            ph, y = phi_t[t - c0], target_t[t - c0]
+            Pph = np.einsum("rij,rj->ri", P, ph)
+            denom = 1.0 + np.einsum("ri,ri->r", ph, Pph)
+            gain = Pph / denom[:, None]
+            resid = y - np.einsum("rpd,rd->rp", theta, ph)
+            theta_new = theta + np.einsum("rp,rd->rpd", resid, gain)
+            P_new = P - np.einsum("ri,rj->rij", gain, Pph)
+            P_new = 0.5 * (P_new + P_new.swapaxes(1, 2))
+            if beyond_limit(theta_new) or beyond_limit(P_new):
+                blown = beyond_limit(theta_new, (1, 2)) | beyond_limit(P_new, (1, 2))
+                theta_new[blown], P_new[blown] = theta[blown], P[blown]
+                freeze_step[blown] = t + 1
+                phi_t[t + 1 - c0 :, blown] = 0.0
+                target_t[t + 1 - c0 :, blown] = 0.0
+                stop = freeze_step.max() - 1
+            theta, P = theta_new, P_new
+            t += 1
+            while nxt < len(cps) and cps[nxt] == t:
+                out[nxt] = theta
+                nxt += 1
     # every run is frozen from here on: later checkpoints repeat the frozen estimates
     out[nxt:] = theta
     return out, freeze_step <= T, cps, freeze_step
@@ -96,6 +102,7 @@ def rls_fit(states, inputs, checkpoints):
         raise ValueError(f"states {states.shape} and inputs {inputs.shape} must be (R, T+1, n) and (R, T, m)")
     phi_n = np.concatenate([states[:, :-1], inputs], axis=2)
     est_n, _, cps, freeze_n = _rls_batch(phi_n, states[:, 1:], checkpoints)
+    del phi_n  # the second-moment regressors are larger; hold one set at a time
     est_2, _, _, freeze_2 = _rls_batch(*second_moment_regressors(states, inputs), checkpoints)
     sa, sb = covariance_from_fit(est_2, est_n, states.shape[2])
     return cps, est_n, sa, sb, np.minimum(freeze_n, freeze_2) <= np.array(cps)[:, None]
@@ -110,7 +117,13 @@ def second_moment_regressors(states, inputs):
     """
     states = np.asarray(states, dtype=float)
     x0, x1, u = states[..., :-1, :], states[..., 1:, :], np.asarray(inputs, dtype=float)
-    phi = np.concatenate([outer_svec(x0), outer_svec(u), outer_vec(x0, u), outer_vec(u, x0)], axis=-1)
+    n, m = x0.shape[-1], u.shape[-1]
+    nt, mt = svec_dim(n), svec_dim(m)
+    phi = np.empty(u.shape[:-1] + (nt + mt + 2 * n * m,))
+    phi[..., :nt] = outer_svec(x0)
+    phi[..., nt : nt + mt] = outer_svec(u)
+    phi[..., nt + mt : nt + mt + n * m] = outer_vec(x0, u)
+    phi[..., nt + mt + n * m :] = outer_vec(u, x0)
     return phi, outer_svec(x1)
 
 
@@ -130,10 +143,14 @@ def covariance_from_fit(fit, nominal, n):
 def rls_batch_estimates(system, input_law, T, reps, seed, checkpoints):
     """rls_fit on reps single trajectories of length T simulated from x_0 = 0.
 
-    A diverged trajectory stores x_{d-1} again as x_d (d = diverged_at), so its
-    states from d on are set to NaN: pair d-1 is then invalid, and both
-    recursions freeze after the last real transition.  Returns rls_fit's
-    (cps, nominal, sigma_a, sigma_b, frozen).
+    For several input laws, ``input_law`` and ``seed`` are sequences of equal
+    length (see simulate_single_trajectories): the runs are then stacked
+    law-major, law i's at runs i*reps .. (i+1)*reps - 1, in one simulation
+    pass and one rls_fit call, each bit for bit its one-law call.  A diverged
+    trajectory stores x_{d-1} again as x_d (d = diverged_at), so its states
+    from d on are set to NaN: pair d-1 is then invalid, and both recursions
+    freeze after the last real transition.  Returns rls_fit's (cps, nominal,
+    sigma_a, sigma_b, frozen).
     """
     states, inputs, diverged_at = simulate_single_trajectories(system, input_law, T, reps, seed)
     states[np.arange(T + 1) >= diverged_at[:, None]] = np.nan
@@ -154,6 +171,17 @@ class GaussianInputLaw:
         return rs.unit_variance(seed, ks, t, rs.ROLE_INPUT, self.m, "gaussian")
 
 
+class _LawMajor:
+    """Input laws stacked law-major: law i draws the i-th of len(laws) equal blocks of rows, with their seeds."""
+
+    def __init__(self, laws):
+        self.laws = laws
+
+    def sample(self, seed, ks, t):
+        blocks = zip(self.laws, np.split(seed, len(self.laws)), np.split(ks, len(self.laws)))
+        return np.concatenate([law.sample(s, k, t) for law, s, k in blocks], axis=-2)
+
+
 def simulate_single_trajectories(system, input_law, T, reps, seed):
     """reps independent length-T trajectories from x_0 = 0 under an input law.
 
@@ -161,6 +189,16 @@ def simulate_single_trajectories(system, input_law, T, reps, seed):
     InputSchedule, whose moments repeat with its period ell).  Unlike the
     multi-rollout simulator this records divergence instead of raising: a
     trajectory freezes at its last in-range state and diverged_at[r] is the
-    first invalid step index (T + 1 if none).
+    first invalid step index (T + 1 if none).  Several laws run in one pass
+    when ``input_law`` is a sequence of laws and ``seed`` one non-negative
+    seed per law: law i's trajectories are then rows i*reps .. (i+1)*reps - 1,
+    each row keyed by its own law's seed, so each is bit for bit what law i
+    gives alone.
     """
-    return simulate_trajectories(system, input_law, FixedInitial(np.zeros(system.n)), np.arange(reps), T, seed)
+    ks = np.arange(reps)
+    if np.ndim(seed):
+        if len(seed) != len(input_law):
+            raise ValueError(f"{len(input_law)} input laws need as many seeds, got {len(seed)}")
+        ks = np.tile(ks, len(input_law))
+        seed, input_law = np.repeat(np.asarray(seed, dtype=np.uint64), reps), _LawMajor(input_law)
+    return simulate_trajectories(system, input_law, FixedInitial(np.zeros(system.n)), ks, T, seed)

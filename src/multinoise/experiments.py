@@ -61,14 +61,16 @@ def _entries(value):
 
 
 def _known_names(config, field_name, known, what):
-    """Config list ``field_name`` as a tuple of names, each one of ``known``."""
+    """Config list ``field_name`` as a tuple of distinct names, each one of ``known``."""
     value = getattr(config, field_name)
     names = _entries(value)
     if names is None:
         raise ConfigError(f"{field_name} must be a list of names, got {value!r}")
-    for name in names:
+    for i, name in enumerate(names):
         if name not in known:
             raise ConfigError(f"unknown {what} {name!r}")
+        if name in names[:i]:
+            raise ConfigError(f"{field_name} names {name!r} more than once")
     return names
 
 
@@ -117,6 +119,8 @@ class ExperimentConfig:
         if not _is_int(self.seed):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         self.seed = int(self.seed)
+        if not isinstance(self.out, str):
+            raise ConfigError(f"out must be a directory path string, got {self.out!r}")
         eps = _entries(self.eps_grid)
         if eps is None or not all(_is_positive_real(v) for v in eps):
             raise ConfigError(f"eps_grid must be a list of finite positive numbers, got {self.eps_grid!r}")
@@ -427,18 +431,17 @@ def run_baseline_comparison(config):
         errs = _sweep(bundle, grid, _rep_seeds(config.seed ^ 0x88, sys_idx * sys_stride + rep_index))
         # (err_AB, err_Sigma, diverged) per algorithm, each indexed [checkpoint, rep]
         per_alg = {"MALS": (errs["err_AB"], errs["err_Sigma"], np.zeros(rep_index.shape, dtype=bool))}
-        # --- RLS (i.i.d. standard normal inputs) and RLSp (the schedule, repeated)
-        for alg_idx, (alg, law) in enumerate(
-            (
-                ("RLS", GaussianInputLaw(system.m)),
-                ("RLSp", bundle.schedule),
-            )
-        ):
-            alg_seed = int(_rep_seeds(config.seed ^ 0x77, sys_idx * 10 + alg_idx))
-            cps, ab, sa, sb, div = rls_batch_estimates(system, law, samples[-1], reps, alg_seed, samples)
-            assert cps == samples, "sample-count parity violated"
-            rls = attach_errors(EstimationResult(ab[..., : system.n], ab[..., system.n :], sa, sb, {}), system)
-            per_alg[alg] = (rls.errors["err_AB"], rls.errors["err_Sigma"], div)
+        # --- RLS (i.i.d. standard normal inputs) and RLSp (the schedule, repeated), simulated and fitted together
+        laws = {"RLS": GaussianInputLaw(system.m), "RLSp": bundle.schedule}
+        law_seeds = _rep_seeds(config.seed ^ 0x77, sys_idx * 10 + np.arange(len(laws)))
+        cps, ab, sa, sb, div = rls_batch_estimates(
+            system, tuple(laws.values()), samples[-1], reps, law_seeds, samples
+        )
+        assert cps == samples, "sample-count parity violated"
+        rls = attach_errors(EstimationResult(ab[..., : system.n], ab[..., system.n :], sa, sb, {}), system)
+        for i, alg in enumerate(laws):
+            runs = slice(i * reps, (i + 1) * reps)
+            per_alg[alg] = (rls.errors["err_AB"][:, runs], rls.errors["err_Sigma"][:, runs], div[:, runs])
         sys_summary = {}
         for alg, (e_ab, e_sig, div) in per_alg.items():
             curve = []

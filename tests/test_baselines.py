@@ -13,7 +13,7 @@ from multinoise.baselines import (
     second_moment_regressors,
     simulate_single_trajectories,
 )
-from multinoise import baselines
+from multinoise import baselines, system_model
 from multinoise.mals import design_inputs
 from multinoise.moment_oracle import lift, lift_nominal
 from multinoise.presets import get_preset
@@ -415,3 +415,110 @@ def test_covariance_from_fit_batch_axes_match_single_calls():
         A_t, B_t, _, _ = lift_nominal(nominal[idx][:, :n], nominal[idx][:, n:])
         assert np.array_equal(sa1, fit[idx][:, :3] - A_t)
         assert np.array_equal(sb1, fit[idx][:, 3:4] - B_t)
+
+
+# ---------------------------------------------------------------------------
+# stacking and chunking: several input laws in one pass, horizons in chunks
+
+
+_STACK_SYSTEMS = [
+    "paper-4.2-rho0.6-nonoise",
+    "paper-4.2-rho0.6",
+    "paper-4.2-rho0.8",
+    "paper-4.2-rho1.0",
+    "paper-4.1-additive",
+]
+
+
+@pytest.mark.parametrize("name", _STACK_SYSTEMS)
+def test_stacked_laws_equal_their_one_law_fits(name):
+    bundle = get_preset(name).with_input_law("gaussian")
+    system = bundle.system
+    laws = (GaussianInputLaw(system.m), bundle.schedule)
+    seeds = np.array([2**63 + 23, 5], dtype=np.uint64)
+    T, reps, cps = 1200, 3, [6, 300, 1200]
+    stacked_sim = simulate_single_trajectories(system, laws, T, reps, seeds)
+    stacked_fit = rls_batch_estimates(system, laws, T, reps, seeds, cps)
+    assert stacked_fit[0] == cps
+    for i, (law, seed) in enumerate(zip(laws, seeds)):
+        runs = slice(i * reps, (i + 1) * reps)
+        alone_sim = simulate_single_trajectories(system, law, T, reps, int(seed))
+        for a, b in zip(stacked_sim, alone_sim):
+            assert np.array_equal(a[runs], b)
+        alone_fit = rls_batch_estimates(system, law, T, reps, int(seed), cps)
+        for a, b in zip(stacked_fit[1:], alone_fit[1:]):
+            assert np.array_equal(a[:, runs], b)
+    if name == "paper-4.2-rho1.0":
+        assert (stacked_sim[2] <= T).all() and stacked_fit[-1][-1].all()  # every run froze
+
+
+def test_stacked_fit_with_an_estimate_blowup_equals_each_group_alone():
+    system = get_preset("paper-4.2-rho0.8").system
+    T, cps = 300, [2, 10, 150, 300]
+    states, inputs, _ = simulate_single_trajectories(system, GaussianInputLaw(1), T, 6, 4)
+    # run 4: tiny data under the diffuse prior, then an in-range response the estimate cannot absorb
+    states[4, :4] *= 1e-3
+    inputs[4, :4] *= 1e-3
+    states[4, 4] = 9e11
+    phi_n = np.concatenate([states[4:5, :-1], inputs[4:5]], axis=2)
+    _, _, _, freeze = _rls_batch(phi_n, states[4:5, 1:], cps)
+    assert freeze[0] == 4 and not beyond_limit(states[4]) and not beyond_limit(inputs[4])
+    stacked = rls_fit(states, inputs, cps)
+    assert stacked[-1][:, 4].tolist() == [False, True, True, True] and not stacked[-1][-1, :4].any()
+    for runs in (slice(0, 3), slice(3, 6)):
+        alone = rls_fit(states[runs], inputs[runs], cps)
+        for a, b in zip(stacked[1:], alone[1:]):
+            assert np.array_equal(a[:, runs], b)
+
+
+def test_stacked_laws_need_one_seed_each():
+    system = get_preset("paper-4.2-rho0.8").system
+    with pytest.raises(ValueError, match="2 input laws need as many seeds, got 3"):
+        simulate_single_trajectories(system, (GaussianInputLaw(1), GaussianInputLaw(1)), 10, 2, [1, 2, 3])
+
+
+@pytest.mark.parametrize(
+    "chunk",
+    [
+        lambda first, last: first - 1,  # the first freezing state is made at the first step of a chunk
+        lambda first, last: first,  # ... at the last step of a chunk
+        lambda first, last: first + 3,  # ... mid-chunk
+        lambda first, last: last - 1,  # the last trajectory freezes at the first step of a chunk
+        lambda first, last: last,  # ... at the last step of a chunk, so the next chunk draws inputs only
+        lambda first, last: system_model.TIME_CHUNK,
+    ],
+    ids=["first-opens", "first-closes", "first-mid", "last-opens", "last-closes", "module"],
+)
+def test_chunked_simulation_equals_the_whole_horizon(monkeypatch, chunk):
+    bundle = get_preset("paper-4.2-rho1.0").with_input_law("gaussian")
+    laws, seeds = (GaussianInputLaw(1), bundle.schedule), [23, 5]
+    T, reps = 1200, 3
+    with monkeypatch.context() as m:
+        m.setattr(system_model, "TIME_CHUNK", T)
+        whole = simulate_single_trajectories(bundle.system, laws, T, reps, seeds)
+    diverged_at = whole[2]
+    first, last = int(diverged_at.min()), int(diverged_at.max())
+    assert last <= T and first < last  # every trajectory freezes, at different steps
+    monkeypatch.setattr(system_model, "TIME_CHUNK", chunk(first, last))
+    chunked = simulate_single_trajectories(bundle.system, laws, T, reps, seeds)
+    for a, b in zip(chunked, whole):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_rls_bad_entry_at_a_chunk_boundary_freezes_like_reference(offset):
+    C = system_model.TIME_CHUNK
+    rng = np.random.default_rng(5)
+    T = 2 * C + 8
+    phi = rng.standard_normal((6, T, 3))
+    target = rng.standard_normal((6, T, 2))
+    at = C + offset  # 0-based data index near the first chunk boundary
+    phi[0, at, 1] = np.nan
+    target[1, at, 0] = np.inf
+    phi[2, C + at] = 2e12  # near the second boundary
+    phi[3, : at + 1] *= 1e-4  # tiny regressors, then an in-range response the estimate cannot absorb
+    target[3, at] = 9e11
+    target[4, C + at, 1] = -np.inf
+    out, diverged, _, freeze = _assert_rls_matches_reference(phi, target, [1, C - 1, C, C + 1, T])
+    assert freeze.tolist() == [at + 1, at + 1, C + at + 1, at + 1, C + at + 1, T + 1]
+    assert diverged.tolist() == [True] * 5 + [False]

@@ -109,6 +109,21 @@ def test_sweep_csvs_keep_their_pinned_bytes(tmp_path):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
+def test_baseline_csvs_keep_their_pinned_bytes(tmp_path):
+    # the config freezes runs of rho 1.0 and of the additive embedding, by diverged states and estimates
+    pins = json.loads((Path(__file__).parent / "csv_pins.json").read_text())["baselines"]
+    run_baseline_comparison(ExperimentConfig.from_dict(pins["config"])).write(tmp_path)
+    for name, digest in pins["sha256"].items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_cli_non_string_out_is_a_config_error(tmp_path, capsys):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"out": 5}))
+    assert main(["oracle", "--config", str(p)]) == 2
+    assert capsys.readouterr().err == "config error: out must be a directory path string, got 5\n"
+
+
 def test_cli_non_integer_count_is_a_config_error(tmp_path, capsys):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"preset": "paper-4.1", "input_laws": ["uniform"],
@@ -123,6 +138,9 @@ def test_cli_non_integer_count_is_a_config_error(tmp_path, capsys):
         ({"input_laws": 5}, "input_laws must be a list of names, got 5"),
         ({"input_laws": "uniform"}, "input_laws must be a list of names, got 'uniform'"),
         ({"baseline_systems": 7}, "baseline_systems must be a list of names, got 7"),
+        ({"input_laws": ["uniform", "gaussian", "uniform"]}, "input_laws names 'uniform' more than once"),
+        ({"baseline_systems": ["paper-4.2-rho0.8", "paper-4.2-rho0.8"]},
+         "baseline_systems names 'paper-4.2-rho0.8' more than once"),
         ({"eps_grid": 0.5}, "eps_grid must be a list of finite positive numbers, got 0.5"),
         ({"eps_grid": ["x"]}, "eps_grid must be a list of finite positive numbers"),
         ({"eps_grid": [[1, 2]]}, "eps_grid must be a list of finite positive numbers"),
@@ -132,8 +150,8 @@ def test_cli_non_integer_count_is_a_config_error(tmp_path, capsys):
         ({"eps_grid": [0.1, float("inf")]}, "eps_grid must be a list of finite positive numbers"),
         ({"eps_grid": [True]}, "eps_grid must be a list of finite positive numbers"),
     ],
-    ids=["laws-int", "laws-str", "systems-int", "eps-float", "eps-str", "eps-nested", "eps-negative",
-         "eps-zero", "eps-nan", "eps-inf", "eps-bool"],
+    ids=["laws-int", "laws-str", "systems-int", "laws-repeated", "systems-repeated", "eps-float", "eps-str",
+         "eps-nested", "eps-negative", "eps-zero", "eps-nan", "eps-inf", "eps-bool"],
 )
 def test_cli_malformed_list_field_is_a_config_error(tmp_path, capsys, entry, message):
     p = tmp_path / "cfg.json"
