@@ -667,7 +667,8 @@ def simulate_trajectories(system, input_law, init, ks, T, seed):
         c1 = min(c0 + TIME_CHUNK, T)
         ts = np.arange(c0, c1)
         u = input_law.sample(seed, ks, ts)  # (c1 - c0, len(ks), m)
-        if alive.any():
+        live = alive.any()
+        if live:
             Abar, Bbar = system.noise.sample(seed, ks, ts, n, m)
         if states is None:
             # allocated after the first draws: allocated before them, a rollout
@@ -676,7 +677,7 @@ def simulate_trajectories(system, input_law, init, ks, T, seed):
             inputs = np.empty((len(ks), T, m))
             states[:, 0, :] = x
         inputs[:, c0:c1] = u.swapaxes(0, 1)
-        if not alive.any():
+        if not live:
             continue
         _check_noise_bound(system, Abar, Bbar)
         Bu = np.einsum("tkij,tkj->tki", Bbar, u)
