@@ -8,9 +8,13 @@ above 1 are meaningful (vacuous) and are clipped only at reporting time.
 
 Probabilities are assembled in log space so large n_r cannot underflow
 intermediate terms; covering-number prefactors like 9^(n+m) enter as
-(n+m) log 9.  Each input is checked once, where it enters: a bound is +inf
-(vacuous) for eps <= 0, the Bernstein leaf and the Gram-inverse bound state
-their own rules, and BoundContext rejects singular Grams.
+(n+m) log 9.  The log-space functions are elementwise over an array of
+deviation levels eps (n_r stays a context field), so ``bound_curves``
+evaluates a bound over a whole eps grid in one pass, and each scalar bound is
+the one-eps case of the same code, bit for bit.  Each input is checked once,
+where it enters, as a mask: a bound is +inf (vacuous) for eps <= 0, the
+Bernstein leaf and the Gram-inverse bound state their own rules, and
+BoundContext rejects singular Grams.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ __all__ = [
     "constants_from_setup",
     "BoundContext",
     "bound_context",
+    "bound_curves",
     "delta_family",
     "eta_family",
     "ab_validity_limit",
@@ -228,28 +233,29 @@ def bound_context(system, schedule, init, n_r):
 
 
 def _log_bernstein(pref_log, n_r, c2ell, eps):
-    """log of pref * exp(-1.5 n_r eps^2 / (3 c2ell + eps sqrt(c2ell))).
+    """log of pref * exp(-1.5 n_r eps^2 / (3 c2ell + eps sqrt(c2ell))), elementwise.
 
-    c2ell = ell * c^2 with c the per-sample a.s. bound.  Returns +inf when
-    eps rounded to 0 on its way here (vacuous) and -inf when the noise
-    constant vanishes (the averaged quantity is exact).
+    c2ell = ell * c^2 with c the per-sample a.s. bound.  +inf where eps
+    rounded to 0 on its way here (vacuous); -inf where it did not when the
+    noise constant vanishes (the averaged quantity is exact).
     """
-    if eps <= 0:
-        return np.inf
     if c2ell <= 0.0:
-        return -np.inf
+        return np.where(eps <= 0, np.inf, -np.inf)
     denom = 3.0 * c2ell + eps * np.sqrt(c2ell)
-    return pref_log - 1.5 * n_r * eps * eps / denom
+    return np.where(eps <= 0, np.inf, pref_log - 1.5 * n_r * eps * eps / denom)
 
 
-def _logsumexp(vals):
-    vals = np.asarray(vals, dtype=float)
-    if np.any(np.isposinf(vals)):
-        return np.inf
-    hi = np.max(vals)
-    if hi == -np.inf:
-        return -np.inf
-    return hi + np.log(np.sum(np.exp(vals - hi)))
+def _logsumexp(terms):
+    """log sum exp of equal-shape terms, elementwise: +inf if any term is, -inf if all are.
+
+    The terms are stacked on a new leading axis, which numpy reduces in order,
+    so each element sums its (at most four) terms as a scalar sum would.
+    """
+    vals = np.array(terms)
+    hi = vals.max(axis=0)
+    out = hi + np.log(np.exp(vals - hi).sum(axis=0))
+    out = np.where(hi == -np.inf, -np.inf, out)
+    return np.where((vals == np.inf).any(axis=0), np.inf, out)
 
 
 # ---------------------------------------------------------------------------
@@ -272,28 +278,36 @@ def _log_gram_0(pair, ctx, eps):
     return pair.deviation(ctx, np.sqrt(lam + eps) - np.sqrt(lam))
 
 
+def _log_covers(pair, ctx):
+    """log covering prefactors of the _1 and _2 Gram bounds: dim log 9, dim log(16 kappa + 1)."""
+    lam_min, lam_max = pair.lam(ctx)
+    ratio = 16.0 * lam_max / lam_min + 1.0
+    return pair.dim(ctx) * _LOG9, pair.dim(ctx) * np.log(ratio)
+
+
 def _log_gram_1(pair, ctx, eps):
-    return pair.dim(ctx) * _LOG9 + _log_gram_0(pair, ctx, eps)
+    return _log_covers(pair, ctx)[0] + _log_gram_0(pair, ctx, eps)
 
 
 def _log_gram_2(pair, ctx, eps):
-    lam_min, lam_max = pair.lam(ctx)
-    ratio = 16.0 * lam_max / lam_min + 1.0
-    return pair.dim(ctx) * np.log(ratio) + _log_gram_0(pair, ctx, eps)
+    return _log_covers(pair, ctx)[1] + _log_gram_0(pair, ctx, eps)
 
 
 def _log_gram_m(pair, ctx, eps):
-    return _logsumexp([_log_gram_1(pair, ctx, eps), _log_gram_2(pair, ctx, eps)])
+    g0 = _log_gram_0(pair, ctx, eps)
+    return _logsumexp([cover + g0 for cover in _log_covers(pair, ctx)])
 
 
 def _log_gram(pair, ctx, eps):
-    # vacuous (inf) for eps >= eps_max; strictness enforced by delta_ZZ / eta_DD
-    if eps >= ctx.eps_max:
-        return np.inf
+    """Gram-inverse deviation; vacuous (+inf) for eps >= eps_max.
+
+    Not monotone in eps: the first term's argument 0.5 lam_min^2 (1 - eps/eps_max) eps
+    peaks at eps_max / 2, so the bound rises again on (eps_max / 2, eps_max).
+    """
     lam_min, lam_max = pair.lam(ctx)
     first = _log_gram_0(pair, ctx, 0.5 * lam_min**2 * (1.0 - eps / ctx.eps_max) * eps)
     second = _log_gram_m(pair, ctx, eps * lam_min / (ctx.eps_max * (2.0 + lam_min / lam_max)))
-    return _logsumexp([first, second])
+    return np.where(eps >= ctx.eps_max, np.inf, _logsumexp([first, second]))
 
 
 def _log_product(pair, ctx, eps):
@@ -312,8 +326,22 @@ def _log_product(pair, ctx, eps):
 # public bounds: one table of log-space bounds per family
 
 
+#: Every bound of both tables: name -> log-space function (filled by _family).
+_LOG_BOUNDS = {}
+
+
+def _curve(log_fn, ctx, eps):
+    """exp of the log-space ``log_fn`` over the eps array; +inf (vacuous) where eps <= 0.
+
+    Masked entries still run through the formulas, so their invalid-value and
+    divide-by-zero warnings are silenced here, once.
+    """
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(eps <= 0, np.inf, np.exp(log_fn(ctx, eps)))
+
+
 def _bound(name, log_fn, doc=None, ranged=False):
-    """exp of the log-space ``log_fn``: the public bound ``name`` and its unchecked form.
+    """The public scalar bound ``name`` and its unchecked form: the one-eps case of ``_curve``.
 
     Both are +inf (vacuous) for eps <= 0.  A ``ranged`` bound (delta_ZZ,
     eta_DD) is public with ``strict=True``: it raises outside
@@ -322,7 +350,7 @@ def _bound(name, log_fn, doc=None, ranged=False):
     """
 
     def unchecked(ctx, eps):
-        return np.inf if eps <= 0 else float(np.exp(log_fn(ctx, eps)))
+        return float(_curve(log_fn, ctx, np.asarray(eps, dtype=float)))
 
     def checked(ctx, eps, strict=True):
         if strict and not (0 < eps < ctx.eps_max):
@@ -343,6 +371,7 @@ def _family(kind, table, flag, limit):
         public, unchecked = _bound(name, *spec)
         globals()[name] = public
         __all__.append(name)
+        _LOG_BOUNDS[name] = spec[0]
         entries.append((name, unchecked))
 
     def family(ctx, eps):
@@ -353,6 +382,18 @@ def _family(kind, table, flag, limit):
     family.__name__ = family.__qualname__ = f"{kind}_family"
     family.__doc__ = f"All {kind} bounds at one deviation level; values may exceed 1."
     return family
+
+
+def bound_curves(ctx, eps, names):
+    """The named bounds of either family over an array of deviation levels, in one pass.
+
+    Returns {name: float array shaped like eps}.  Element i is, bit for bit,
+    the public scalar bound ``name(ctx, eps[i])`` (delta_ZZ and eta_DD as with
+    strict=False: +inf outside 0 < eps < eps_max).  Only the named bounds are
+    computed; values may exceed 1.
+    """
+    eps = np.asarray(eps, dtype=float)
+    return {name: _curve(_LOG_BOUNDS[name], ctx, eps) for name in names}
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +425,13 @@ _DELTA = (
     ("delta_1", partial(_log_gram_1, _NOMINAL)),
     ("delta_2", partial(_log_gram_2, _NOMINAL)),
     ("delta_m", partial(_log_gram_m, _NOMINAL)),
-    ("delta_ZZ", partial(_log_gram, _NOMINAL), "Gram-inverse deviation bound; needs 0 < eps < eps_max.", True),
+    (
+        "delta_ZZ",
+        partial(_log_gram, _NOMINAL),
+        "Gram-inverse deviation bound; needs 0 < eps < eps_max.  Non-increasing in eps\n"
+        "only on (0, eps_max / 2]: it rises again on (eps_max / 2, eps_max).",
+        True,
+    ),
     (
         "delta_AB",
         partial(_log_product, _NOMINAL),
@@ -502,7 +549,13 @@ _ETA = (
     ("eta_CD", _log_eta_CD),
     ("eta_0", partial(_log_gram_0, _COVARIANCE)),
     ("eta_m", partial(_log_gram_m, _COVARIANCE)),
-    ("eta_DD", partial(_log_gram, _COVARIANCE), None, True),
+    (
+        "eta_DD",
+        partial(_log_gram, _COVARIANCE),
+        "Gram-inverse deviation bound of D D'; needs 0 < eps < eps_max.  Non-increasing\n"
+        "in eps only on (0, eps_max / 2]: it rises again on (eps_max / 2, eps_max).",
+        True,
+    ),
     ("eta", partial(_log_product, _COVARIANCE), "Spectral-error tail bound for the reduced-covariance estimate."),
 )
 
@@ -532,10 +585,16 @@ def epsilon_Y_closed_form(ctx, delta):
 
 
 def invert_bound(fn, delta, hi=None, lo=0.0, rel_tol=1e-10, max_iter=400):
-    """Solve fn(eps) = delta by bisection; fn monotone decreasing.
+    """Solve fn(eps) = delta by bisection; fn must be non-increasing on [lo, hi].
 
-    ``hi`` caps the search at the end of the bound's validity interval; when
-    omitted the interval is grown by doubling until fn drops below delta.
+    Every bound is non-increasing in n_r, but not every bound is in eps:
+    delta_ZZ and eta_DD are non-increasing only on (0, eps_max / 2] and rise
+    again on (eps_max / 2, eps_max), and delta_AB, eta and the composite eta
+    bounds (eta_A to eta_CD) evaluate that Gram-inverse term at arguments that
+    grow with eps, so each is non-increasing only until one of those arguments
+    reaches eps_max / 2.  The bounds without that term are non-increasing for
+    all eps > 0.  ``hi`` caps the search; when omitted the interval is grown
+    by doubling until fn drops below delta.
     """
     if delta <= 0:
         raise ValueError("target delta must be positive")

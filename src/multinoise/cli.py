@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import bound_context, delta_family, eta_family
+from .bounds import bound_context, bound_curves
 from .experiments import (
     ConfigError,
     ExperimentConfig,
@@ -143,14 +143,12 @@ def cmd_bounds(args):
     ctx = bound_context(bundle.system, bundle.schedule, bundle.init, int(n_r))
     eps_grid = np.asarray(config.eps_grid, dtype=float) if config.eps_grid else np.geomspace(0.05, 5.0, 10)
     outdir = _outdir(config)
-    for name, family, columns in (
-        ("delta_bounds.csv", delta_family, ["delta_Y", "delta_YZ", "delta_ZZ", "delta_AB"]),
-        ("eta_bounds.csv", eta_family, ["eta_D", "eta_C", "eta_CD", "eta_DD", "eta"]),
+    for name, columns in (
+        ("delta_bounds.csv", ["delta_Y", "delta_YZ", "delta_ZZ", "delta_AB"]),
+        ("eta_bounds.csv", ["eta_D", "eta_C", "eta_CD", "eta_DD", "eta"]),
     ):
-        rows = []
-        for eps in eps_grid:
-            fam = family(ctx, float(eps))
-            rows.append([eps] + [fam[c] for c in columns])
+        curves = bound_curves(ctx, eps_grid, columns)
+        rows = np.column_stack([eps_grid] + [curves[c] for c in columns])
         write_table(outdir / name, ["epsilon"] + columns, rows)
     print(f"wrote {outdir}/delta_bounds.csv and {outdir}/eta_bounds.csv")
     return 0

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import rngstream as rs
 from .baselines import GaussianInputLaw, rls_batch_estimates
-from .bounds import bound_context, delta_AB, eta
+from .bounds import bound_context, bound_curves
 from .identifiability import sigma_from_class
 from .mals import EstimationResult, attach_errors, mals, simulated_moments, solve
 from .moment_oracle import propagate_second, propagate_second_reduced
@@ -333,11 +333,12 @@ def _bound_envelope(config, bundle, errs, grid):
     ctx0 = bound_context(bundle.system, bundle.schedule, bundle.init, grid[0])
     for gi, n_r in enumerate(grid):
         ctx = ctx0.with_rollouts(n_r)
-        for key, fn in (("err_AB", delta_AB), ("err_Sigma", eta)):
+        for key, bound in (("err_AB", "delta_AB"), ("err_Sigma", "eta")):
             base = float(np.median(errs[key][0]))
-            for eps in np.geomspace(0.5 * base, 8.0 * base, 10):
+            eps_grid = np.geomspace(0.5 * base, 8.0 * base, 10)
+            for eps, value in zip(eps_grid, bound_curves(ctx, eps_grid, [bound])[bound]):
                 freq = float(np.mean(errs[key][gi] >= eps))
-                bound_val = min(1.0, fn(ctx, float(eps)))
+                bound_val = min(1.0, float(value))
                 rows.append([key, n_r, eps, freq, bound_val, int(freq <= bound_val)])
     return (["metric", "n_r", "epsilon", "frequency", "bound", "holds"], rows)
 

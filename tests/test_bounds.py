@@ -11,6 +11,7 @@ from multinoise.bounds import (
     SystemBoundConstants,
     ab_validity_limit,
     bound_context,
+    bound_curves,
     constants_from_setup,
     delta_AB,
     delta_family,
@@ -25,9 +26,10 @@ from multinoise.bounds import (
     eta_family,
     invert_bound,
     boundedness_constants,
+    sigma_validity_limit,
 )
 from multinoise.mals import design_inputs
-from multinoise.presets import get_preset
+from multinoise.presets import PRESET_NAMES, get_preset
 from multinoise.system_model import (
     CovarianceNoise,
     FixedInitial,
@@ -365,3 +367,91 @@ def test_public_bounds_are_the_family_entries():
                     keys.add(key)
     listed = {n for n in bounds.__all__ if n.startswith(("delta", "eta")) and not n.endswith("_family")}
     assert listed == keys
+
+
+# --- eps grids in one pass -------------------------------------------------------------
+
+_BOUND_NAMES = [n for n in bounds.__all__ if n.startswith(("delta", "eta")) and not n.endswith("_family")]
+_RANGED = ("delta_ZZ", "eta_DD")
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_bound_curves_equal_the_scalar_bounds(preset):
+    # each element of a curve is the scalar bound at that eps, bit for bit, including
+    # the masked entries: eps <= 0, NaN, eps at and around eps_max, past both validity limits
+    b = get_preset(preset, noise_law="uniform")
+    ctx0 = bound_context(b.system, b.schedule, b.init, 100)
+    em = ctx0.eps_max
+    eps = np.array([
+        -1.0, 0.0, np.nan, 1e-300, 0.05, 0.5, em * (1 - 1e-7), em, em * (1 + 1e-7), 2.5,
+        1.001 * ab_validity_limit(ctx0), 1.001 * sigma_validity_limit(ctx0),
+    ])
+    for n_r in (100, 2000, 10**6, 10**20):
+        ctx = ctx0.with_rollouts(n_r)
+        curves = bound_curves(ctx, eps, _BOUND_NAMES)
+        assert list(curves) == _BOUND_NAMES
+        for name in _BOUND_NAMES:
+            kw = {"strict": False} if name in _RANGED else {}
+            scalar = [getattr(bounds, name)(ctx, float(e), **kw).hex() for e in eps]
+            assert [float(v).hex() for v in curves[name]] == scalar, (preset, n_r, name)
+
+
+def _random_context(rng):
+    lam_min_zz, lam_min_dd = 10 ** rng.uniform(-3, 0, 2)
+    wide = ("norm_Y", "norm_Z", "norm_C", "norm_D", "norm_M1", "norm_L1", "norm_U", "c_n", "c_f", "c_w")
+    return _context(
+        n=int(rng.integers(1, 4)), m=int(rng.integers(1, 3)), ell=int(rng.integers(1, 8)),
+        eps_max=rng.uniform(0.2, 1.0),
+        lam_min_zz=lam_min_zz, lam_max_zz=lam_min_zz * 10 ** rng.uniform(0, 3),
+        lam_min_dd=lam_min_dd, lam_max_dd=lam_min_dd * 10 ** rng.uniform(0, 3),
+        norm_A=10 ** rng.uniform(-1, 0.5), norm_B=10 ** rng.uniform(-1, 0.5),
+        **{name: 10 ** rng.uniform(-1, 1) for name in wide},
+    )
+
+
+def test_every_bound_is_non_increasing_in_n_r():
+    rng = np.random.default_rng(5)
+    eps = np.geomspace(1e-4, 30.0, 60)
+    for _ in range(10):
+        ctx = _random_context(rng)
+        curves = [
+            bound_curves(ctx.with_rollouts(n_r), eps, _BOUND_NAMES) for n_r in (10, 10**3, 10**8, 10**20, 10**30)
+        ]
+        for name in _BOUND_NAMES:
+            vals = np.array([c[name] for c in curves])
+            assert np.all(vals[1:] <= vals[:-1]), name
+
+
+def test_bounds_are_non_increasing_in_eps_while_every_gram_term_stays_below_half_eps_max(monkeypatch):
+    # The Gram-inverse bound's first term has argument 0.5 lam_min^2 (1 - x/eps_max) x,
+    # which peaks at x = eps_max / 2, so delta_ZZ and eta_DD rise again on (eps_max / 2,
+    # eps_max).  delta_AB, eta and the composite eta bounds evaluate that term at
+    # arguments growing with eps, so each is non-increasing up to the eps at which one
+    # of them reaches eps_max / 2; the bounds without it are non-increasing for all eps.
+    reach = {}
+    log_gram = bounds._log_gram
+
+    def recording(pair, ctx, x):
+        reach["max"] = np.maximum(reach["max"], x / ctx.eps_max)
+        return log_gram(pair, ctx, x)
+
+    monkeypatch.setattr(bounds, "_log_gram", recording)  # what _log_product calls
+    rng = np.random.default_rng(29)
+    eps = np.geomspace(1e-4, 30.0, 400)
+    for _ in range(30):
+        ctx = _random_context(rng)
+        for name in _BOUND_NAMES:
+            reach["max"] = eps / ctx.eps_max if name in _RANGED else np.zeros_like(eps)
+            vals = bound_curves(ctx, eps, [name])[name]
+            calm = reach["max"] <= 0.5
+            assert np.all(calm[:-1] >= calm[1:]), name  # a prefix of the grid
+            assert np.all(vals[1:][calm[1:]] <= vals[:-1][calm[1:]]), name
+
+
+def test_gram_inverse_bounds_rise_again_past_half_eps_max():
+    b = get_preset("paper-4.1")
+    ctx = bound_context(b.system, b.schedule, b.init, 10**20)
+    zz = bound_curves(ctx, [0.01, 0.5, 0.99], ["delta_ZZ"])["delta_ZZ"]
+    assert zz[0] > 0.9 and zz[1] == 0.0 and zz[2] > 0.9
+    dd = bound_curves(ctx.with_rollouts(10**24), [0.495, 0.545], ["eta_DD"])["eta_DD"]
+    assert 6.9 < dd[0] < dd[1] < 7.0

@@ -5,14 +5,16 @@ so every one of them must resolve.
 """
 
 import ast
+import contextlib
 import importlib.util
+import io
 import sys
 import types
 from pathlib import Path
 
 import numpy as np
 
-from multinoise import baselines
+from multinoise import baselines, cli, experiments
 from multinoise.presets import get_preset
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -90,3 +92,31 @@ def test_traced_rls_reports_its_steps_and_frozen_runs():
     plain = baselines.rls_batch_estimates(system, law, T, reps, seed, [T])
     for a, b in zip(traced, plain):
         assert np.array_equal(a, b)
+
+
+def test_traced_bound_grids_complete_and_match_untraced_runs(tmp_path):
+    # the tracer reads a float from every bounds.delta*/eta* result, so the eps-grid
+    # evaluations of the bounds command and the tail envelope must not go through those names
+    layertrace = _load("layertrace")
+    _load("workloads")
+    config = experiments.ExperimentConfig(
+        preset="paper-4.1", input_laws=("uniform",), tail_grid=(50, 100), tail_reps=10, seed=3
+    )
+
+    def run(out):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["bounds", "--preset", "paper-4.1", "--out", str(out / "bounds")])
+        experiments.run_tail_frequency(config, with_bounds=True).write(out / "tail")
+        return code, {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*.csv"))}
+
+    tracer = layertrace.Tracer()
+    tracer.install()
+    try:
+        traced = run(tmp_path / "traced")
+    finally:
+        tracer.uninstall()
+    metrics = layertrace.layer_metrics(tracer.spans, 1.0)
+    assert metrics["cli.commands"] == 1 and metrics["bounds.context_s"] > 0
+    assert traced[0] == 0
+    assert len(traced[1]) == 4  # delta/eta bounds, tail frequencies, bound envelope
+    assert traced == run(tmp_path / "plain")
