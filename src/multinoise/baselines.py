@@ -22,66 +22,48 @@ __all__ = [
     "simulate_single_trajectories",
 ]
 
-#: Diffuse-prior initialization for the information matrix, P0 = INIT_COV * I.
+#: Diffuse ridge prior: every run's information factor starts as I / sqrt(INIT_COV),
+#: so each row of theta has prior covariance INIT_COV * I.
 INIT_COV = 1e6
 
 
 def _rls_batch(phi, target, checkpoints):
-    """Unit-forgetting RLS over batched trajectories, frozen on divergence.
+    """Unit-forgetting RLS over batched trajectories, in square-root information form.
 
     phi: (R, T, d) regressors, target: (R, T, p) responses.  Returns
     (estimates at checkpoints: (len(cp), R, p, d), diverged: (R,), cps,
     freeze_step: (R,), the 1-based step of each run's freeze, T + 1 if none).
-    A run freezes at its first regressor or response outside the finite range
-    (|entry| > DIVERGENCE_LIMIT), or at the step whose updated estimate leaves
-    it, which is rolled back.  A frozen run's data are zero from its freeze
-    step on: a zero step leaves theta and the exactly symmetric P unchanged,
-    bit for bit, so every run goes through the same recursion.  The data are
-    scanned and copied time-major TIME_CHUNK steps at a time, and the
-    recursion stops once every run has frozen.
+    Each run keeps the upper-triangular factor S (d+p, d+p) of its data so far
+    stacked under the prior, [I/sqrt(INIT_COV) 0; Phi Y], and S takes one
+    batched QR per segment of data: the TIME_CHUNK windows, split at the
+    checkpoints.  At a checkpoint theta' solves S11 theta' = S12, the exact
+    ridge estimate.  A run freezes at its first regressor or response outside
+    the finite range (|entry| > DIVERGENCE_LIMIT), and its rows are zero from
+    there on.  Zero rows leave S unchanged bit for bit (a Householder step
+    with nothing below the diagonal is the identity), and each factor in the
+    stack is updated apart from the others, so a run's estimates do not
+    depend on its stack.  The QR updates stop once every run has frozen.
     """
     R, T, d = phi.shape
     p = target.shape[2]
     cps = sorted(set(int(c) for c in checkpoints))
     if not cps or cps[0] < 1 or cps[-1] > T:
         raise ValueError(f"checkpoints must be a non-empty list in 1..{T}, got {list(checkpoints)}")
-    theta = np.zeros((R, p, d))
-    P = np.tile(INIT_COV * np.eye(d), (R, 1, 1))
+    S = np.zeros((R, d + p, d + p))
+    S[:, :d, :d] = np.eye(d) / np.sqrt(INIT_COV)
     out = np.empty((len(cps), R, p, d))
     freeze_step = np.full(R, T + 1)
-    nxt = t = 0
-    stop = T  # every step from here on is zero data
-    while t < stop:
-        c0, c1 = t, min(t + TIME_CHUNK, T)
-        bad = beyond_limit(phi[:, c0:c1], 2) | beyond_limit(target[:, c0:c1], 2)  # (R, c1 - c0)
-        freeze_step = np.minimum(freeze_step, np.where(bad.any(axis=1), c0 + bad.argmax(axis=1) + 1, T + 1))
-        stop = freeze_step.max() - 1
-        live = (np.arange(c0, c1)[:, None] < freeze_step - 1)[:, :, None]
-        phi_t = np.where(live, phi[:, c0:c1].swapaxes(0, 1), 0.0)  # time-major: step t is phi_t[t - c0]
-        target_t = np.where(live, target[:, c0:c1].swapaxes(0, 1), 0.0)
-        while t < c1 and t < stop:
-            ph, y = phi_t[t - c0], target_t[t - c0]
-            Pph = np.einsum("rij,rj->ri", P, ph)
-            denom = 1.0 + np.einsum("ri,ri->r", ph, Pph)
-            gain = Pph / denom[:, None]
-            resid = y - np.einsum("rpd,rd->rp", theta, ph)
-            theta_new = theta + np.einsum("rp,rd->rpd", resid, gain)
-            P_new = P - np.einsum("ri,rj->rij", gain, Pph)
-            P_new = 0.5 * (P_new + P_new.swapaxes(1, 2))
-            if beyond_limit(theta_new) or beyond_limit(P_new):
-                blown = beyond_limit(theta_new, (1, 2)) | beyond_limit(P_new, (1, 2))
-                theta_new[blown], P_new[blown] = theta[blown], P[blown]
-                freeze_step[blown] = t + 1
-                phi_t[t + 1 - c0 :, blown] = 0.0
-                target_t[t + 1 - c0 :, blown] = 0.0
-                stop = freeze_step.max() - 1
-            theta, P = theta_new, P_new
-            t += 1
-            while nxt < len(cps) and cps[nxt] == t:
-                out[nxt] = theta
-                nxt += 1
-    # every run is frozen from here on: later checkpoints repeat the frozen estimates
-    out[nxt:] = theta
+    a = 0
+    for b in sorted(set(range(TIME_CHUNK, T, TIME_CHUNK)).union(cps, [T])):
+        if a < freeze_step.max() - 1:  # else every run is frozen: the rest is zero data
+            bad = beyond_limit(phi[:, a:b], 2) | beyond_limit(target[:, a:b], 2)  # (R, b - a)
+            freeze_step = np.minimum(freeze_step, np.where(bad.any(axis=1), a + bad.argmax(axis=1) + 1, T + 1))
+            rows = np.concatenate([phi[:, a:b], target[:, a:b]], axis=2)
+            rows[np.arange(a, b) >= freeze_step[:, None] - 1] = 0.0
+            S = np.linalg.qr(np.concatenate([S, rows], axis=1), mode="r")
+        if b in cps:
+            out[cps.index(b)] = np.linalg.solve(S[:, :d, :d], S[:, :d, d:]).swapaxes(1, 2)
+        a = b
     return out, freeze_step <= T, cps, freeze_step
 
 

@@ -13,10 +13,11 @@ from multinoise.baselines import (
     second_moment_regressors,
     simulate_single_trajectories,
 )
-from multinoise import baselines, system_model
+from multinoise import system_model
 from multinoise.mals import design_inputs
 from multinoise.moment_oracle import lift, lift_nominal
 from multinoise.presets import get_preset
+from multinoise.shape_ops import svec_dim
 from multinoise.system_model import (
     DIVERGENCE_LIMIT,
     CovarianceNoise,
@@ -37,8 +38,8 @@ A_MARGINAL = np.array([[1.0, 0.2], [0.0, 1.0]])
 
 
 # ---------------------------------------------------------------------------
-# reference oracles: the plain per-step forms of the simulator and of the RLS
-# recursion; the library versions must reproduce them bit for bit
+# reference oracles: the plain per-step simulator, which the library must
+# reproduce bit for bit, and per-run ridge least squares for the RLS fits
 
 
 def _ref_too_big(a, axis):
@@ -72,39 +73,36 @@ def _ref_simulate(system, input_law, T, reps, seed):
     return states, inputs, diverged_at
 
 
-def _ref_rls_batch(phi, target, checkpoints):
+def _ref_freeze_steps(phi, target):
+    """The data rule one step at a time: each run's 1-based first step with an out-of-range entry, T + 1 if none."""
+    R, T, _ = phi.shape
+    freeze = np.full(R, T + 1, dtype=int)
+    for t in range(T):
+        bad = (freeze == T + 1) & (_ref_too_big(phi[:, t], 1) | _ref_too_big(target[:, t], 1))
+        freeze[bad] = t + 1
+    return freeze
+
+
+def _ref_ridge(phi, target, checkpoints):
+    """Per-run ridge least squares on [I/sqrt(INIT_COV); Phi] over the steps before each run's freeze."""
     R, T, d = phi.shape
     p = target.shape[2]
-    theta = np.zeros((R, p, d))
-    P = np.tile(INIT_COV * np.eye(d), (R, 1, 1))
-    alive = np.ones(R, dtype=bool)
-    freeze_step = np.full(R, T + 1, dtype=int)
     cps = sorted(set(int(c) for c in checkpoints))
+    freeze = _ref_freeze_steps(phi, target)
     out = np.empty((len(cps), R, p, d))
-    nxt = 0
-    for t in range(T):
-        bad = _ref_too_big(phi[:, t, :], 1) | _ref_too_big(target[:, t, :], 1)
-        freeze_step[alive & bad] = t + 1
-        alive &= ~bad
-        ph = np.where(alive[:, None], phi[:, t, :], 0.0)
-        y = np.where(alive[:, None], target[:, t, :], 0.0)
-        Pph = np.einsum("rij,rj->ri", P, ph)
-        denom = 1.0 + np.einsum("ri,ri->r", ph, Pph)
-        gain = Pph / denom[:, None]
-        resid = y - np.einsum("rpd,rd->rp", theta, ph)
-        theta_new = theta + np.einsum("rp,rd->rpd", resid, gain)
-        P_new = P - np.einsum("ri,rj->rij", gain, Pph)
-        P_new = 0.5 * (P_new + P_new.swapaxes(1, 2))
-        blown = alive & (_ref_too_big(theta_new, (1, 2)) | _ref_too_big(P_new, (1, 2)))
-        freeze_step[blown] = t + 1
-        keep = (alive & ~blown)[:, None, None]
-        theta = np.where(keep, theta_new, theta)
-        P = np.where(keep, P_new, P)
-        alive &= ~blown
-        while nxt < len(cps) and cps[nxt] == t + 1:
-            out[nxt] = theta
-            nxt += 1
-    return out, ~alive, cps, freeze_step
+    for i, c in enumerate(cps):
+        for r in range(R):
+            n = min(c, freeze[r] - 1)
+            lhs = np.vstack([np.eye(d) / np.sqrt(INIT_COV), phi[r, :n]])
+            rhs = np.vstack([np.zeros((d, p)), target[r, :n]])
+            out[i, r] = np.linalg.lstsq(lhs, rhs, rcond=None)[0].T
+    return out, freeze <= T, cps, freeze
+
+
+def _rel_err(est, ref):
+    """Largest relative Frobenius error over the leading (checkpoint, run) axes."""
+    err = np.linalg.norm(est - ref, axis=(-2, -1)) / np.maximum(np.linalg.norm(ref, axis=(-2, -1)), 1e-300)
+    return float(err.max())
 
 
 def _ref_regression_data(states, inputs, diverged_at):
@@ -121,13 +119,22 @@ def _ref_regression_data(states, inputs, diverged_at):
     return (phi_n, tgt_n), (phi_2, tgt_2)
 
 
-def _assert_rls_matches_reference(phi, target, checkpoints):
+def _assert_rls_matches_reference(phi, target, checkpoints, cols=None):
+    """_rls_batch against the ridge reference: the estimates' leading ``cols`` columns
+    (all if None) to 1e-10 relative, the diverged flags, checkpoints and freeze steps exactly."""
     got = _rls_batch(phi, target, checkpoints)
-    ref = _ref_rls_batch(phi, target, checkpoints)
-    assert len(got) == len(ref) == 4
-    for g, r in zip(got, ref):  # estimates, diverged, checkpoints, freeze steps
+    ref = _ref_ridge(phi, target, checkpoints)
+    assert len(got) == 4
+    for g, r in zip(got[1:], ref[1:]):
         assert np.array_equal(g, r)
+    assert _rel_err(got[0][..., :cols], ref[0][..., :cols]) <= 1e-10
     return got
+
+
+def _covariance_columns(system):
+    """The leading columns of a second-moment fit that covariance_from_fit reads: At + St_A and Bt + St_B.
+    The split of the duplicated cross-term columns between K_BA and K_AB is set only by the prior."""
+    return svec_dim(system.n) + svec_dim(system.m)
 
 
 def _eigen_system():
@@ -169,7 +176,7 @@ def test_simulation_and_rls_match_per_step_reference(case, law):
     assert np.array_equal(states[:, 1:][before], tgt_n[before])
     cps = [7, 600, T]
     _assert_rls_matches_reference(phi_n, tgt_n, cps)
-    _assert_rls_matches_reference(phi_2, tgt_2, cps)
+    _assert_rls_matches_reference(phi_2, tgt_2, cps, _covariance_columns(system))
 
 
 def test_early_exits_when_every_run_freezes_before_the_last_checkpoint():
@@ -182,9 +189,9 @@ def test_early_exits_when_every_run_freezes_before_the_last_checkpoint():
     assert np.array_equal(diverged_at, ref[2])
     assert diverged_at.max() < T - 100  # the simulator stops early
     cps = [50, diverged_at.max() + 20, T - 1, T]
-    for phi, target in _ref_regression_data(states, inputs, diverged_at):
-        out, diverged, _, freeze = _assert_rls_matches_reference(phi, target, cps)
-        assert diverged.all() and freeze.max() < cps[-2]  # the recursion stops early
+    for (phi, target), cols in zip(_ref_regression_data(states, inputs, diverged_at), (None, _covariance_columns(system))):
+        out, diverged, _, freeze = _assert_rls_matches_reference(phi, target, cps, cols)
+        assert diverged.all() and freeze.max() < cps[-2]  # every run freezes before the last two checkpoints
         assert np.array_equal(out[-1], out[-2])
 
 
@@ -205,31 +212,34 @@ def test_frozen_baseline_estimates_use_only_real_transitions():
 
 
 def test_rls_estimate_blowup_freezes_like_reference():
+    # only out-of-range data freeze a run: an in-range response that drives the
+    # estimate out of range is fitted like any other, as the ridge reference fits it
     rng = np.random.default_rng(0)
     phi = rng.standard_normal((4, 60, 3))
     target = rng.standard_normal((4, 60, 2))
-    phi[1, :5] *= 1e-3  # tiny regressors under the diffuse prior: a huge gain ...
-    target[1, 3] = 9e11  # ... turns an in-range response into an out-of-range estimate
+    phi[1, :5] *= 1e-3  # tiny regressors under the diffuse prior ...
+    target[1, 3] = 9e11  # ... let an in-range response drive the estimate out of range
     target[2, 30] = np.nan
     phi[3, 40, 0] = np.inf
     phi[0, 50] = 2e12
-    phi[1, 20, 2] = np.nan  # data going bad after the blow-up keep the blow-up step
-    cps = [2, 10, 45, 60]
+    phi[1, 20, 2] = np.nan
+    cps = [2, 4, 10, 45, 60]
     out, diverged, _, freeze = _assert_rls_matches_reference(phi, target, cps)
-    assert freeze.tolist() == [51, 4, 31, 41] and diverged.all()
+    assert freeze.tolist() == [51, 21, 31, 41] and diverged.all()
+    assert beyond_limit(out[1, 1]) and not beyond_limit(out[2, 1])  # run 1 is not frozen at step 4
     # each row of the batch is the same run alone
     for r in range(4):
-        alone = _assert_rls_matches_reference(phi[r : r + 1], target[r : r + 1], cps)
+        alone = _rls_batch(phi[r : r + 1], target[r : r + 1], cps)
         assert np.array_equal(alone[0][:, 0], out[:, r]) and alone[3][0] == freeze[r]
-    # every run blows up before T with valid data: later checkpoints repeat the frozen estimates
+    # runs whose estimates leave the range with in-range data never freeze
     phi, target = _runs_blowing_up_at_4_6_8(rng)
-    out, diverged, _, freeze = _assert_rls_matches_reference(phi, target, cps)
-    assert freeze.tolist() == [4, 6, 8] and diverged.all()
-    assert np.array_equal(out[1], out[2]) and np.array_equal(out[2], out[3])
+    out, diverged, _, freeze = _assert_rls_matches_reference(phi, target, [4, 6, 8, 60])
+    assert freeze.tolist() == [61] * 3 and not diverged.any()
+    assert beyond_limit(out[0, 0]) and beyond_limit(out[1, 1]) and beyond_limit(out[2, 2])
 
 
 def _runs_blowing_up_at_4_6_8(rng):
-    """Regressors (3, 60, 3) and responses (3, 60, 2), all in range, whose estimates blow up at steps 4, 6 and 8."""
+    """Regressors (3, 60, 3) and responses (3, 60, 2), all in range, whose estimates leave the range at steps 4, 6 and 8."""
     phi = rng.standard_normal((3, 60, 3))
     target = rng.standard_normal((3, 60, 2))
     phi[:, :8] *= 1e-3
@@ -238,19 +248,85 @@ def _runs_blowing_up_at_4_6_8(rng):
 
 
 def test_rls_stops_once_every_run_has_blown_up(monkeypatch):
-    phi, target = _runs_blowing_up_at_4_6_8(np.random.default_rng(1))
-    steps = []
+    C = system_model.TIME_CHUNK
+    rng = np.random.default_rng(1)
+    T = 3 * C + 5
+    phi = rng.standard_normal((3, T, 3))
+    target = rng.standard_normal((3, T, 2))
+    target[0, 3, 0] = 2e12  # out-of-range data at steps 4, 6 and C + 3
+    phi[1, 5, 2] = -np.inf
+    target[2, C + 2, 1] = np.nan
+    qr, seen = np.linalg.qr, []
 
-    def counting(a, axis=None):
-        if axis is None and a.shape == (3, 2, 3):  # theta_new (R, p, d), checked once per step
-            steps.append(1)
-        return beyond_limit(a, axis)
+    def counting(a, mode="reduced"):
+        seen.append(a.shape[1] - 5)  # the rows of data under the (5, 5) factors
+        return qr(a, mode)
 
-    monkeypatch.setattr(baselines, "beyond_limit", counting)
-    _, diverged, _, freeze = _rls_batch(phi, target, [2, 10, 45, 60])
-    assert freeze.tolist() == [4, 6, 8] and diverged.all()
-    # the last run blows up at step 8 of 60, after which every step would be zero data
-    assert len(steps) == 8
+    monkeypatch.setattr(np.linalg, "qr", counting)
+    cps = [2, 10, C + 5, T]
+    out, diverged, _, freeze = _rls_batch(phi, target, cps)
+    monkeypatch.undo()
+    assert freeze.tolist() == [4, 6, C + 3] and diverged.all()
+    # the segments up to the last freeze, at step C + 3; every later row would be zero data
+    assert seen == [2, 8, C - 10, 5]
+    assert np.array_equal(out[-1], out[-2])
+    _assert_rls_matches_reference(phi, target, cps)
+
+
+@pytest.mark.parametrize("name", ["paper-4.2-rho0.6-nonoise", "paper-4.2-rho0.6", "paper-4.2-rho0.8"])
+def test_rls_is_the_ridge_fit_on_long_trajectories(name):
+    # a covariance-form (P) recursion misses the ridge fit here: it squares the regressions' condition number
+    system = get_preset(name).system
+    T = 10_000
+    states, inputs, diverged_at = simulate_single_trajectories(system, GaussianInputLaw(system.m), T, 2, seed=3)
+    assert (diverged_at == T + 1).all()
+    phi_n = np.concatenate([states[:, :-1], inputs], axis=2)
+    cps = [T // 10, T]
+    _assert_rls_matches_reference(phi_n, states[:, 1:], cps)
+    _assert_rls_matches_reference(*second_moment_regressors(states, inputs), cps, _covariance_columns(system))
+
+
+def _data_freezing_across_chunks(rng):
+    """Regressors (6, T, 3) and responses (6, T, 2) whose runs freeze at steps 1, C, C + 1, C + 7, 2C + 3 and never."""
+    C = system_model.TIME_CHUNK
+    T = 2 * C + 40
+    phi = rng.standard_normal((6, T, 3))
+    target = rng.standard_normal((6, T, 2))
+    phi[0, 0, 0] = np.nan
+    target[1, C - 1, 1] = 2e12
+    phi[2, C] = np.inf
+    target[3, C + 6, 0] = -np.inf
+    phi[4, 2 * C + 2, 2] = -3e12
+    return phi, target
+
+
+def test_frozen_run_keeps_its_estimate_bit_for_bit():
+    rng = np.random.default_rng(7)
+    phi, target = _data_freezing_across_chunks(rng)
+    C, T = system_model.TIME_CHUNK, phi.shape[1]
+    cps = sorted({*range(1, T + 1, 23), C - 1, C, C + 1, C + 6, 2 * C + 2, T})
+    out, _, _, freeze = _assert_rls_matches_reference(phi, target, cps)
+    assert freeze.tolist() == [1, C, C + 1, C + 7, 2 * C + 3, T + 1]
+    for r, f in enumerate(freeze[:-1]):
+        later = out[np.array(cps) >= f - 1, r]  # every checkpoint after the last step the run uses
+        assert len(later) > 1 and all(np.array_equal(e, later[0]) for e in later)
+    # whatever the data after a freeze hold, the run's estimates stay the same
+    for r, f in enumerate(freeze[:-1]):
+        phi[r, f:] = rng.standard_normal(phi[r, f:].shape) * 1e6
+        target[r, f:] = np.nan
+    again = _rls_batch(phi, target, cps)
+    assert np.array_equal(again[0], out) and np.array_equal(again[3], freeze)
+
+
+def test_run_estimates_do_not_depend_on_their_stack():
+    phi, target = _data_freezing_across_chunks(np.random.default_rng(8))
+    cps = [5, 100, system_model.TIME_CHUNK + 3, phi.shape[1]]
+    whole = _rls_batch(phi, target, cps)
+    # alone, with the runs in reverse, and beside runs that all freeze earlier or later
+    for runs in ([0], [1], [2], [3], [4], [5], [5, 4, 3, 2, 1, 0], [4, 0], [1, 5], [2, 3, 0]):
+        part = _rls_batch(phi[runs], target[runs], cps)
+        assert np.array_equal(part[0], whole[0][:, runs]) and np.array_equal(part[3], whole[3][runs])
+        assert np.array_equal(part[1], whole[1][runs])
 
 
 def test_rls_rejects_malformed_input():
@@ -454,17 +530,18 @@ def test_stacked_laws_equal_their_one_law_fits(name):
 
 def test_stacked_fit_with_an_estimate_blowup_equals_each_group_alone():
     system = get_preset("paper-4.2-rho0.8").system
-    T, cps = 300, [2, 10, 150, 300]
+    T, cps = 300, [2, 4, 10, 150, 300]
     states, inputs, _ = simulate_single_trajectories(system, GaussianInputLaw(1), T, 6, 4)
-    # run 4: tiny data under the diffuse prior, then an in-range response the estimate cannot absorb
+    # run 4: tiny data under the diffuse prior, then an in-range state the nominal estimate cannot absorb
     states[4, :4] *= 1e-3
     inputs[4, :4] *= 1e-3
     states[4, 4] = 9e11
     phi_n = np.concatenate([states[4:5, :-1], inputs[4:5]], axis=2)
-    _, _, _, freeze = _rls_batch(phi_n, states[4:5, 1:], cps)
-    assert freeze[0] == 4 and not beyond_limit(states[4]) and not beyond_limit(inputs[4])
+    est, _, _, freeze = _rls_batch(phi_n, states[4:5, 1:], cps)
+    assert freeze[0] == T + 1 and beyond_limit(est[1]) and not beyond_limit(states[4]) and not beyond_limit(inputs[4])
+    # ... so only the second-moment fit, whose response x_4 x_4' is out of range, freezes at step 4
     stacked = rls_fit(states, inputs, cps)
-    assert stacked[-1][:, 4].tolist() == [False, True, True, True] and not stacked[-1][-1, :4].any()
+    assert stacked[-1][:, 4].tolist() == [False, True, True, True, True] and not stacked[-1][-1, :4].any()
     for runs in (slice(0, 3), slice(3, 6)):
         alone = rls_fit(states[runs], inputs[runs], cps)
         for a, b in zip(stacked[1:], alone[1:]):
@@ -516,9 +593,9 @@ def test_rls_bad_entry_at_a_chunk_boundary_freezes_like_reference(offset):
     phi[0, at, 1] = np.nan
     target[1, at, 0] = np.inf
     phi[2, C + at] = 2e12  # near the second boundary
-    phi[3, : at + 1] *= 1e-4  # tiny regressors, then an in-range response the estimate cannot absorb
+    phi[3, : at + 1] *= 1e-4  # tiny regressors, then a large in-range response: no freeze
     target[3, at] = 9e11
     target[4, C + at, 1] = -np.inf
     out, diverged, _, freeze = _assert_rls_matches_reference(phi, target, [1, C - 1, C, C + 1, T])
-    assert freeze.tolist() == [at + 1, at + 1, C + at + 1, at + 1, C + at + 1, T + 1]
-    assert diverged.tolist() == [True] * 5 + [False]
+    assert freeze.tolist() == [at + 1, at + 1, C + at + 1, T + 1, C + at + 1, T + 1]
+    assert diverged.tolist() == [True, True, True, False, True, False]

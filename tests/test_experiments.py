@@ -110,7 +110,7 @@ def test_sweep_csvs_keep_their_pinned_bytes(tmp_path):
 
 
 def test_baseline_csvs_keep_their_pinned_bytes(tmp_path):
-    # the config freezes runs of rho 1.0 and of the additive embedding, by diverged states and estimates
+    # the config freezes runs of rho 1.0 and of the additive embedding, by out-of-range states and regressors
     pins = json.loads((Path(__file__).parent / "csv_pins.json").read_text())["baselines"]
     run_baseline_comparison(ExperimentConfig.from_dict(pins["config"])).write(tmp_path)
     for name, digest in pins["sha256"].items():
