@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import rngstream as rs
 from .moment_oracle import lift_nominal
 from .shape_ops import outer_svec, outer_vec, svec_dim
 from .system_model import TIME_CHUNK, FixedInitial, beyond_limit, simulate_trajectories
@@ -18,7 +17,6 @@ __all__ = [
     "second_moment_regressors",
     "covariance_from_fit",
     "rls_batch_estimates",
-    "GaussianInputLaw",
     "simulate_single_trajectories",
 ]
 
@@ -139,20 +137,6 @@ def rls_batch_estimates(system, input_law, T, reps, seed, checkpoints):
     return rls_fit(states, inputs, checkpoints)
 
 
-class GaussianInputLaw:
-    """i.i.d. standard normal inputs (the plain RLS baseline).
-
-    Input laws draw u_t for rollout indices ``ks`` at a time index ``t`` or a
-    1-D array of them (which adds a leading time axis).
-    """
-
-    def __init__(self, m):
-        self.m = m
-
-    def sample(self, seed, ks, t):
-        return rs.unit_variance(seed, ks, t, rs.ROLE_INPUT, self.m, "gaussian")
-
-
 class _LawMajor:
     """Input laws stacked law-major: law i draws the i-th of len(laws) equal blocks of rows, with their seeds."""
 
@@ -167,20 +151,24 @@ class _LawMajor:
 def simulate_single_trajectories(system, input_law, T, reps, seed):
     """reps independent length-T trajectories from x_0 = 0 under an input law.
 
-    ``input_law.sample(seed, ks, t)`` draws u_t (GaussianInputLaw, or an
-    InputSchedule, whose moments repeat with its period ell).  Unlike the
-    multi-rollout simulator this records divergence instead of raising: a
-    trajectory freezes at its last in-range state and diverged_at[r] is the
-    first invalid step index (T + 1 if none).  Several laws run in one pass
+    ``input_law.sample(seed, ks, t)`` draws u_t: an InputSchedule, whose
+    moments repeat with its period ell.  Unlike the multi-rollout simulator
+    this records divergence instead of raising: a trajectory freezes at its
+    last in-range state and diverged_at[r] is the first invalid step index
+    (T + 1 if none).  Several laws run in one pass
     when ``input_law`` is a sequence of laws and ``seed`` one non-negative
     seed per law: law i's trajectories are then rows i*reps .. (i+1)*reps - 1,
     each row keyed by its own law's seed, so each is bit for bit what law i
     gives alone.
     """
     ks = np.arange(reps)
-    if np.ndim(seed):
-        if len(seed) != len(input_law):
-            raise ValueError(f"{len(input_law)} input laws need as many seeds, got {len(seed)}")
+    if hasattr(input_law, "sample"):
+        if np.ndim(seed):
+            raise ValueError(f"one input law needs one seed, got {np.size(seed)} seeds")
+    else:
+        if np.ndim(seed) != 1 or len(seed) != len(input_law):
+            got = len(seed) if np.ndim(seed) == 1 else f"the single seed {seed!r}"
+            raise ValueError(f"{len(input_law)} input laws need as many seeds, got {got}")
         ks = np.tile(ks, len(input_law))
         seed, input_law = np.repeat(np.asarray(seed, dtype=np.uint64), reps), _LawMajor(input_law)
     return simulate_trajectories(system, input_law, FixedInitial(np.zeros(system.n)), ks, T, seed)

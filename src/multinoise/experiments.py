@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rngstream as rs
-from .baselines import GaussianInputLaw, rls_batch_estimates
+from .baselines import rls_batch_estimates
 from .bounds import bound_context, bound_curves
 from .identifiability import sigma_from_class
 from .mals import EstimationResult, attach_errors, mals, simulated_moments, solve
@@ -433,7 +433,8 @@ def run_baseline_comparison(config):
         # (err_AB, err_Sigma, diverged) per algorithm, each indexed [checkpoint, rep]
         per_alg = {"MALS": (errs["err_AB"], errs["err_Sigma"], np.zeros(rep_index.shape, dtype=bool))}
         # --- RLS (i.i.d. standard normal inputs) and RLSp (the schedule, repeated), simulated and fitted together
-        laws = {"RLS": GaussianInputLaw(system.m), "RLSp": bundle.schedule}
+        standard_normal = InputSchedule(nu=np.zeros((1, system.m)), ubar=np.eye(system.m), law="gaussian")
+        laws = {"RLS": standard_normal, "RLSp": bundle.schedule}
         law_seeds = _rep_seeds(config.seed ^ 0x77, sys_idx * 10 + np.arange(len(laws)))
         cps, ab, sa, sb, div = rls_batch_estimates(
             system, tuple(laws.values()), samples[-1], reps, law_seeds, samples

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from multinoise.system_model import CovarianceNoise, FixedInitial, make_system
+from multinoise.system_model import CovarianceNoise, FixedInitial, InputSchedule, make_system
 from multinoise.mals import design_inputs
 
 BENCH_A = np.array([[1.0, 0.2], [0.0, 1.0]])
@@ -19,6 +19,11 @@ BENCH_SIGMA_B = np.array([[5.0, -2.0], [-2.0, 20.0]]) / 40.0
 # reduced covariances implied by the benchmark pair (checked exactly in tests)
 BENCH_SIGMA_A_TILDE = np.array([[8.0, 0.0, 2.0], [-2.0, 2.0, 0.0], [16.0, 0.0, 8.0]]) / 40.0
 BENCH_SIGMA_B_TILDE = np.array([[5.0], [-2.0], [20.0]]) / 40.0
+
+
+def standard_normal_inputs(m):
+    """The plain RLS baseline's input law: i.i.d. standard normal u_t, as a one-step schedule."""
+    return InputSchedule(nu=np.zeros((1, m)), ubar=np.eye(m), law="gaussian")
 
 
 @pytest.fixture(scope="session")

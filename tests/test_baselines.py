@@ -5,7 +5,6 @@ import pytest
 
 from multinoise.baselines import (
     INIT_COV,
-    GaussianInputLaw,
     _rls_batch,
     covariance_from_fit,
     rls_batch_estimates,
@@ -31,7 +30,7 @@ from multinoise.system_model import (
     simulate_rollouts,
 )
 
-from conftest import BENCH_B, BENCH_SIGMA_A, BENCH_SIGMA_B
+from conftest import BENCH_B, BENCH_SIGMA_A, BENCH_SIGMA_B, standard_normal_inputs
 
 A_STABLE = np.array([[0.6, 0.2], [0.0, 0.6]])
 A_MARGINAL = np.array([[1.0, 0.2], [0.0, 1.0]])
@@ -159,7 +158,7 @@ def _oracle_case(name):
 @pytest.mark.parametrize("case", ["paper-4.2-rho0.8", "paper-4.2-rho1.0", "zero", "eigen"])
 def test_simulation_and_rls_match_per_step_reference(case, law):
     system, schedule = _oracle_case(case)
-    input_law = GaussianInputLaw(system.m) if law == "gaussian" else schedule
+    input_law = standard_normal_inputs(system.m) if law == "gaussian" else schedule
     T, reps = 1200, 5
     got = simulate_single_trajectories(system, input_law, T, reps, seed=23)
     ref = _ref_simulate(system, input_law, T, reps, seed=23)
@@ -182,7 +181,7 @@ def test_simulation_and_rls_match_per_step_reference(case, law):
 def test_early_exits_when_every_run_freezes_before_the_last_checkpoint():
     system, _ = _oracle_case("paper-4.2-rho1.0")
     T, reps = 2500, 4
-    law = GaussianInputLaw(1)
+    law = standard_normal_inputs(1)
     states, inputs, diverged_at = simulate_single_trajectories(system, law, T, reps, 8)
     ref = _ref_simulate(system, law, T, reps, 8)
     assert np.array_equal(states, ref[0]) and np.array_equal(inputs, ref[1])
@@ -199,7 +198,7 @@ def test_frozen_baseline_estimates_use_only_real_transitions():
     # a diverged trajectory stores x_{d-1} again as x_d, so its RLS runs must
     # freeze after the last real transition, pair d-2
     system, _ = _oracle_case("paper-4.2-rho1.0")
-    T, reps, law = 2000, 6, GaussianInputLaw(1)
+    T, reps, law = 2000, 6, standard_normal_inputs(1)
     states, inputs, diverged_at = simulate_single_trajectories(system, law, T, reps, 8)
     _, nominal, sigma_a, sigma_b, diverged = rls_batch_estimates(system, law, T, reps, 8, [T])
     frozen = np.flatnonzero(diverged_at <= T)
@@ -278,7 +277,7 @@ def test_rls_is_the_ridge_fit_on_long_trajectories(name):
     # a covariance-form (P) recursion misses the ridge fit here: it squares the regressions' condition number
     system = get_preset(name).system
     T = 10_000
-    states, inputs, diverged_at = simulate_single_trajectories(system, GaussianInputLaw(system.m), T, 2, seed=3)
+    states, inputs, diverged_at = simulate_single_trajectories(system, standard_normal_inputs(system.m), T, 2, seed=3)
     assert (diverged_at == T + 1).all()
     phi_n = np.concatenate([states[:, :-1], inputs], axis=2)
     cps = [T // 10, T]
@@ -342,7 +341,7 @@ def test_rls_rejects_malformed_input():
 
 def test_rls_zero_noise_converges():
     s = make_system(A_STABLE, BENCH_B, ZeroNoise())
-    st, ip, div = simulate_single_trajectories(s, GaussianInputLaw(1), 10_000, 1, seed=5)
+    st, ip, div = simulate_single_trajectories(s, standard_normal_inputs(1), 10_000, 1, seed=5)
     _, est, _, _, frozen = rls_fit(st, ip, [10_000])
     assert not frozen.any()
     assert np.linalg.norm(est[-1, 0] - np.hstack([A_STABLE, BENCH_B]), 2) <= 1e-6
@@ -351,7 +350,7 @@ def test_rls_zero_noise_converges():
 def test_rls_equals_batch_ols():
     s = make_system(A_STABLE, BENCH_B, CovarianceNoise(BENCH_SIGMA_A, BENCH_SIGMA_B))
     T = 400
-    st, ip, _ = simulate_single_trajectories(s, GaussianInputLaw(1), T, 1, seed=9)
+    st, ip, _ = simulate_single_trajectories(s, standard_normal_inputs(1), T, 1, seed=9)
     _, est, _, _, _ = rls_fit(st, ip, [T])
     phi = np.concatenate([st[0][:-1], ip[0]], axis=1)
     ols = np.linalg.lstsq(phi, st[0][1:], rcond=None)[0].T
@@ -362,7 +361,7 @@ def test_rls_equals_batch_ols():
 def test_rls_covariance_zero_noise_tends_to_zero():
     s = make_system(A_STABLE, BENCH_B, ZeroNoise())
     T = 5000
-    st, ip, _ = simulate_single_trajectories(s, GaussianInputLaw(1), T, 1, seed=6)
+    st, ip, _ = simulate_single_trajectories(s, standard_normal_inputs(1), T, 1, seed=6)
     _, _, sa, sb, frozen = rls_fit(st, ip, [T])
     assert not frozen.any()
     assert np.linalg.norm(np.hstack([sa[-1, 0], sb[-1, 0]]), 2) <= 1e-5
@@ -374,7 +373,7 @@ def test_rls_covariance_error_decreases_when_second_moment_stable():
     truth = np.hstack([ld.sigma_a_tilde, ld.sigma_b_tilde])
     T = 40_000
     cps = [400, 40_000]
-    st, ip, _ = simulate_single_trajectories(s, GaussianInputLaw(1), T, 1, seed=13)
+    st, ip, _ = simulate_single_trajectories(s, standard_normal_inputs(1), T, 1, seed=13)
     _, _, sa, sb, _ = rls_fit(st, ip, cps)
     errs = [np.linalg.norm(np.hstack([a, b]) - truth, 2) for a, b in zip(sa[:, 0], sb[:, 0])]
     assert errs[-1] < errs[0]
@@ -383,7 +382,7 @@ def test_rls_covariance_error_decreases_when_second_moment_stable():
 def test_marginally_stable_divergence_flag_and_freeze():
     s = make_system(A_MARGINAL, BENCH_B, CovarianceNoise(BENCH_SIGMA_A, BENCH_SIGMA_B))
     T = 3000
-    st, ip, div = simulate_single_trajectories(s, GaussianInputLaw(1), T, 2, seed=11)
+    st, ip, div = simulate_single_trajectories(s, standard_normal_inputs(1), T, 2, seed=11)
     assert np.all(div <= T)  # both trajectories blow up well before T
     # estimates freeze after divergence: checkpoints past the blowup agree
     traj = st[0].copy()
@@ -397,7 +396,7 @@ def test_marginally_stable_divergence_flag_and_freeze():
 
 def test_simulated_divergence_is_monotone():
     s = make_system(A_MARGINAL, BENCH_B, CovarianceNoise(BENCH_SIGMA_A, BENCH_SIGMA_B))
-    st, ip, div = simulate_single_trajectories(s, GaussianInputLaw(1), 2000, 3, seed=21)
+    st, ip, div = simulate_single_trajectories(s, standard_normal_inputs(1), 2000, 3, seed=21)
     for r, d in enumerate(div):
         if d <= 2000:
             # frozen at the last valid state from the divergence step on
@@ -436,7 +435,7 @@ def test_single_trajectories_equal_rollouts_from_zero(preset, input_law, reps):
 @pytest.mark.parametrize("law", ["schedule", "gaussian"])
 def test_lone_single_trajectory_equals_the_first_of_three(law):
     bundle = get_preset("paper-4.2-rho0.8")
-    input_law = GaussianInputLaw(1) if law == "gaussian" else bundle.schedule
+    input_law = standard_normal_inputs(1) if law == "gaussian" else bundle.schedule
     for seed in range(8):
         one = simulate_single_trajectories(bundle.system, input_law, 200, 1, seed=seed)
         three = simulate_single_trajectories(bundle.system, input_law, 200, 3, seed=seed)
@@ -476,7 +475,7 @@ def test_noise_beyond_its_declared_bound_fails_both_simulators(which):
     with pytest.raises(AssertionError, match=message):
         simulate_rollouts(system, schedule, FixedInitial(np.zeros(2)), 5, seed=1)
     with pytest.raises(AssertionError, match=message):
-        simulate_single_trajectories(system, GaussianInputLaw(1), 50, 2, seed=1)
+        simulate_single_trajectories(system, standard_normal_inputs(1), 50, 2, seed=1)
 
 
 def test_covariance_from_fit_batch_axes_match_single_calls():
@@ -510,7 +509,7 @@ _STACK_SYSTEMS = [
 def test_stacked_laws_equal_their_one_law_fits(name):
     bundle = get_preset(name).with_input_law("gaussian")
     system = bundle.system
-    laws = (GaussianInputLaw(system.m), bundle.schedule)
+    laws = (standard_normal_inputs(system.m), bundle.schedule)
     seeds = np.array([2**63 + 23, 5], dtype=np.uint64)
     T, reps, cps = 1200, 3, [6, 300, 1200]
     stacked_sim = simulate_single_trajectories(system, laws, T, reps, seeds)
@@ -531,7 +530,7 @@ def test_stacked_laws_equal_their_one_law_fits(name):
 def test_stacked_fit_with_an_estimate_blowup_equals_each_group_alone():
     system = get_preset("paper-4.2-rho0.8").system
     T, cps = 300, [2, 4, 10, 150, 300]
-    states, inputs, _ = simulate_single_trajectories(system, GaussianInputLaw(1), T, 6, 4)
+    states, inputs, _ = simulate_single_trajectories(system, standard_normal_inputs(1), T, 6, 4)
     # run 4: tiny data under the diffuse prior, then an in-range state the nominal estimate cannot absorb
     states[4, :4] *= 1e-3
     inputs[4, :4] *= 1e-3
@@ -551,7 +550,16 @@ def test_stacked_fit_with_an_estimate_blowup_equals_each_group_alone():
 def test_stacked_laws_need_one_seed_each():
     system = get_preset("paper-4.2-rho0.8").system
     with pytest.raises(ValueError, match="2 input laws need as many seeds, got 3"):
-        simulate_single_trajectories(system, (GaussianInputLaw(1), GaussianInputLaw(1)), 10, 2, [1, 2, 3])
+        simulate_single_trajectories(system, (standard_normal_inputs(1), standard_normal_inputs(1)), 10, 2, [1, 2, 3])
+
+
+def test_a_law_and_its_seeds_must_both_be_one_or_both_be_sequences():
+    system, law = get_preset("paper-4.2-rho0.8").system, standard_normal_inputs(1)
+    for call in (simulate_single_trajectories, lambda *a: rls_batch_estimates(*a, [10])):
+        with pytest.raises(ValueError, match="^one input law needs one seed, got 2 seeds$"):
+            call(system, law, 10, 2, [1, 2])
+        with pytest.raises(ValueError, match="^2 input laws need as many seeds, got the single seed 7$"):
+            call(system, (law, law), 10, 2, 7)
 
 
 @pytest.mark.parametrize(
@@ -568,7 +576,7 @@ def test_stacked_laws_need_one_seed_each():
 )
 def test_chunked_simulation_equals_the_whole_horizon(monkeypatch, chunk):
     bundle = get_preset("paper-4.2-rho1.0").with_input_law("gaussian")
-    laws, seeds = (GaussianInputLaw(1), bundle.schedule), [23, 5]
+    laws, seeds = (standard_normal_inputs(1), bundle.schedule), [23, 5]
     T, reps = 1200, 3
     with monkeypatch.context() as m:
         m.setattr(system_model, "TIME_CHUNK", T)

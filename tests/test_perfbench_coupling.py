@@ -17,6 +17,8 @@ import numpy as np
 from multinoise import baselines, cli, experiments
 from multinoise.presets import get_preset
 
+from conftest import standard_normal_inputs
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -67,7 +69,7 @@ def test_traced_rls_reports_its_steps_and_frozen_runs():
     layertrace = _load("layertrace")
     _load("workloads")
     system = get_preset("paper-4.2-rho1.0").system
-    law = baselines.GaussianInputLaw(system.m)
+    law = standard_normal_inputs(system.m)
     T, reps, seed = 400, 4, 3
     states, inputs, diverged_at = baselines.simulate_single_trajectories(system, law, T, reps, seed)
     states[np.arange(T + 1) >= diverged_at[:, None]] = np.nan
