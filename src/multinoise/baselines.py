@@ -92,28 +92,32 @@ def second_moment_regressors(states, inputs):
     """Reduced quadratic regressors of the single-trajectory covariance dynamic.
 
     Per step: target P1 vec(x_{t+1} x_{t+1}'), regressor blocks
-    [P1 vec(x x'); P2 vec(u u'); vec(x u'); vec(u x')].  states (..., T+1, n)
-    and inputs (..., T, m) may carry leading batch axes, kept in the outputs.
+    [P1 vec(x x'); P2 vec(u u'); vec(x u')], nt + mt + nm columns.  The cross
+    terms enter once: vec(u x') = K_nm vec(x u') for the commutation matrix
+    K_nm, so the last block's coefficient is their sum, K_BA + K_AB K_nm, and
+    no column repeats another.  states (..., T+1, n) and inputs (..., T, m)
+    may carry leading batch axes, kept in the outputs.
     """
     states = np.asarray(states, dtype=float)
     x0, x1, u = states[..., :-1, :], states[..., 1:, :], np.asarray(inputs, dtype=float)
     n, m = x0.shape[-1], u.shape[-1]
     nt, mt = svec_dim(n), svec_dim(m)
-    phi = np.empty(u.shape[:-1] + (nt + mt + 2 * n * m,))
+    phi = np.empty(u.shape[:-1] + (nt + mt + n * m,))
     phi[..., :nt] = outer_svec(x0)
     phi[..., nt : nt + mt] = outer_svec(u)
-    phi[..., nt + mt : nt + mt + n * m] = outer_vec(x0, u)
-    phi[..., nt + mt + n * m :] = outer_vec(u, x0)
+    phi[..., nt + mt :] = outer_vec(x0, u)
     return phi, outer_svec(x1)
 
 
 def covariance_from_fit(fit, nominal, n):
     """Reduced-covariance estimates from a fitted second-moment regression.
 
-    fit (..., nt, d) holds the fitted blocks [At + St_A, Bt + St_B, K_BA, K_AB]
+    fit (..., nt, d) holds the fitted blocks [At + St_A, Bt + St_B, K], with
+    K = K_BA + K_AB K_nm the summed cross term of second_moment_regressors,
     and nominal (..., n, n+m) the matching [A_hat B_hat]; leading batch axes
     are kept.  The lifted nominal parts P1 (A_hat kron A_hat) Q1 and
-    P1 (B_hat kron B_hat) Q2 are subtracted, giving (SigmaA_tilde, SigmaB_tilde).
+    P1 (B_hat kron B_hat) Q2 are subtracted, giving (SigmaA_tilde,
+    SigmaB_tilde); K is not read.
     """
     A_t, B_t, _, _ = lift_nominal(nominal[..., :n], nominal[..., n:])
     nt, mt = A_t.shape[-1], B_t.shape[-1]

@@ -16,7 +16,7 @@ from multinoise import system_model
 from multinoise.mals import design_inputs
 from multinoise.moment_oracle import lift, lift_nominal
 from multinoise.presets import get_preset
-from multinoise.shape_ops import svec_dim
+from multinoise.shape_ops import outer_vec, svec_dim
 from multinoise.system_model import (
     DIVERGENCE_LIMIT,
     CovarianceNoise,
@@ -118,22 +118,16 @@ def _ref_regression_data(states, inputs, diverged_at):
     return (phi_n, tgt_n), (phi_2, tgt_2)
 
 
-def _assert_rls_matches_reference(phi, target, checkpoints, cols=None):
-    """_rls_batch against the ridge reference: the estimates' leading ``cols`` columns
-    (all if None) to 1e-10 relative, the diverged flags, checkpoints and freeze steps exactly."""
+def _assert_rls_matches_reference(phi, target, checkpoints):
+    """_rls_batch against the ridge reference: the estimates to 1e-10 relative,
+    the diverged flags, checkpoints and freeze steps exactly."""
     got = _rls_batch(phi, target, checkpoints)
     ref = _ref_ridge(phi, target, checkpoints)
     assert len(got) == 4
     for g, r in zip(got[1:], ref[1:]):
         assert np.array_equal(g, r)
-    assert _rel_err(got[0][..., :cols], ref[0][..., :cols]) <= 1e-10
+    assert _rel_err(got[0], ref[0]) <= 1e-10
     return got
-
-
-def _covariance_columns(system):
-    """The leading columns of a second-moment fit that covariance_from_fit reads: At + St_A and Bt + St_B.
-    The split of the duplicated cross-term columns between K_BA and K_AB is set only by the prior."""
-    return svec_dim(system.n) + svec_dim(system.m)
 
 
 def _eigen_system():
@@ -175,7 +169,7 @@ def test_simulation_and_rls_match_per_step_reference(case, law):
     assert np.array_equal(states[:, 1:][before], tgt_n[before])
     cps = [7, 600, T]
     _assert_rls_matches_reference(phi_n, tgt_n, cps)
-    _assert_rls_matches_reference(phi_2, tgt_2, cps, _covariance_columns(system))
+    _assert_rls_matches_reference(phi_2, tgt_2, cps)
 
 
 def test_early_exits_when_every_run_freezes_before_the_last_checkpoint():
@@ -188,8 +182,8 @@ def test_early_exits_when_every_run_freezes_before_the_last_checkpoint():
     assert np.array_equal(diverged_at, ref[2])
     assert diverged_at.max() < T - 100  # the simulator stops early
     cps = [50, diverged_at.max() + 20, T - 1, T]
-    for (phi, target), cols in zip(_ref_regression_data(states, inputs, diverged_at), (None, _covariance_columns(system))):
-        out, diverged, _, freeze = _assert_rls_matches_reference(phi, target, cps, cols)
+    for phi, target in _ref_regression_data(states, inputs, diverged_at):
+        out, diverged, _, freeze = _assert_rls_matches_reference(phi, target, cps)
         assert diverged.all() and freeze.max() < cps[-2]  # every run freezes before the last two checkpoints
         assert np.array_equal(out[-1], out[-2])
 
@@ -282,7 +276,35 @@ def test_rls_is_the_ridge_fit_on_long_trajectories(name):
     phi_n = np.concatenate([states[:, :-1], inputs], axis=2)
     cps = [T // 10, T]
     _assert_rls_matches_reference(phi_n, states[:, 1:], cps)
-    _assert_rls_matches_reference(*second_moment_regressors(states, inputs), cps, _covariance_columns(system))
+    _assert_rls_matches_reference(*second_moment_regressors(states, inputs), cps)
+
+
+@pytest.mark.parametrize("name", ["paper-4.2-rho0.6", "paper-4.2-rho0.8"])
+def test_second_moment_regressors_have_full_column_rank(name):
+    system = get_preset(name).system
+    states, inputs, _ = simulate_single_trajectories(system, standard_normal_inputs(system.m), 10_000, 1, seed=3)
+    phi, _ = second_moment_regressors(states, inputs)
+    assert phi.shape[-1] == svec_dim(system.n) + svec_dim(system.m) + system.n * system.m
+    # with unit columns, so the scales of x x', u u' and x u' do not enter
+    assert np.linalg.cond(phi[0] / np.linalg.norm(phi[0], axis=0)) <= 1e5
+
+
+@pytest.mark.parametrize("name", ["paper-4.2-rho0.6", "paper-4.2-rho0.8"])
+def test_reduced_fit_equals_the_fit_with_both_cross_terms(name):
+    # beside vec(x u'), the columns vec(u x') = K_nm vec(x u') add nothing: only the prior splits the
+    # cross coefficient between them, and the two parts sum to the reduced fit's cross block
+    system = get_preset(name).system
+    n, m, T = system.n, system.m, 10_000
+    states, inputs, _ = simulate_single_trajectories(system, standard_normal_inputs(m), T, 2, seed=3)
+    phi, target = second_moment_regressors(states, inputs)
+    both = np.concatenate([phi, outer_vec(inputs, states[:, :-1])], axis=2)
+    reduced, _, _, freeze = _rls_batch(phi, target, [T])
+    full, _, _, freeze_full = _rls_batch(both, target, [T])
+    assert np.array_equal(freeze, freeze_full)
+    k = svec_dim(n) + svec_dim(m)  # the At + St_A and Bt + St_B columns
+    assert _rel_err(reduced[..., :k], full[..., :k]) <= 1e-9
+    to_ux = np.arange(n * m).reshape(n, m).ravel(order="F")  # the vec(u x') column of each vec(x u') column
+    assert _rel_err(reduced[..., k:], full[..., k : k + n * m] + full[..., k + n * m :][..., to_ux]) <= 1e-9
 
 
 def _data_freezing_across_chunks(rng):
@@ -481,7 +503,7 @@ def test_noise_beyond_its_declared_bound_fails_both_simulators(which):
 def test_covariance_from_fit_batch_axes_match_single_calls():
     rng = np.random.default_rng(9)
     n, m = 2, 1
-    fit = rng.standard_normal((3, 5, 3, 8))  # nt = 3 rows; blocks 3 + 1 + 2 + 2 wide
+    fit = rng.standard_normal((3, 5, 3, 6))  # nt = 3 rows; blocks 3 + 1 + 2 wide
     nominal = rng.standard_normal((3, 5, n, n + m))
     sa, sb = covariance_from_fit(fit, nominal, n)
     for idx in np.ndindex(3, 5):
