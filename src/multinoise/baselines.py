@@ -159,11 +159,10 @@ def simulate_single_trajectories(system, input_law, T, reps, seed):
     moments repeat with its period ell.  Unlike the multi-rollout simulator
     this records divergence instead of raising: a trajectory freezes at its
     last in-range state and diverged_at[r] is the first invalid step index
-    (T + 1 if none).  Several laws run in one pass
-    when ``input_law`` is a sequence of laws and ``seed`` one non-negative
-    seed per law: law i's trajectories are then rows i*reps .. (i+1)*reps - 1,
-    each row keyed by its own law's seed, so each is bit for bit what law i
-    gives alone.
+    (T + 1 if none).  Several laws run in one pass when ``input_law`` is a
+    sequence of laws and ``seed`` one non-negative seed per law: law i's
+    trajectories are then rows i*reps .. (i+1)*reps - 1, each row keyed by
+    its own law's seed, so each is bit for bit what law i gives alone.
     """
     ks = np.arange(reps)
     if hasattr(input_law, "sample"):
