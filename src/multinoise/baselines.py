@@ -169,6 +169,8 @@ def simulate_single_trajectories(system, input_law, T, reps, seed):
         if np.ndim(seed):
             raise ValueError(f"one input law needs one seed, got {np.size(seed)} seeds")
     else:
+        if not len(input_law):
+            raise ValueError("the sequence of input laws is empty")
         if np.ndim(seed) != 1 or len(seed) != len(input_law):
             got = len(seed) if np.ndim(seed) == 1 else f"the single seed {seed!r}"
             raise ValueError(f"{len(input_law)} input laws need as many seeds, got {got}")

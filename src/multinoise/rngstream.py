@@ -15,7 +15,6 @@ from __future__ import annotations
 import operator
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 __all__ = [
     "ROLE_X0",
@@ -108,7 +107,8 @@ def unit_variance(seed, k, t, role, count, law):
     """Zero-mean unit-variance i.i.d. components per stream (shapes as uniform01).
 
     law = "uniform": uniform on [-sqrt(3), sqrt(3)] (bounded a.s.);
-    law = "gaussian": standard normal via inverse CDF.
+    law = "gaussian": standard normal via inverse CDF.  scipy is imported
+    only here and in truncated_normal, so bounded laws never load it.
     """
     u = uniform01(seed, k, t, role, count)
     if law == "uniform":
@@ -117,12 +117,16 @@ def unit_variance(seed, k, t, role, count, law):
         u *= _SQRT3
         return u
     if law == "gaussian":
+        from scipy.special import ndtri
+
         return ndtri(u, out=u)
     raise ValueError(f"unknown component law {law!r}")
 
 
 def truncated_normal(seed, k, t, role, count, radius):
     """Standard normal conditioned on |z| <= radius, per component (shapes as uniform01)."""
+    from scipy.special import ndtr, ndtri
+
     u = uniform01(seed, k, t, role, count)
     lo = ndtr(-radius)
     hi = ndtr(radius)

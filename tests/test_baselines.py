@@ -584,6 +584,13 @@ def test_a_law_and_its_seeds_must_both_be_one_or_both_be_sequences():
             call(system, (law, law), 10, 2, 7)
 
 
+def test_an_empty_sequence_of_laws_is_rejected():
+    system = get_preset("paper-4.2-rho0.8").system
+    for call in (simulate_single_trajectories, lambda *a: rls_batch_estimates(*a, [10])):
+        with pytest.raises(ValueError, match="^the sequence of input laws is empty$"):
+            call(system, (), 10, 2, [])
+
+
 @pytest.mark.parametrize(
     "chunk",
     [
