@@ -9,9 +9,9 @@ above 1 are meaningful (vacuous) and are clipped only at reporting time.
 Probabilities are assembled in log space so large n_r cannot underflow
 intermediate terms; covering-number prefactors like 9^(n+m) enter as
 (n+m) log 9.  The log-space functions are elementwise over an array of
-deviation levels eps (n_r stays a context field), so ``bound_curves``
-evaluates a bound over a whole eps grid in one pass, and each scalar bound is
-the one-eps case of the same code, bit for bit.  Each input is checked once,
+deviation levels eps (n_r stays a context field).  ``bound_curves`` is the
+one evaluator of a named bound, at one eps or over a whole eps grid in one
+pass; both families are its one-eps case.  Each input is checked once,
 where it enters, as a mask: a bound is +inf (vacuous) for eps <= 0, the
 Bernstein leaf and the Gram-inverse bound state their own rules, and
 BoundContext rejects singular Grams.
@@ -42,7 +42,7 @@ __all__ = [
     "sigma_validity_limit",
     "invert_bound",
     "epsilon_Y_closed_form",
-]  # plus every bound named in the family tables _DELTA and _ETA
+]
 
 _LOG9 = np.log(9.0)
 
@@ -323,80 +323,6 @@ def _log_product(pair, ctx, eps):
 
 
 # ---------------------------------------------------------------------------
-# public bounds: one table of log-space bounds per family
-
-
-#: Every bound of both tables: name -> log-space function (filled by _family).
-_LOG_BOUNDS = {}
-
-
-def _curve(log_fn, ctx, eps):
-    """exp of the log-space ``log_fn`` over the eps array; +inf (vacuous) where eps <= 0.
-
-    Masked entries still run through the formulas, so their invalid-value and
-    divide-by-zero warnings are silenced here, once.
-    """
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(eps <= 0, np.inf, np.exp(log_fn(ctx, eps)))
-
-
-def _bound(name, log_fn, doc=None, ranged=False):
-    """The public scalar bound ``name`` and its unchecked form: the one-eps case of ``_curve``.
-
-    Both are +inf (vacuous) for eps <= 0.  A ``ranged`` bound (delta_ZZ,
-    eta_DD) is public with ``strict=True``: it raises outside
-    0 < eps < eps_max unless called with strict=False.  The unchecked form,
-    which the families use, is +inf (vacuous) there.
-    """
-
-    def unchecked(ctx, eps):
-        return float(_curve(log_fn, ctx, np.asarray(eps, dtype=float)))
-
-    def checked(ctx, eps, strict=True):
-        if strict and not (0 < eps < ctx.eps_max):
-            raise ValueError(f"{name} needs 0 < eps < eps_max = {ctx.eps_max}")
-        return unchecked(ctx, eps)
-
-    public = checked if ranged else unchecked
-    public.__name__ = public.__qualname__ = name
-    public.__doc__ = doc
-    return public, unchecked
-
-
-def _family(kind, table, flag, limit):
-    """Define each (name, log_fn[, doc[, ranged]]) row of ``table`` as a public
-    bound of this module, and return the ``{kind}_family`` function."""
-    entries = []
-    for name, *spec in table:
-        public, unchecked = _bound(name, *spec)
-        globals()[name] = public
-        __all__.append(name)
-        _LOG_BOUNDS[name] = spec[0]
-        entries.append((name, unchecked))
-
-    def family(ctx, eps):
-        values = {name: bound(ctx, eps) for name, bound in entries}
-        values[flag] = bool(0 < eps < limit(ctx))
-        return values
-
-    family.__name__ = family.__qualname__ = f"{kind}_family"
-    family.__doc__ = f"All {kind} bounds at one deviation level; values may exceed 1."
-    return family
-
-
-def bound_curves(ctx, eps, names):
-    """The named bounds of either family over an array of deviation levels, in one pass.
-
-    Returns {name: float array shaped like eps}.  Element i is, bit for bit,
-    the public scalar bound ``name(ctx, eps[i])`` (delta_ZZ and eta_DD as with
-    strict=False: +inf outside 0 < eps < eps_max).  Only the named bounds are
-    computed; values may exceed 1.
-    """
-    eps = np.asarray(eps, dtype=float)
-    return {name: _curve(_LOG_BOUNDS[name], ctx, eps) for name in names}
-
-
-# ---------------------------------------------------------------------------
 # delta family (nominal-estimate tail bounds)
 
 
@@ -418,35 +344,21 @@ _NOMINAL = _Pair(
 )
 
 
-_DELTA = (
-    ("delta_Y", _log_delta_Y, "Averaged-moment deviation bound for Y_hat - Y (and Z_hat - Z)."),
-    ("delta_YZ", _log_delta_YZ),
-    ("delta_0", partial(_log_gram_0, _NOMINAL)),
-    ("delta_1", partial(_log_gram_1, _NOMINAL)),
-    ("delta_2", partial(_log_gram_2, _NOMINAL)),
-    ("delta_m", partial(_log_gram_m, _NOMINAL)),
-    (
-        "delta_ZZ",
-        partial(_log_gram, _NOMINAL),
-        "Gram-inverse deviation bound; needs 0 < eps < eps_max.  Non-increasing in eps\n"
-        "only on (0, eps_max / 2]: it rises again on (eps_max / 2, eps_max).",
-        True,
-    ),
-    (
-        "delta_AB",
-        partial(_log_product, _NOMINAL),
-        "Spectral-error tail bound for [A_hat B_hat]; vacuous (+inf -> clip to 1) "
-        "outside its stated range (see ab_validity_limit).",
-    ),
-)
+_DELTA = {
+    "delta_Y": _log_delta_Y,  # averaged-moment deviation of Y_hat - Y (and Z_hat - Z)
+    "delta_YZ": _log_delta_YZ,
+    "delta_0": partial(_log_gram_0, _NOMINAL),
+    "delta_1": partial(_log_gram_1, _NOMINAL),
+    "delta_2": partial(_log_gram_2, _NOMINAL),
+    "delta_m": partial(_log_gram_m, _NOMINAL),
+    "delta_ZZ": partial(_log_gram, _NOMINAL),  # Gram-inverse deviation: +inf outside (0, eps_max)
+    "delta_AB": partial(_log_product, _NOMINAL),  # spectral error of [A_hat B_hat], see ab_validity_limit
+}
 
 
 def ab_validity_limit(ctx):
     """Upper end of the derivation range for delta_AB."""
     return 3.0 * ctx.eps_max * min(ctx.norm_Y * ctx.norm_Z, ctx.eps_max)
-
-
-delta_family = _family("delta", _DELTA, "valid_AB", ab_validity_limit)
 
 
 # ---------------------------------------------------------------------------
@@ -537,27 +449,21 @@ _COVARIANCE = _Pair(
 )
 
 
-_ETA = (
-    ("eta_D", _log_eta_D),
-    ("eta_L", _log_eta_L),
-    ("eta_A", lambda ctx, eps: _log_eta_kron(ctx, eps, ctx.norm_A)),
-    ("eta_B", lambda ctx, eps: _log_eta_kron(ctx, eps, ctx.norm_B)),
-    ("eta_AB", _log_eta_AB),
-    ("eta_AM", _log_eta_AM),
-    ("eta_KL", _log_eta_KL),
-    ("eta_C", _log_eta_C),
-    ("eta_CD", _log_eta_CD),
-    ("eta_0", partial(_log_gram_0, _COVARIANCE)),
-    ("eta_m", partial(_log_gram_m, _COVARIANCE)),
-    (
-        "eta_DD",
-        partial(_log_gram, _COVARIANCE),
-        "Gram-inverse deviation bound of D D'; needs 0 < eps < eps_max.  Non-increasing\n"
-        "in eps only on (0, eps_max / 2]: it rises again on (eps_max / 2, eps_max).",
-        True,
-    ),
-    ("eta", partial(_log_product, _COVARIANCE), "Spectral-error tail bound for the reduced-covariance estimate."),
-)
+_ETA = {
+    "eta_D": _log_eta_D,
+    "eta_L": _log_eta_L,
+    "eta_A": lambda ctx, eps: _log_eta_kron(ctx, eps, ctx.norm_A),
+    "eta_B": lambda ctx, eps: _log_eta_kron(ctx, eps, ctx.norm_B),
+    "eta_AB": _log_eta_AB,
+    "eta_AM": _log_eta_AM,
+    "eta_KL": _log_eta_KL,
+    "eta_C": _log_eta_C,
+    "eta_CD": _log_eta_CD,
+    "eta_0": partial(_log_gram_0, _COVARIANCE),
+    "eta_m": partial(_log_gram_m, _COVARIANCE),
+    "eta_DD": partial(_log_gram, _COVARIANCE),  # Gram-inverse deviation of D D': +inf outside (0, eps_max)
+    "eta": partial(_log_product, _COVARIANCE),  # spectral error of the covariances, see sigma_validity_limit
+}
 
 
 def sigma_validity_limit(ctx):
@@ -565,7 +471,42 @@ def sigma_validity_limit(ctx):
     return 3.0 * ctx.eps_max * min(ctx.norm_C * ctx.norm_D, ctx.eps_max)
 
 
-eta_family = _family("eta", _ETA, "valid_sigma", sigma_validity_limit)
+# ---------------------------------------------------------------------------
+# evaluation
+
+_LOG_BOUNDS = {**_DELTA, **_ETA}
+
+
+def bound_curves(ctx, eps, names):
+    """The named bounds of either family at a deviation level eps or over an array of them.
+
+    Returns {name: float array shaped like eps}, 0-d for a scalar eps; element
+    i is, bit for bit, the value at eps[i] alone.  Every bound is +inf
+    (vacuous) for eps <= 0, and delta_ZZ and eta_DD also for eps >= eps_max.
+    Only the named bounds are computed; values may exceed 1.
+    """
+    for name in names:
+        if name not in _LOG_BOUNDS:
+            raise ValueError(f"unknown bound {name!r}; the bounds are {', '.join(_LOG_BOUNDS)}")
+    eps = np.asarray(eps, dtype=float)
+    # masked entries still run through the formulas, so their invalid-value and
+    # divide-by-zero warnings are silenced here, once
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return {name: np.where(eps <= 0, np.inf, np.exp(_LOG_BOUNDS[name](ctx, eps))) for name in names}
+
+
+def delta_family(ctx, eps):
+    """All delta bounds at one deviation level; values may exceed 1."""
+    values = {name: float(v) for name, v in bound_curves(ctx, eps, _DELTA).items()}
+    values["valid_AB"] = bool(0 < eps < ab_validity_limit(ctx))
+    return values
+
+
+def eta_family(ctx, eps):
+    """All eta bounds at one deviation level; values may exceed 1."""
+    values = {name: float(v) for name, v in bound_curves(ctx, eps, _ETA).items()}
+    values["valid_sigma"] = bool(0 < eps < sigma_validity_limit(ctx))
+    return values
 
 
 # ---------------------------------------------------------------------------

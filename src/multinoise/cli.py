@@ -3,7 +3,8 @@
 Subcommands: simulate, estimate, oracle, identifiability, bounds, and
 experiment {convergence|tail|equivalence|baselines}.  Exit codes: 0 success,
 1 any other failure (its traceback under --debug), 2 configuration error or
-malformed rollout file, 3 assertion failure inside a run.
+malformed rollout file (or one of another system than --preset), 3 assertion
+failure inside a run.
 """
 
 from __future__ import annotations
@@ -83,7 +84,13 @@ def cmd_estimate(args):
         except OSError as exc:
             raise InputError(f"cannot read rollouts {args.rollouts}: {exc}") from None
         rollouts = RolloutSet.from_json(text)
-        result = mals(rollouts, truth=bundle.system if args.preset else None)
+        truth = bundle.system if args.preset else None
+        if truth is not None and (rollouts.n, rollouts.m) != (truth.n, truth.m):
+            raise InputError(
+                f"rollouts have (n, m) = ({rollouts.n}, {rollouts.m}) but preset {config.preset} "
+                f"has (n, m) = ({truth.n}, {truth.m})"
+            )
+        result = mals(rollouts, truth=truth)
     else:
         n_r = args.n_r or config.n_r_grid[0]
         result = mals(bundle.system, bundle.schedule, bundle.init, int(n_r), seed=config.seed)

@@ -623,8 +623,11 @@ def simulate_rollouts(system, schedule, init, n_r, seed):
     The rollouts are simulated block by block (``iter_rollout_blocks``), and
     every (rollout, time, role) tuple draws from its own keyed stream, so the
     result is independent of batching and of how many rollouts are requested:
-    the first k rollouts of any larger set are identical.
+    the first k rollouts of any larger set are identical.  ``seed`` is one
+    scalar seed: repetitions under a seed vector go through ``iter_rollout_blocks``.
     """
+    if np.ndim(seed):
+        raise ValueError(f"simulate_rollouts takes one scalar seed, got an array of shape {np.shape(seed)}")
     states = inputs = None
     for _, k0, xs, us in iter_rollout_blocks(system, schedule, init, n_r, seed):
         if states is None:

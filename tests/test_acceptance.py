@@ -181,25 +181,26 @@ def test_criterion_09_bound_envelope(bench_system, bench_schedule, zero_init):
         errs_ab[r] = res.errors["err_AB"]
         errs_sig[r] = res.errors["err_Sigma"]
     ctx = bnd.bound_context(bench_system, bench_schedule, zero_init, n_r)
-    for errs, fn in ((errs_ab, bnd.delta_AB), (errs_sig, bnd.eta)):
+
+    def bound(name, ctx, eps):
+        return float(bnd.bound_curves(ctx, eps, [name])[name])
+
+    for errs, name in ((errs_ab, "delta_AB"), (errs_sig, "eta")):
         grid = np.geomspace(0.5 * np.median(errs), 8.0 * np.median(errs), 10)
         for eps in grid:
             freq = float(np.mean(errs >= eps))
-            assert freq <= min(1.0, fn(ctx, float(eps))) + 1e-12
+            assert freq <= min(1.0, bound(name, ctx, float(eps))) + 1e-12
     # monotonicity of every bound function in eps and in n_r
-    delta_fns = [bnd.delta_Y, bnd.delta_YZ, bnd.delta_0, bnd.delta_1, bnd.delta_2,
-                 bnd.delta_m, lambda c, e: bnd.delta_ZZ(c, e), bnd.delta_AB]
-    eta_fns = [bnd.eta_D, bnd.eta_L, bnd.eta_A, bnd.eta_B, bnd.eta_AB, bnd.eta_AM,
-               bnd.eta_KL, bnd.eta_C, bnd.eta_CD, bnd.eta_0, bnd.eta_m,
-               lambda c, e: bnd.eta_DD(c, e), bnd.eta]
+    names = [k for fam in (bnd.delta_family(ctx, 0.3), bnd.eta_family(ctx, 0.3)) for k in fam
+             if k not in ("valid_AB", "valid_sigma")]
     eps_grid = np.geomspace(1e-3, 0.9 * ctx.eps_max, 10)
-    for fn in delta_fns + eta_fns:
-        vals = [fn(ctx, float(e)) for e in eps_grid]
+    for name in names:
+        vals = [bound(name, ctx, float(e)) for e in eps_grid]
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
-        nr_vals = [fn(ctx.with_rollouts(k), 0.3) for k in (10**3, 10**4, 10**5, 10**6)]
+        nr_vals = [bound(name, ctx.with_rollouts(k), 0.3) for k in (10**3, 10**4, 10**5, 10**6)]
         assert all(a >= b for a, b in zip(nr_vals, nr_vals[1:]))
     _ok(9, f"observed tails stay under min(1, bound) on 10-point grids over {reps} runs; "
-           "all 21 bound functions non-increasing on a 10-point eps grid up to 0.9 eps_max "
+           f"all {len(names)} bounds non-increasing on a 10-point eps grid up to 0.9 eps_max "
            f"at n_r = {n_r} and over n_r 1e3-1e6 at eps = 0.3")
 
 

@@ -13,16 +13,8 @@ from multinoise.bounds import (
     bound_context,
     bound_curves,
     constants_from_setup,
-    delta_AB,
     delta_family,
-    delta_Y,
-    delta_YZ,
-    delta_ZZ,
     epsilon_Y_closed_form,
-    eta,
-    eta_C,
-    eta_D,
-    eta_DD,
     eta_family,
     invert_bound,
     boundedness_constants,
@@ -61,6 +53,16 @@ def _context(**kw):
     )
     base.update(kw)
     return BoundContext(**base)
+
+
+_FLAGS = {"valid_AB", "valid_sigma"}
+_BOUND_NAMES = [k for family in (delta_family, eta_family) for k in family(_context(), 0.5) if k not in _FLAGS]
+_RANGED = ("delta_ZZ", "eta_DD")
+
+
+def _bound(name, ctx, eps):
+    """The bound ``name`` at one deviation level."""
+    return float(bound_curves(ctx, eps, [name])[name])
 
 
 # --- boundedness constants ---------------------------------------------------------
@@ -121,12 +123,12 @@ def test_constants_require_bounded_laws(zero_init):
 def test_delta_Y_display_value():
     ctx = _context(c_n=1.0, n_r=1000)
     expect = 6.0 * np.exp(-1.5 * 1000 * 0.01 / (12.0 + 0.1 * 2.0))
-    assert delta_Y(ctx, 0.1) == pytest.approx(expect, rel=1e-12)
+    assert _bound("delta_Y", ctx, 0.1) == pytest.approx(expect, rel=1e-12)
 
 
 def test_delta_Y_zero_constant_gives_zero_bound():
     ctx = _context(c_n=0.0)
-    assert delta_Y(ctx, 0.1) == 0.0
+    assert _bound("delta_Y", ctx, 0.1) == 0.0
 
 
 def test_delta_family_monotone_in_eps():
@@ -139,32 +141,22 @@ def test_delta_family_monotone_in_eps():
             n_r=int(10 ** rng.uniform(2, 5)),
         )
         grid = np.geomspace(1e-3, 0.9 * ctx.eps_max, 12)
-        for fn in (delta_Y, delta_YZ, lambda c, e: delta_ZZ(c, e), delta_AB):
-            vals = [fn(ctx, float(e)) for e in grid]
+        for name in ("delta_Y", "delta_YZ", "delta_ZZ", "delta_AB"):
+            vals = [_bound(name, ctx, float(e)) for e in grid]
             assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
 def test_delta_family_monotone_in_n_r():
     ctx = _context()
-    for fn in (delta_Y, delta_YZ, delta_AB):
-        vals = [fn(ctx.with_rollouts(n), 0.3) for n in (10**3, 10**4, 10**5, 10**6)]
+    for name in ("delta_Y", "delta_YZ", "delta_AB"):
+        vals = [_bound(name, ctx.with_rollouts(n), 0.3) for n in (10**3, 10**4, 10**5, 10**6)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
 def test_delta_AB_vanishes_for_large_n_r():
     # the lam_min^2 rescalings square-shrink eps, so the decay onset is late
     ctx = _context(n_r=10**16)
-    assert delta_AB(ctx, 0.5) < 1e-30
-
-
-def test_delta_ZZ_range_enforced():
-    ctx = _context()
-    for gram_bound in (delta_ZZ, eta_DD):
-        with pytest.raises(ValueError):
-            gram_bound(ctx, 1.5)
-        with pytest.raises(ValueError):
-            gram_bound(ctx, 0.0)
-        assert np.isinf(gram_bound(ctx, 1.5, strict=False))
+    assert _bound("delta_AB", ctx, 0.5) < 1e-30
 
 
 def test_delta_family_dict_keys():
@@ -190,27 +182,27 @@ def test_eta_D_prefactor():
     # leading factor n(n+1)/2 + ell = 3 + ell for n = 2; at eps -> 0 the
     # exponential tends to 1 so the bound tends to the prefactor
     ctx = _context()
-    assert eta_D(ctx, 1e-12) == pytest.approx(3 + ctx.ell, rel=1e-6)
+    assert _bound("eta_D", ctx, 1e-12) == pytest.approx(3 + ctx.ell, rel=1e-6)
 
 
 def test_eta_C_dominates_component():
     ctx = _context()
     for eps in (0.05, 0.2, 1.0):
-        assert eta_C(ctx, eps) >= eta_D(ctx, eps / 5.0)
+        assert _bound("eta_C", ctx, eps) >= _bound("eta_D", ctx, eps / 5.0)
 
 
 def test_eta_finite_on_benchmark_context(bench_system, bench_schedule, zero_init):
     ctx = bound_context(bench_system, bench_schedule, zero_init, n_r=10**6)
-    val = eta(ctx, 0.5)
+    val = _bound("eta", ctx, 0.5)
     assert np.isfinite(val) and val > 0
 
 
 def test_eta_family_monotone():
     ctx = _context()
     grid = np.geomspace(1e-3, 0.9, 10)
-    vals = [eta(ctx, float(e)) for e in grid]
+    vals = [_bound("eta", ctx, float(e)) for e in grid]
     assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
-    vals_nr = [eta(ctx.with_rollouts(n), 0.3) for n in (10**3, 10**5, 10**7)]
+    vals_nr = [_bound("eta", ctx.with_rollouts(n), 0.3) for n in (10**3, 10**5, 10**7)]
     assert all(a >= b for a, b in zip(vals_nr, vals_nr[1:]))
 
 
@@ -236,15 +228,15 @@ def test_closed_form_matches_bisection_on_random_contexts():
         )
         delta = 10 ** rng.uniform(-6, -0.5)
         closed = epsilon_Y_closed_form(ctx, delta)
-        bis = invert_bound(lambda e: delta_Y(ctx, e), delta)
+        bis = invert_bound(lambda e: _bound("delta_Y", ctx, e), delta)
         assert abs(bis - closed) <= 1e-8 * max(1.0, closed)
 
 
 def test_invert_fixed_point():
     ctx = _context()
     eps_star = 0.37
-    val = delta_Y(ctx, eps_star)
-    back = invert_bound(lambda e: delta_Y(ctx, e), val)
+    val = _bound("delta_Y", ctx, eps_star)
+    back = invert_bound(lambda e: _bound("delta_Y", ctx, e), val)
     assert back == pytest.approx(eps_star, abs=1e-9)
 
 
@@ -253,7 +245,7 @@ def test_invert_rejects_unreachable_delta():
     with pytest.raises(ValueError):
         epsilon_Y_closed_form(ctx, ctx.n + ctx.ell + 1.0)
     with pytest.raises(ValueError):
-        invert_bound(lambda e: delta_ZZ(ctx, e), 1e-300, hi=ctx.eps_max)
+        invert_bound(lambda e: _bound("delta_ZZ", ctx, e), 1e-300, hi=ctx.eps_max)
 
 
 def test_context_validates_eps_max():
@@ -296,16 +288,11 @@ def test_nan_eps_gives_nan_from_every_bound():
     b = get_preset("paper-4.1")
     ctx = bound_context(b.system, b.schedule, b.init, 2000)
     nan = float("nan")
-    flags = {"valid_AB", "valid_sigma"}
     for family in (delta_family, eta_family):
         fam = family(ctx, nan)
-        for key in set(fam) - flags:
-            kw = {"strict": False} if key in ("delta_ZZ", "eta_DD") else {}
-            assert np.isnan(fam[key]) and np.isnan(getattr(bounds, key)(ctx, nan, **kw)), key
-        assert not any(fam[f] for f in flags & set(fam))
-    for ranged in (delta_ZZ, eta_DD):
-        with pytest.raises(ValueError):
-            ranged(ctx, nan)
+        for key in set(fam) - _FLAGS:
+            assert np.isnan(fam[key]) and np.isnan(_bound(key, ctx, nan)), key
+        assert not any(fam[f] for f in _FLAGS & set(fam))
 
 
 def test_vacuous_dimension_warning():
@@ -348,37 +335,35 @@ def test_bound_contexts_match_pinned_bits():
 
 
 def test_public_bounds_are_the_family_entries():
-    # each public delta_*/eta_* bound is its family entry, bit for bit, under its own
-    # name; every bound is vacuous for eps <= 0; __all__ lists exactly the family keys
-    flags = {"valid_AB", "valid_sigma"}
-    keys = set()
+    # each family entry is its bound at that eps alone, bit for bit, under its own name;
+    # every bound is vacuous for eps <= 0, and delta_ZZ/eta_DD also past eps_max
     for preset in ("paper-4.1", "paper-4.2-rho0.8"):
         b = get_preset(preset)
         ctx = bound_context(b.system, b.schedule, b.init, 2000)
         for family in (delta_family, eta_family):
             for eps in (0.05, 0.5, 5.0):
                 fam = family(ctx, eps)
-                for key in set(fam) - flags:
-                    fn = getattr(bounds, key)
-                    kw = {"strict": False} if key in ("delta_ZZ", "eta_DD") else {}
-                    assert fn.__name__ == key
-                    assert fn(ctx, eps, **kw).hex() == fam[key].hex(), (preset, key, eps)
-                    assert fn(ctx, 0.0, **kw) == np.inf and fn(ctx, -1.0, **kw) == np.inf, key
-                    keys.add(key)
-    listed = {n for n in bounds.__all__ if n.startswith(("delta", "eta")) and not n.endswith("_family")}
-    assert listed == keys
+                for key in set(fam) - _FLAGS:
+                    assert _bound(key, ctx, eps).hex() == fam[key].hex(), (preset, key, eps)
+                    assert _bound(key, ctx, 0.0) == np.inf and _bound(key, ctx, -1.0) == np.inf, key
+        for key in _RANGED:
+            assert _bound(key, ctx, 1.5) == np.inf and _bound(key, ctx, ctx.eps_max) == np.inf, key
+
+
+def test_unknown_bound_name_is_a_value_error_listing_the_bounds():
+    with pytest.raises(ValueError, match="unknown bound 'delta_XYZ'") as info:
+        bound_curves(_context(), [0.1, 0.5], ["delta_Y", "delta_XYZ"])
+    assert str(info.value).split("the bounds are ")[1].split(", ") == _BOUND_NAMES
 
 
 # --- eps grids in one pass -------------------------------------------------------------
 
-_BOUND_NAMES = [n for n in bounds.__all__ if n.startswith(("delta", "eta")) and not n.endswith("_family")]
-_RANGED = ("delta_ZZ", "eta_DD")
-
 
 @pytest.mark.parametrize("preset", PRESET_NAMES)
 def test_bound_curves_equal_the_scalar_bounds(preset):
-    # each element of a curve is the scalar bound at that eps, bit for bit, including
-    # the masked entries: eps <= 0, NaN, eps at and around eps_max, past both validity limits
+    # each element of a curve is the bound at that eps alone (a 0-d eps), bit for bit,
+    # including the masked entries: eps <= 0, NaN, eps at and around eps_max, past both
+    # validity limits
     b = get_preset(preset, noise_law="uniform")
     ctx0 = bound_context(b.system, b.schedule, b.init, 100)
     em = ctx0.eps_max
@@ -391,9 +376,8 @@ def test_bound_curves_equal_the_scalar_bounds(preset):
         curves = bound_curves(ctx, eps, _BOUND_NAMES)
         assert list(curves) == _BOUND_NAMES
         for name in _BOUND_NAMES:
-            kw = {"strict": False} if name in _RANGED else {}
-            scalar = [getattr(bounds, name)(ctx, float(e), **kw).hex() for e in eps]
-            assert [float(v).hex() for v in curves[name]] == scalar, (preset, n_r, name)
+            alone = [_bound(name, ctx, e).hex() for e in eps]
+            assert [float(v).hex() for v in curves[name]] == alone, (preset, n_r, name)
 
 
 def _random_context(rng):

@@ -386,6 +386,15 @@ def test_cli_schedule_mismatch_is_an_input_error(tmp_path, capsys):
     assert err.startswith("input error: rollout JSON field schedule.nu has shape (3, 1)"), err
 
 
+def test_cli_rollouts_of_another_system_are_an_input_error(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["simulate", "--preset", "paper-4.1-additive", "--n-r", "3", "--out", str(out)]) == 0
+    rollouts = str(out / "rollouts.json")
+    assert main(["estimate", "--preset", "paper-4.1", "--rollouts", rollouts, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "input error: rollouts have (n, m) = (2, 2) but preset paper-4.1 has (n, m) = (2, 1)\n", err
+
+
 def test_cli_unknown_preset_exit_2(tmp_path):
     assert main(["oracle", "--preset", "nope", "--out", str(tmp_path)]) == 2
 

@@ -97,6 +97,12 @@ def test_rollout_subset_stability(bench_system, bench_schedule, zero_init):
     assert np.array_equal(big.inputs[:7], small.inputs)
 
 
+def test_simulate_rollouts_rejects_a_seed_vector(bench_system, bench_schedule, zero_init):
+    # the repetitions of a seed vector would overwrite one another's rows of one array
+    with pytest.raises(ValueError, match="one scalar seed"):
+        simulate_rollouts(bench_system, bench_schedule, zero_init, 5, seed=[1, 2])
+
+
 @pytest.mark.parametrize("k", [ROLLOUT_LEAF - 1, ROLLOUT_LEAF + 1, ROLLOUT_LEAF + 3])
 def test_rollouts_do_not_depend_on_their_block(bench_system, bench_schedule, k):
     init = UniformBoxInitial([0.5, -0.5], [1.0, 2.0])  # a drawn x_0, unlike zero_init
