@@ -132,13 +132,7 @@ def cmd_identifiability(args):
     )
     out = _outdir(config) / "equivalence_class.json"
     out.write_text(ec.to_json())
-    (_outdir(config) / "uniqueness.json").write_text(
-        json.dumps(
-            {"a_part": verdict.a_part, "b_part": verdict.b_part,
-             "overall": verdict.overall, "reasons": verdict.reasons},
-            indent=2,
-        )
-    )
+    (_outdir(config) / "uniqueness.json").write_text(json.dumps(dataclasses.asdict(verdict), indent=2))
     print(f"wrote {out}")
     return 0
 

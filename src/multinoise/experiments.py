@@ -13,7 +13,7 @@ import json
 import numbers
 import time
 from collections.abc import Iterable
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -359,13 +359,14 @@ def run_equivalence_demo(config):
     # noisy benchmark); fall back to the base point when that member leaves
     # the PSD cone (e.g. for the zero-noise class, where the base is the
     # only member and all trajectories coincide)
-    alpha = np.array([1.0 / 40.0])
-    sa_alt, sb_alt, psd_a, psd_b = sigma_from_class(ec, alpha, np.zeros(0))
-    if not (psd_a and psd_b):
-        alpha = np.zeros(1)
-        sa_alt, sb_alt, psd_a, psd_b = sigma_from_class(ec, alpha, np.zeros(0))
+    for alpha in (1.0 / 40.0, 0.0):
+        sa_alt, sb_alt, psd_a, psd_b = sigma_from_class(ec, [alpha], np.zeros(0))
+        if psd_a and psd_b:
+            break
     alt = make_system(system.A, system.B, CovarianceNoise(sa_alt, sb_alt, law=config.noise_law))
-    sched = _tile_schedule(bundle.schedule, config.demo_periods)
+    periods = config.demo_periods
+    sched = replace(bundle.schedule, nu=np.tile(bundle.schedule.nu, (periods, 1)),
+                    ubar=np.tile(bundle.schedule.ubar, (periods, 1, 1)))
     mu0 = np.zeros(system.n)
     base_tr = propagate_second(system, sched, mu0)
     alt_tr = propagate_second(alt, sched, mu0)
@@ -396,15 +397,6 @@ def run_equivalence_demo(config):
         name="equivalence",
         summary=summary,
         tables={"equivalence_trajectories": (header, rows)},
-    )
-
-
-def _tile_schedule(schedule, periods):
-    return InputSchedule(
-        nu=np.tile(schedule.nu, (periods, 1)),
-        ubar=np.tile(schedule.ubar, (periods, 1, 1)),
-        law=schedule.law,
-        seed=schedule.seed,
     )
 
 

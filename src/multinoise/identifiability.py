@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .shape_ops import expand_both, reshape_F, svec_dim, svec_index
+from .shape_ops import expand_both, outer_vec, reshape_F, svec_dim, svec_index
 from .system_model import is_psd
 
 __all__ = [
@@ -117,28 +117,23 @@ def build_E_alpha(alpha, n):
 
 def build_E_beta(beta, n, m):
     """Analogue of build_E_alpha for the input-noise block; shape n^2 x m^2."""
-    prs = off_pairs(n)
-    pcs = off_pairs(m)
     beta = np.asarray(beta, dtype=float).ravel()
-    if beta.size != len(prs) * len(pcs):
-        raise ValueError(f"coefficients must have length {len(prs) * len(pcs)}, got {beta.size}")
-    E = np.zeros((n * n, m * m))
-    idx = 0
-    for i, j in prs:
-        r_plus = (i - 1) * n + j - 1
-        r_minus = (j - 1) * n + i - 1
-        for p, q in pcs:
-            b = beta[idx]
-            idx += 1
-            if b == 0.0:
-                continue
-            c_plus = (p - 1) * m + q - 1
-            c_minus = (q - 1) * m + p - 1
-            E[r_plus, c_plus] += b
-            E[r_plus, c_minus] -= b
-            E[r_minus, c_plus] -= b
-            E[r_minus, c_minus] += b
-    return E
+    p_n, p_m = n * (n - 1) // 2, m * (m - 1) // 2
+    if beta.size != p_n * p_m:
+        raise ValueError(f"coefficients must have length {p_n * p_m}, got {beta.size}")
+    return _pair_basis(n) @ beta.reshape(p_n, p_m) @ _pair_basis(m).T
+
+
+def _pair_basis(k):
+    """k^2 x k(k-1)/2 matrix whose column for the pair i < j (off_pairs order) is vec(e_j e_i' - e_i e_j')."""
+    eye = np.eye(k)
+    i, j = np.triu_indices(k, 1)
+    return (outer_vec(eye[j], eye[i]) - outer_vec(eye[i], eye[j])).T
+
+
+def _member(sigma_tilde, coeffs, n, m):
+    """Class member F(Q1 sigma_tilde Q1' D + E) of an n x m noise block at class coordinates coeffs."""
+    return reshape_F(expand_both(sigma_tilde, n, m) + build_E_beta(coeffs, n, m), n, m, n, m)
 
 
 @dataclass
@@ -163,12 +158,9 @@ class EquivalenceClass:
         return self.sigma_pair(np.zeros(self.d_alpha), np.zeros(self.d_beta))
 
     def sigma_pair(self, alpha, beta):
-        n, m = self.n, self.m
-        inner_a = expand_both(self.sigma_a_tilde, n, n) + build_E_alpha(alpha, n)
-        inner_b = expand_both(self.sigma_b_tilde, n, m) + build_E_beta(beta, n, m)
         return (
-            reshape_F(inner_a, n, n, n, n),
-            reshape_F(inner_b, n, m, n, m),
+            _member(self.sigma_a_tilde, alpha, self.n, self.n),
+            _member(self.sigma_b_tilde, beta, self.n, self.m),
         )
 
     def to_json(self):
@@ -210,13 +202,7 @@ def scan_psd_feasible(ec, alphas):
     """
     if ec.d_alpha != 1:
         raise ValueError("scalar feasibility scan needs d_alpha = 1")
-    beta = np.zeros(ec.d_beta)
-    out = []
-    for a in alphas:
-        _, _, psd_a, _ = sigma_from_class(ec, np.array([float(a)]), beta)
-        if psd_a:
-            out.append(float(a))
-    return out
+    return [float(a) for a in alphas if is_psd(_member(ec.sigma_a_tilde, [float(a)], ec.n, ec.n))]
 
 
 @dataclass
@@ -260,8 +246,8 @@ class IndependenceConstraints:
 
     For every (i<j, k<l) the constraint is
     gamma * E{Abar_ik Abar_jl} + delta * E{Abar_il Abar_jk} = tau with
-    gamma != delta.  The built-in preset "diagonal-independence"
-    (gamma=1, delta=-1, tau=0) encodes mutually independent entries of Abar.
+    gamma != delta.  The defaults (gamma=1, delta=-1, tau=0) encode mutually
+    independent entries of Abar.
     """
 
     def __init__(self, n, gamma=1.0, delta=-1.0, tau=None):
@@ -276,12 +262,6 @@ class IndependenceConstraints:
         else:
             self.tau = np.asarray(tau, dtype=float).reshape(len(pairs), len(pairs))
 
-    @classmethod
-    def preset(cls, name, n):
-        if name == "diagonal-independence":
-            return cls(n, gamma=1.0, delta=-1.0, tau=None)
-        raise ValueError(f"unknown constraint preset {name!r}")
-
 
 def recover_under_constraints(sigma_a_tilde, constraints):
     """Unique class member satisfying per-pair constraints on coupled entries.
@@ -291,18 +271,15 @@ def recover_under_constraints(sigma_a_tilde, constraints):
     a non-PSD result is reported, not raised.
     """
     sigma_a_tilde = np.asarray(sigma_a_tilde, dtype=float)
-    nt = sigma_a_tilde.shape[0]
-    n = int(round((np.sqrt(8 * nt + 1) - 1) / 2))
-    if svec_dim(n) != nt or constraints.n != n:
+    n = constraints.n
+    if sigma_a_tilde.shape != (svec_dim(n), svec_dim(n)):
         raise ValueError("reduced matrix size does not match the constraint dimension")
-    ec = equivalence_class(sigma_a_tilde, np.zeros((nt, 1)), n, 1)
-    pos = np.array([svec_index(i - 1, j - 1, n) for i, j in off_pairs(n)], dtype=int)
+    pos = svec_index(*np.triu_indices(n, 1), n)
     s = sigma_a_tilde[np.ix_(pos, pos)]  # reduced entry of each ((i,j), (k,l)) pair
     g, d = constraints.gamma, constraints.delta
     u = (constraints.tau - d * s) / (g - d)  # E{Abar_ik Abar_jl}
-    alpha = u - 0.5 * s
-    sa, _, psd_a, _ = sigma_from_class(ec, alpha.ravel(), np.zeros(0))
-    return sa, psd_a
+    sa = _member(sigma_a_tilde, u - 0.5 * s, n, n)
+    return sa, is_psd(sa)
 
 
 def project_psd(S):

@@ -43,6 +43,10 @@ __all__ = [
 #: Allowed negative slack on covariance eigenvalues before declaring non-PSD.
 PSD_SLACK = 1e-10
 
+#: Absolute slack on a bounded noise draw's norm before it counts as beyond
+#: its declared a.s. bound: absorbs the rounding of the draw and of its norm.
+NOISE_BOUND_SLACK = 1e-9
+
 #: Magnitude beyond which a state (or an RLS regressor or estimate) is
 #: declared diverged.
 DIVERGENCE_LIMIT = 1e12
@@ -513,8 +517,8 @@ class RolloutSet:
             raise InputError(f"rollout JSON does not parse: {exc}") from None
         _require_fields(d, ("n", "m", "ell", "n_r", "seed", "schedule", "rollouts"), "rollout JSON")
         for key in ("n", "m", "ell", "n_r"):
-            if not isinstance(d[key], int) or isinstance(d[key], bool):
-                raise InputError(f"rollout JSON field {key!r} must be an integer")
+            if not isinstance(d[key], int) or isinstance(d[key], bool) or d[key] < 1:
+                raise InputError(f"rollout JSON field {key!r} must be a positive integer")
         if not isinstance(d["rollouts"], list):
             raise InputError("rollout JSON field 'rollouts' must be a list")
         _require_fields(d["schedule"], ("nu", "Ubar", "law"), "rollout JSON field 'schedule'")
@@ -551,6 +555,9 @@ def _schedule_array(sched, key, shape):
             f"rollout JSON field schedule.{key} has shape {arr.shape}, "
             f"the header's ell = {shape[0]} and m = {shape[1]} need {shape}"
         )
+    if not np.isfinite(arr).all():
+        index = ", ".join(str(int(i)) for i in np.argwhere(~np.isfinite(arr))[0])
+        raise InputError(f"rollout JSON field schedule.{key}[{index}] is not finite")
     return arr
 
 
@@ -712,6 +719,7 @@ def _check_noise_bound(system, Abar, Bbar):
     for name, draws, bound in (("Abar", Abar, system.c_abar), ("Bbar", Bbar, system.c_bbar)):
         if bound is None:
             continue
-        over = np.sqrt(np.einsum("...ij,...ij->...", draws, draws)) > bound + 1e-9
-        if over.any() and np.linalg.norm(draws[over], 2, axis=(-2, -1)).max() > bound + 1e-9:
+        limit = bound + NOISE_BOUND_SLACK
+        over = np.sqrt(np.einsum("...ij,...ij->...", draws, draws)) > limit
+        if over.any() and np.linalg.norm(draws[over], 2, axis=(-2, -1)).max() > limit:
             raise AssertionError(f"sampled {name} exceeded its declared a.s. bound")

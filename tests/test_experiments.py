@@ -386,6 +386,18 @@ def test_cli_schedule_mismatch_is_an_input_error(tmp_path, capsys):
     assert err.startswith("input error: rollout JSON field schedule.nu has shape (3, 1)"), err
 
 
+def test_cli_non_finite_schedule_is_an_input_error(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["simulate", "--preset", "paper-4.1", "--n-r", "3", "--out", str(out)]) == 0
+    d = json.loads((out / "rollouts.json").read_text())
+    d["schedule"]["nu"][1][0] = float("nan")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d))
+    assert main(["estimate", "--rollouts", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "input error: rollout JSON field schedule.nu[1, 0] is not finite\n", err
+
+
 def test_cli_rollouts_of_another_system_are_an_input_error(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["simulate", "--preset", "paper-4.1-additive", "--n-r", "3", "--out", str(out)]) == 0

@@ -243,9 +243,7 @@ def test_diagonal_preset_recovers_diagonal_sigma(n):
     rng = np.random.default_rng(18 + n)
     diag = np.diag(rng.random(n * n))
     sat = reduced_from_full(diag, n)
-    rec, psd = recover_under_constraints(
-        sat, IndependenceConstraints.preset("diagonal-independence", n)
-    )
+    rec, psd = recover_under_constraints(sat, IndependenceConstraints(n))
     assert np.allclose(rec, diag, atol=1e-12)
     assert psd
 
@@ -263,9 +261,10 @@ def test_constraints_reject_gamma_equal_delta():
         IndependenceConstraints(2, gamma=1.0, delta=1.0)
 
 
-def test_unknown_preset_rejected():
-    with pytest.raises(ValueError):
-        IndependenceConstraints.preset("nope", 2)
+def test_recovery_rejects_a_reduced_matrix_of_the_wrong_shape():
+    # three rows fit n = 2, but a reduced SigmaA must be square
+    with pytest.raises(ValueError, match="reduced matrix size does not match"):
+        recover_under_constraints(np.ones((3, 2)), IndependenceConstraints(2))
 
 
 # --- PSD projection -------------------------------------------------------------

@@ -453,6 +453,22 @@ def _not_json(d):
     return "{"
 
 
+def _no_rollouts(d):
+    d["n_r"], d["rollouts"] = 0, []
+    return d
+
+
+def _schedule_entry(key, index, value):
+    def edit(d):
+        row = d["schedule"][key]
+        for i in index[:-1]:
+            row = row[i]
+        row[index[-1]] = value
+        return d
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -466,6 +482,11 @@ def _not_json(d):
         (_short_schedule_covariances, r"schedule\.Ubar has shape \(3, 1, 1\), .* need \(4, 1, 1\)"),
         (_unknown_schedule_law, "'schedule': unknown input law 'cauchy'"),
         (_not_json, "rollout JSON does not parse"),
+        (_no_rollouts, "rollout JSON field 'n_r' must be a positive integer"),
+        (_schedule_entry("nu", (2, 0), float("nan")), r"schedule\.nu\[2, 0\] is not finite"),
+        (_schedule_entry("nu", (0, 0), float("inf")), r"schedule\.nu\[0, 0\] is not finite"),
+        (_schedule_entry("Ubar", (1, 0, 0), float("nan")), r"schedule\.Ubar\[1, 0, 0\] is not finite"),
+        (_schedule_entry("Ubar", (3, 0, 0), float("inf")), r"schedule\.Ubar\[3, 0, 0\] is not finite"),
     ],
 )
 def test_rollout_json_names_missing_or_mistyped_fields(
