@@ -196,8 +196,8 @@ def read_csv_table(path):
 
 
 def _rep_seeds(master, index):
-    """Derived 64-bit seeds for repetition indices ``index`` (role tag 17)."""
-    return rs.stream_keys(master, index, 0, 17)
+    """Derived 64-bit seeds for repetition indices ``index``."""
+    return rs.stream_keys(master, index, 0, rs.ROLE_REPETITION)
 
 
 def _slope(x_log10, y_log10):

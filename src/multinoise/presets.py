@@ -79,12 +79,6 @@ def benchmark_sigma_a_alpha(alpha):
     ) / 40.0
 
 
-def _nominal(rho):
-    A = np.array([[rho, 0.2], [0.0, rho]])
-    B = np.array([[0.8], [1.0]])
-    return A, B
-
-
 @dataclass
 class PresetBundle:
     """Everything an experiment needs: system, schedule, initial distribution."""
@@ -121,30 +115,24 @@ PRESET_NAMES = (
 
 
 def get_preset(name, noise_law="uniform"):
-    """Build a named preset; unknown names raise ValueError."""
-    init = FixedInitial(np.zeros(2))
-    if name == "paper-4.1":
-        A, B = _nominal(1.0)
-        system = make_system(A, B, CovarianceNoise(benchmark_sigma_a(), benchmark_sigma_b(), law=noise_law))
-        schedule = design_inputs(1, 4, seed=SCHEDULE_SEED_L4)
-        return PresetBundle(name=name, system=system, schedule=schedule, init=init)
+    """Build a named preset; a name not in PRESET_NAMES raises ValueError.
+
+    A = [[rho, 0.2], [0, rho]] (rho 1.0 on paper-4.1), B = [0.8, 1]', the
+    benchmark noise (none on -nonoise) and the ell=4 schedule; the additive
+    preset embeds additive noise and takes the augmented ell=6 schedule.
+    """
+    if name not in PRESET_NAMES:
+        raise ValueError(f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}")
+    rho = float(name.removeprefix("paper-4.2-rho").removesuffix("-nonoise")) if name.startswith("paper-4.2") else 1.0
+    A, B = np.array([[rho, 0.2], [0.0, rho]]), np.array([[0.8], [1.0]])
+    if name.endswith("-nonoise"):
+        noise = ZeroNoise()
+    else:
+        noise = CovarianceNoise(benchmark_sigma_a(), benchmark_sigma_b(), law=noise_law)
+    system = make_system(A, B, noise)
     if name == "paper-4.1-additive":
-        A, B = _nominal(1.0)
-        base = make_system(A, B, CovarianceNoise(benchmark_sigma_a(), benchmark_sigma_b(), law=noise_law))
-        system = embed_additive_noise(base, ADDITIVE_SIGMA2 * np.eye(2), law=noise_law)
+        system = embed_additive_noise(system, ADDITIVE_SIGMA2 * np.eye(2), law=noise_law)
         schedule = augment_schedule(design_inputs(1, 6, seed=SCHEDULE_SEED_L6))
-        return PresetBundle(name=name, system=system, schedule=schedule, init=init)
-    if name.startswith("paper-4.2-rho"):
-        rest = name[len("paper-4.2-rho"):]
-        nonoise = rest.endswith("-nonoise")
-        rho = float(rest[: -len("-nonoise")] if nonoise else rest)
-        if rho not in (0.6, 0.8, 1.0):
-            raise ValueError(f"unknown preset {name!r}")
-        A, B = _nominal(rho)
-        noise = ZeroNoise() if nonoise else CovarianceNoise(
-            benchmark_sigma_a(), benchmark_sigma_b(), law=noise_law
-        )
-        system = make_system(A, B, noise)
+    else:
         schedule = design_inputs(1, 4, seed=SCHEDULE_SEED_L4)
-        return PresetBundle(name=name, system=system, schedule=schedule, init=init)
-    raise ValueError(f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}")
+    return PresetBundle(name=name, system=system, schedule=schedule, init=FixedInitial(np.zeros(2)))

@@ -21,6 +21,7 @@ __all__ = [
     "ROLE_INPUT",
     "ROLE_NOISE_A",
     "ROLE_NOISE_B",
+    "ROLE_REPETITION",
     "stream_keys",
     "uniform01",
     "unit_variance",
@@ -31,6 +32,8 @@ ROLE_X0 = 0
 ROLE_INPUT = 1
 ROLE_NOISE_A = 2
 ROLE_NOISE_B = 3
+#: Role of the derived per-repetition seeds of the experiment runners.
+ROLE_REPETITION = 17
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)

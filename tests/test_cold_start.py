@@ -57,6 +57,10 @@ def test_bounded_laws_and_console_commands_never_load_scipy(tmp_path):
             assert cli.main(argv) == 0, argv
             record("multinoise " + argv[0])
         from multinoise import rngstream as rs
+        from multinoise import TruncatedGaussianInitial
+        init = TruncatedGaussianInitial([0.1, 0.05], [[0.04, 0.01], [0.01, 0.02]], 2.0)
+        init.second_moment, init.bounds()
+        record("TruncatedGaussianInitial construction")
         rs.unit_variance(0, [0], 0, rs.ROLE_INPUT, 1, "gaussian")
         record("one Gaussian draw")
         print(json.dumps(loaded))
@@ -64,7 +68,7 @@ def test_bounded_laws_and_console_commands_never_load_scipy(tmp_path):
     )
     assert "scipy.special" in loaded.pop("one Gaussian draw")
     assert loaded == {step: [] for step in loaded}
-    assert len(loaded) == 8
+    assert len(loaded) == 9
 
 
 FIRST_USES = {

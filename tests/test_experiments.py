@@ -38,6 +38,13 @@ def test_config_rejects_unknown_preset():
         ExperimentConfig.from_dict({"preset": "paper-9.9"})
 
 
+@pytest.mark.parametrize("name", ["paper-4.2-rho.6", "paper-4.2-rho0.60", "paper-4.2-rhox"])
+def test_get_preset_rejects_names_it_does_not_list(name):
+    # spellings of a listed rho, and a rho that is not a number, are unknown names
+    with pytest.raises(ValueError, match=rf"unknown preset '{name}'; known: paper-4.1, "):
+        get_preset(name)
+
+
 def test_config_rejects_descending_grid():
     with pytest.raises(ConfigError, match="ascending"):
         ExperimentConfig.from_dict({"n_r_grid": [100, 10]})

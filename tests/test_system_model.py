@@ -1,8 +1,11 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from multinoise import system_model
+from multinoise.baselines import simulate_single_trajectories
 from multinoise.moment_oracle import propagate_first, propagate_second
 from multinoise.shape_ops import svec, vec
 from multinoise.system_model import (
@@ -21,11 +24,12 @@ from multinoise.system_model import (
     embed_additive_noise,
     make_system,
     simulate_rollouts,
+    simulate_trajectories,
 )
 from multinoise.mals import design_inputs
 from multinoise.presets import get_preset
 
-from conftest import BENCH_A, BENCH_B, BENCH_SIGMA_A, BENCH_SIGMA_B
+from conftest import BENCH_A, BENCH_B, BENCH_SIGMA_A, BENCH_SIGMA_B, standard_normal_inputs
 
 
 def test_make_system_benchmark(bench_system):
@@ -207,6 +211,44 @@ def test_simulation_divergence_names_global_rollout_past_first_block():
         simulate_rollouts(s, sched, _ZeroThenOnes(ROLLOUT_LEAF + 3), n_r, seed=0)
 
 
+def test_diverged_trajectories_raise_no_floating_point_warning():
+    # diverged rows run on to the end of their chunk, past overflow, before they are frozen
+    s = make_system(1e6 * np.eye(2), BENCH_B, ZeroNoise())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        states, _, diverged_at = simulate_single_trajectories(s, standard_normal_inputs(1), 600, 3, seed=0)
+    assert (diverged_at <= 600).all() and np.isfinite(states).all()
+
+
+_ZERO_SCHEDULE = InputSchedule(nu=np.zeros((4, 1)), ubar=np.zeros((4, 1, 1)), law="deterministic")
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 256])
+def test_a_state_that_leaves_the_limit_and_comes_back_stays_frozen(monkeypatch, chunk):
+    # x_1 = [1e13, 0] is beyond the limit and x_2 = [0, 1] is back within it:
+    # the last state of a chunk does not show the exit
+    s = make_system(np.array([[0.0, 1e13], [1e-13, 0.0]]), np.zeros((2, 1)), ZeroNoise())
+    init = FixedInitial([0.0, 1.0])
+    monkeypatch.setattr(system_model, "TIME_CHUNK", chunk)
+    states, _, diverged_at = simulate_trajectories(s, _ZERO_SCHEDULE, init, np.arange(2), 8, seed=0)
+    assert diverged_at.tolist() == [1, 1]
+    assert (states == [0.0, 1.0]).all()
+    with pytest.raises(SimulationDiverged, match=r"at t=1, rollout 0$"):
+        simulate_rollouts(s, _ZERO_SCHEDULE, init, 1, seed=0)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 256])
+def test_a_frozen_trajectory_keeps_its_first_exit_while_others_run_on(monkeypatch, chunk):
+    # rollout 1 grows as 1e6^t, past the limit at t = 3, and from its frozen
+    # state 1e12 it is past it again at every later step; rollout 0 stays at 0
+    s = make_system(1e6 * np.eye(2), np.zeros((2, 1)), ZeroNoise())
+    monkeypatch.setattr(system_model, "TIME_CHUNK", chunk)
+    states, _, diverged_at = simulate_trajectories(s, _ZERO_SCHEDULE, _ZeroThenOnes(1), np.arange(2), 10, seed=0)
+    assert diverged_at.tolist() == [11, 3]
+    assert (states[0] == 0).all()
+    assert states[1, :, 0].tolist() == [1.0, 1e6] + [1e12] * 9
+
+
 # --- additive-noise embedding -------------------------------------------------
 
 
@@ -275,6 +317,14 @@ def test_truncated_gaussian_moments():
     assert np.allclose(emp, init.second_moment, atol=0.02)
     c_x, c_mu, _ = init.bounds()
     assert np.all(np.linalg.norm(xs, axis=1) <= c_x + 1e-9)
+
+
+def test_truncated_gaussian_variance_equals_scipy():
+    from scipy.stats import truncnorm
+
+    for r in np.linspace(0.5, 8.0, 151):
+        init = TruncatedGaussianInitial([0.0], [[1.0]], radius=r)
+        assert init.second_moment[0, 0] == pytest.approx(truncnorm.var(-r, r), rel=1e-14, abs=0), r
 
 
 # --- schedules and serialization ----------------------------------------------
