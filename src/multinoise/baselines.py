@@ -131,13 +131,12 @@ def rls_batch_estimates(system, input_law, T, reps, seed, checkpoints):
     length (see simulate_single_trajectories): the runs are then stacked
     law-major, law i's at runs i*reps .. (i+1)*reps - 1, in one simulation
     pass and one rls_fit call, each bit for bit its one-law call.  A diverged
-    trajectory stores x_{d-1} again as x_d (d = diverged_at), so its states
-    from d on are set to NaN: pair d-1 is then invalid, and both recursions
-    freeze after the last real transition.  Returns rls_fit's (cps, nominal,
-    sigma_a, sigma_b, frozen).
+    trajectory's states from x_d (d = diverged_at) on are NaN, so its pair
+    d-1 has an out-of-range response and both recursions freeze after the
+    last real transition.  Returns rls_fit's (cps, nominal, sigma_a, sigma_b,
+    frozen).
     """
-    states, inputs, diverged_at = simulate_single_trajectories(system, input_law, T, reps, seed)
-    states[np.arange(T + 1) >= diverged_at[:, None]] = np.nan
+    states, inputs, _ = simulate_single_trajectories(system, input_law, T, reps, seed)
     return rls_fit(states, inputs, checkpoints)
 
 
@@ -157,9 +156,10 @@ def simulate_single_trajectories(system, input_law, T, reps, seed):
 
     ``input_law.sample(seed, ks, t)`` draws u_t: an InputSchedule, whose
     moments repeat with its period ell.  Unlike the multi-rollout simulator
-    this records divergence instead of raising: a trajectory freezes at its
-    last in-range state and diverged_at[r] is the first invalid step index
-    (T + 1 if none).  Several laws run in one pass when ``input_law`` is a
+    this records divergence instead of raising: diverged_at[r] is the first
+    step index whose state went beyond the limit (T + 1 if none), and
+    trajectory r's states from it on and its inputs from it on are NaN
+    (see simulate_trajectories).  Several laws run in one pass when ``input_law`` is a
     sequence of laws and ``seed`` one non-negative seed per law: law i's
     trajectories are then rows i*reps .. (i+1)*reps - 1, each row keyed by
     its own law's seed, so each is bit for bit what law i gives alone.

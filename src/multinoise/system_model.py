@@ -91,41 +91,30 @@ def is_psd(S):
     return bool(_psd_eigenvalues(np.linalg.eigvalsh(0.5 * (S + S.T))))
 
 
+def _require_finite(a, name):
+    """Raise a ValueError naming the first NaN or infinite entry of ``a``, if any."""
+    if not np.isfinite(a).all():
+        index = ", ".join(str(int(i)) for i in np.argwhere(~np.isfinite(a))[0])
+        raise ValueError(f"{name}[{index}] is not finite")
+
+
 def _psd_factor(S, name):
     """Return L with L L' = S for symmetric PSD S (eigenvalue clipping), over leading axes.
 
-    Matrices that fail the PSD rule of ``is_psd`` are an error naming the
-    first of them; small negative eigenvalues are clipped to zero (empirical
-    covariances carry rounding noise).
+    Non-finite entries, and matrices that fail the PSD rule of ``is_psd``,
+    are an error naming the first of them; small negative eigenvalues are
+    clipped to zero (empirical covariances carry rounding noise).
     """
     S = np.asarray(S, dtype=float)
     if S.ndim < 2 or S.shape[-2] != S.shape[-1]:
         raise ValueError(f"{name} must be square, got {S.shape}")
+    _require_finite(S, name)
     w, V = np.linalg.eigh(0.5 * (S + S.swapaxes(-1, -2)))
     bad = np.argwhere(~_psd_eigenvalues(w))
     if len(bad):
         at = "".join(f"[{i}]" for i in bad[0])
         raise ValueError(f"{name}{at} is not positive semidefinite (min eig {w[tuple(bad[0])][0]:.3e})")
     return V * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
-
-
-class ZeroNoise:
-    """No multiplicative noise."""
-
-    law = "uniform"
-
-    def implied_sigma_a(self, n):
-        return np.zeros((n * n, n * n))
-
-    def implied_sigma_b(self, n, m):
-        return np.zeros((n * m, n * m))
-
-    def bounds(self, n, m):
-        return 0.0, 0.0
-
-    def sample(self, seed, ks, t, n, m):
-        lead = np.shape(t) + (len(ks),)
-        return np.zeros(lead + (n, n)), np.zeros(lead + (n, m))
 
 
 class CovarianceNoise:
@@ -225,6 +214,13 @@ class EigenStructuredNoise:
             q = rs.unit_variance(seed, ks, t, rs.ROLE_NOISE_B, s, self.law) * self.deltas
             Bbar = np.einsum("...s,sij->...ij", q, np.stack(self.b_dirs))
         return Abar, Bbar
+
+
+class ZeroNoise(EigenStructuredNoise):
+    """No multiplicative noise: the eigen-structured model with no directions."""
+
+    def __init__(self):
+        super().__init__([], [], [], [])
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +329,7 @@ class InputSchedule:
             raise ValueError("schedule shapes inconsistent")
         if self.law == "deterministic" and np.any(self.ubar != 0):
             raise ValueError("deterministic schedule requires zero input covariances")
+        _require_finite(self.nu, "nu")
         self._factors = _psd_factor(self.ubar, "Ubar")
 
     @property
@@ -399,6 +396,8 @@ class MultNoiseSystem:
             raise ValueError(f"B must be n x m with n = {self.A.shape[0]}, got {self.B.shape}")
         if self.B.shape[1] > self.A.shape[0]:
             raise ValueError("input dimension m must satisfy m <= n")
+        _require_finite(self.A, "A")
+        _require_finite(self.B, "B")
         self.noise = noise
         n, m = self.n, self.m
         self.sigma_a = noise.implied_sigma_a(n)
@@ -610,6 +609,8 @@ def iter_rollout_blocks(system, schedule, init, n_r, seed):
         raise ValueError("schedule length must be >= 1")
     if schedule.m != system.m:
         raise ValueError(f"schedule input dim {schedule.m} != system m {system.m}")
+    if init.mean.size != system.n:
+        raise ValueError(f"initial state dim {init.mean.size} != system n {system.n}")
     ell, seeds = schedule.ell, np.atleast_1d(seed)
     per_block = max(1, ROLLOUT_LEAF // n_r)  # repetitions per block
     for r0 in range(0, len(seeds), per_block):
@@ -656,14 +657,16 @@ def simulate_trajectories(system, input_law, init, ks, T, seed):
     u_t (an InputSchedule is such a law).  Inputs and noise are drawn
     TIME_CHUNK steps at a time, which does not change a draw, since the keyed
     streams do not depend on the order of draws, and bounded noise draws are
-    checked against their declared a.s. bound.  A trajectory whose state goes
-    beyond DIVERGENCE_LIMIT freezes at its last state within it: each step
-    tests the whole batch, and each row's first step beyond the limit is found
-    at the end of a chunk, once the test has fired.  The recursion stops once
-    every trajectory has frozen: from the next chunk on only the inputs are
-    drawn, so later noise is neither drawn nor checked.  Returns states
-    (len(ks), T+1, n), inputs (len(ks), T, m) and diverged_at (len(ks),), the
-    first step index whose state went beyond the limit (T + 1 if none).
+    checked against their declared a.s. bound.  A trajectory ends at its first
+    state beyond DIVERGENCE_LIMIT, at step d: its states from x_d and its
+    inputs from u_d on are NaN.  Each step tests the whole batch, and once the
+    test has fired each row's first step beyond the limit is found at the end
+    of every chunk; rows past it run on, and their steps are overwritten by
+    NaN there.  The recursion stops
+    at the first chunk start at which every trajectory has ended, so no later
+    input or noise is drawn.  Returns states (len(ks), T+1, n), inputs
+    (len(ks), T, m) and diverged_at (len(ks),), the first step index whose
+    state went beyond the limit (T + 1 if none).
     """
     if len(ks) == 1:
         # numpy takes a one-row matrix product through gemv, which rounds
@@ -677,12 +680,14 @@ def simulate_trajectories(system, input_law, init, ks, T, seed):
     fired = False  # whether a state has gone beyond the limit: from then on every chunk is searched
     states = inputs = None
     for c0 in range(0, max(T, 1), TIME_CHUNK):  # at least one chunk, which allocates the outputs
+        if diverged_at.max() <= c0:  # every trajectory has ended
+            states[:, c0 + 1 :] = np.nan
+            inputs[:, c0:] = np.nan
+            break
         c1 = min(c0 + TIME_CHUNK, T)
         ts = np.arange(c0, c1)
         u = input_law.sample(seed, ks, ts)  # (c1 - c0, len(ks), m)
-        live = diverged_at.max() > c0
-        if live:
-            Abar, Bbar = system.noise.sample(seed, ks, ts, n, m)
+        Abar, Bbar = system.noise.sample(seed, ks, ts, n, m)
         if states is None:
             # allocated after the first draws: allocated before them, a rollout
             # block of paper-4.1-additive took about 6% longer
@@ -690,26 +695,20 @@ def simulate_trajectories(system, input_law, init, ks, T, seed):
             inputs = np.empty((len(ks), T, m))
             states[:, 0, :] = x
         inputs[:, c0:c1] = u.swapaxes(0, 1)
-        if not live:
-            continue
         _check_noise_bound(system, Abar, Bbar)
         Bu = np.einsum("tkij,tkj->tki", Bbar, u)
         uB = u @ system.B.T
-        with np.errstate(over="ignore", invalid="ignore"):  # rows beyond the limit run on to the chunk's end
+        with np.errstate(over="ignore", invalid="ignore"):  # rows beyond the limit run on, overwritten by NaN
             for i in range(c1 - c0):
                 x = np.einsum("kij,kj->ki", Abar[i], x) + x @ system.A.T + Bu[i] + uB[i]
                 states[:, c0 + i + 1, :] = x
                 fired = fired or beyond_limit(x)
-        if not fired:
-            continue
-        steps = np.arange(c0 + 1, c1 + 1)
-        first = np.where(beyond_limit(states[:, c0 + 1 : c1 + 1], 2), steps, T + 1).min(1)
-        diverged_at = np.minimum(diverged_at, first)
-        # each row's last state within the limit (its state at c1 if it has not frozen)
-        x = states[np.arange(len(ks)), np.minimum(diverged_at, c1 + 1) - 1]
-        np.copyto(states[:, c0 + 1 : c1 + 1], x[:, None, :], where=(steps >= diverged_at[:, None])[:, :, None])
-        if diverged_at.max() <= c1:
-            states[:, c1 + 1 :, :] = x[:, None, :]  # every trajectory is frozen
+        if fired:
+            steps = np.arange(c0 + 1, c1 + 1)
+            first = np.where(beyond_limit(states[:, c0 + 1 : c1 + 1], 2), steps, T + 1).min(1)
+            diverged_at = np.minimum(diverged_at, first)
+            states[:, c0 + 1 : c1 + 1][steps >= diverged_at[:, None]] = np.nan
+            inputs[:, c0:c1][steps > diverged_at[:, None]] = np.nan
     return states, inputs, diverged_at
 
 

@@ -65,9 +65,9 @@ def _ref_simulate(system, input_law, T, reps, seed):
         )
         blown = alive & _ref_too_big(x_new, 1)
         diverged_at[blown] = t + 1
+        inputs[:, t, :] = np.where(alive[:, None], u, np.nan)  # u_t is NaN once x_t has diverged
         alive &= ~blown
-        x = np.where(alive[:, None], x_new, x)
-        inputs[:, t, :] = u
+        x = np.where(alive[:, None], x_new, np.nan)
         states[:, t + 1, :] = x
     return states, inputs, diverged_at
 
@@ -157,16 +157,17 @@ def test_simulation_and_rls_match_per_step_reference(case, law):
     got = simulate_single_trajectories(system, input_law, T, reps, seed=23)
     ref = _ref_simulate(system, input_law, T, reps, seed=23)
     for g, r in zip(got, ref):
-        assert np.array_equal(g, r)
+        assert np.array_equal(g, r, equal_nan=True)
     states, inputs, diverged_at = got
     if case == "paper-4.2-rho1.0":
         assert np.all(diverged_at <= T)
     (phi_n, tgt_n), (phi_2, tgt_2) = _ref_regression_data(states, inputs, diverged_at)
-    # the batched regressors reproduce the per-trajectory forms on the steps before divergence
+    # the batched regressors reproduce the per-trajectory forms on the steps before divergence,
+    # where the response of step d - 1 is NaN in both
     phi_b, tgt_b = second_moment_regressors(states, inputs)
     before = np.arange(T) < diverged_at[:, None]
-    assert np.array_equal(phi_b[before], phi_2[before]) and np.array_equal(tgt_b[before], tgt_2[before])
-    assert np.array_equal(states[:, 1:][before], tgt_n[before])
+    assert np.array_equal(phi_b[before], phi_2[before]) and np.array_equal(tgt_b[before], tgt_2[before], equal_nan=True)
+    assert np.array_equal(states[:, 1:][before], tgt_n[before], equal_nan=True)
     cps = [7, 600, T]
     _assert_rls_matches_reference(phi_n, tgt_n, cps)
     _assert_rls_matches_reference(phi_2, tgt_2, cps)
@@ -178,7 +179,7 @@ def test_early_exits_when_every_run_freezes_before_the_last_checkpoint():
     law = standard_normal_inputs(1)
     states, inputs, diverged_at = simulate_single_trajectories(system, law, T, reps, 8)
     ref = _ref_simulate(system, law, T, reps, 8)
-    assert np.array_equal(states, ref[0]) and np.array_equal(inputs, ref[1])
+    assert np.array_equal(states, ref[0], equal_nan=True) and np.array_equal(inputs, ref[1], equal_nan=True)
     assert np.array_equal(diverged_at, ref[2])
     assert diverged_at.max() < T - 100  # the simulator stops early
     cps = [50, diverged_at.max() + 20, T - 1, T]
@@ -189,7 +190,7 @@ def test_early_exits_when_every_run_freezes_before_the_last_checkpoint():
 
 
 def test_frozen_baseline_estimates_use_only_real_transitions():
-    # a diverged trajectory stores x_{d-1} again as x_d, so its RLS runs must
+    # a diverged trajectory's states are NaN from x_d on, so its RLS runs must
     # freeze after the last real transition, pair d-2
     system, _ = _oracle_case("paper-4.2-rho1.0")
     T, reps, law = 2000, 6, standard_normal_inputs(1)
@@ -421,9 +422,9 @@ def test_simulated_divergence_is_monotone():
     st, ip, div = simulate_single_trajectories(s, standard_normal_inputs(1), 2000, 3, seed=21)
     for r, d in enumerate(div):
         if d <= 2000:
-            # frozen at the last valid state from the divergence step on
-            assert np.all(st[r, d:] == st[r, d - 1])
-            assert np.max(np.abs(st[r, : d - 1])) <= 1e12
+            # NaN from the divergence step on, within the limit before it
+            assert np.isnan(st[r, d:]).all() and np.isnan(ip[r, d:]).all()
+            assert np.max(np.abs(st[r, :d])) <= 1e12 and np.isfinite(ip[r, :d]).all()
 
 
 def test_periodic_draws_follow_periodic_moments():
@@ -541,7 +542,7 @@ def test_stacked_laws_equal_their_one_law_fits(name):
         runs = slice(i * reps, (i + 1) * reps)
         alone_sim = simulate_single_trajectories(system, law, T, reps, int(seed))
         for a, b in zip(stacked_sim, alone_sim):
-            assert np.array_equal(a[runs], b)
+            assert np.array_equal(a[runs], b, equal_nan=True)
         alone_fit = rls_batch_estimates(system, law, T, reps, int(seed), cps)
         for a, b in zip(stacked_fit[1:], alone_fit[1:]):
             assert np.array_equal(a[:, runs], b)
@@ -598,7 +599,7 @@ def test_an_empty_sequence_of_laws_is_rejected():
         lambda first, last: first,  # ... at the last step of a chunk
         lambda first, last: first + 3,  # ... mid-chunk
         lambda first, last: last - 1,  # the last trajectory freezes at the first step of a chunk
-        lambda first, last: last,  # ... at the last step of a chunk, so the next chunk draws inputs only
+        lambda first, last: last,  # ... at the last step of a chunk, so the simulation stops at the next chunk
         lambda first, last: system_model.TIME_CHUNK,
     ],
     ids=["first-opens", "first-closes", "first-mid", "last-opens", "last-closes", "module"],
@@ -616,7 +617,43 @@ def test_chunked_simulation_equals_the_whole_horizon(monkeypatch, chunk):
     monkeypatch.setattr(system_model, "TIME_CHUNK", chunk(first, last))
     chunked = simulate_single_trajectories(bundle.system, laws, T, reps, seeds)
     for a, b in zip(chunked, whole):
-        assert np.array_equal(a, b)
+        assert np.array_equal(a, b, equal_nan=True)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 256])
+def test_diverged_trajectories_are_nan_from_their_divergence_step_on(monkeypatch, chunk):
+    system, _ = _oracle_case("paper-4.2-rho1.0")
+    T, reps, law = 1200, 5, standard_normal_inputs(1)
+    ref = _ref_simulate(system, law, T, reps, 23)
+    monkeypatch.setattr(system_model, "TIME_CHUNK", chunk)
+    states, inputs, diverged_at = simulate_single_trajectories(system, law, T, reps, 23)
+    assert diverged_at.tolist() == [242, 536, 806, 336, 635]  # as the held-state simulator found them
+    assert np.array_equal(diverged_at, ref[2])
+    for r, d in enumerate(diverged_at):
+        assert np.array_equal(states[r, :d], ref[0][r, :d]) and np.array_equal(inputs[r, :d], ref[1][r, :d])
+        assert np.isnan(states[r, d:]).all() and np.isnan(inputs[r, d:]).all()
+
+
+@pytest.mark.parametrize("chunk", [64, 256])
+def test_no_draw_is_made_once_every_trajectory_has_diverged(monkeypatch, chunk):
+    system, _ = _oracle_case("paper-4.2-rho1.0")
+    law, drawn = standard_normal_inputs(1), {"input": set(), "noise": set()}
+
+    def recording(key, sample):
+        def wrapped(seed, ks, t, *dims):
+            drawn[key].update(np.atleast_1d(t).tolist())
+            return sample(seed, ks, t, *dims)
+
+        return wrapped
+
+    monkeypatch.setattr(law, "sample", recording("input", law.sample))
+    monkeypatch.setattr(system.noise, "sample", recording("noise", system.noise.sample))
+    monkeypatch.setattr(system_model, "TIME_CHUNK", chunk)
+    T = 2500
+    _, _, diverged_at = simulate_single_trajectories(system, law, T, 4, 8)
+    stop = -(-int(diverged_at.max()) // chunk) * chunk  # the first chunk start at or after the last divergence
+    assert stop < T
+    assert drawn["input"] == drawn["noise"] == set(range(stop))
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])

@@ -116,12 +116,22 @@ def test_sweep_csvs_keep_their_pinned_bytes(tmp_path):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
-def test_baseline_csvs_keep_their_pinned_bytes(tmp_path):
-    # the config freezes runs of rho 1.0 and of the additive embedding, by out-of-range states and regressors
-    pins = json.loads((Path(__file__).parent / "csv_pins.json").read_text())["baselines"]
+def _assert_baseline_pins(tmp_path, key):
+    pins = json.loads((Path(__file__).parent / "csv_pins.json").read_text())[key]
     run_baseline_comparison(ExperimentConfig.from_dict(pins["config"])).write(tmp_path)
     for name, digest in pins["sha256"].items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_baseline_csvs_keep_their_pinned_bytes(tmp_path):
+    # the config freezes runs of rho 1.0 and of the additive embedding, by out-of-range states and regressors
+    _assert_baseline_pins(tmp_path, "baselines")
+
+
+def test_baseline_csvs_keep_their_pinned_bytes_when_the_simulation_stops_early(tmp_path):
+    # every single trajectory diverges, by step 971 on rho 1.0 (T = 4000) and by step 1245 on the
+    # additive embedding (T = 6000), so the simulation stops long before the horizon
+    _assert_baseline_pins(tmp_path, "baselines_all_diverged")
 
 
 def test_cli_non_string_out_is_a_config_error(tmp_path, capsys):

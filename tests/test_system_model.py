@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -26,7 +27,7 @@ from multinoise.system_model import (
     simulate_rollouts,
     simulate_trajectories,
 )
-from multinoise.mals import design_inputs
+from multinoise.mals import design_inputs, mals
 from multinoise.presets import get_preset
 
 from conftest import BENCH_A, BENCH_B, BENCH_SIGMA_A, BENCH_SIGMA_B, standard_normal_inputs
@@ -54,6 +55,43 @@ def test_make_system_rejects_non_psd():
 def test_make_system_rejects_wide_B():
     with pytest.raises(ValueError, match="m <= n"):
         make_system(np.eye(2), np.ones((2, 3)), ZeroNoise())
+
+
+def _with(a, index, value):
+    a = np.array(a, dtype=float)
+    a[index] = value
+    return a
+
+
+_BOUNDED = CovarianceNoise(BENCH_SIGMA_A, BENCH_SIGMA_B)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: CovarianceNoise(_with(BENCH_SIGMA_A, (0, 1), np.nan), BENCH_SIGMA_B), "SigmaA[0, 1]"),
+        (lambda: CovarianceNoise(BENCH_SIGMA_A, _with(BENCH_SIGMA_B, (1, 0), -np.inf)), "SigmaB[1, 0]"),
+        (lambda: InputSchedule(nu=np.zeros((3, 1)), ubar=_with(np.ones((3, 1, 1)), 2, np.inf)), "Ubar[2, 0, 0]"),
+        (lambda: InputSchedule(nu=_with(np.zeros((3, 1)), 1, np.nan), ubar=np.ones((3, 1, 1))), "nu[1, 0]"),
+        (lambda: TruncatedGaussianInitial([0.0, 0.0], _with(np.eye(2), (1, 1), np.nan)), "initial covariance[1, 1]"),
+        (lambda: embed_additive_noise(make_system(BENCH_A, BENCH_B, _BOUNDED), _with(np.eye(2), (0, 0), np.inf)), "sigma_w[0, 0]"),
+        (lambda: make_system(_with(BENCH_A, (1, 0), np.nan), BENCH_B, _BOUNDED), "A[1, 0]"),
+        (lambda: make_system(BENCH_A, _with(BENCH_B, (1, 0), np.inf), _BOUNDED), "B[1, 0]"),
+    ],
+    ids=["SigmaA", "SigmaB", "Ubar", "nu", "initial-covariance", "sigma_w", "A", "B"],
+)
+def test_a_non_finite_model_input_fails_where_it_enters(build, message):
+    with pytest.raises(ValueError, match=re.escape(message) + " is not finite$"):
+        build()
+
+
+def test_an_initial_law_of_another_dimension_is_rejected():
+    bundle = get_preset("paper-4.1")
+    assert bundle.system.n == 2
+    with pytest.raises(ValueError, match="^initial state dim 3 != system n 2$"):
+        mals(bundle.system, bundle.schedule, FixedInitial(np.zeros(3)), 10)
+    with pytest.raises(ValueError, match="^initial state dim 1 != system n 2$"):
+        simulate_rollouts(bundle.system, bundle.schedule, FixedInitial(np.zeros(1)), 10, seed=0)
 
 
 def test_eigen_structured_implied_covariance():
@@ -195,6 +233,8 @@ def test_simulation_divergence_guard():
 class _ZeroThenOnes:
     """Initial states 0 for rollouts below ``first``, ones from it on."""
 
+    mean = np.zeros(2)  # only its size is read, by the dimension check
+
     def __init__(self, first):
         self.first = first
 
@@ -212,12 +252,15 @@ def test_simulation_divergence_names_global_rollout_past_first_block():
 
 
 def test_diverged_trajectories_raise_no_floating_point_warning():
-    # diverged rows run on to the end of their chunk, past overflow, before they are frozen
+    # diverged rows run on past overflow until every row has diverged, their states overwritten by NaN
     s = make_system(1e6 * np.eye(2), BENCH_B, ZeroNoise())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        states, _, diverged_at = simulate_single_trajectories(s, standard_normal_inputs(1), 600, 3, seed=0)
-    assert (diverged_at <= 600).all() and np.isfinite(states).all()
+        states, inputs, diverged_at = simulate_single_trajectories(s, standard_normal_inputs(1), 600, 3, seed=0)
+    assert (diverged_at <= 600).all()
+    for r, d in enumerate(diverged_at):
+        assert np.isfinite(states[r, :d]).all() and np.isnan(states[r, d:]).all()
+        assert np.isfinite(inputs[r, :d]).all() and np.isnan(inputs[r, d:]).all()
 
 
 _ZERO_SCHEDULE = InputSchedule(nu=np.zeros((4, 1)), ubar=np.zeros((4, 1, 1)), law="deterministic")
@@ -230,23 +273,25 @@ def test_a_state_that_leaves_the_limit_and_comes_back_stays_frozen(monkeypatch, 
     s = make_system(np.array([[0.0, 1e13], [1e-13, 0.0]]), np.zeros((2, 1)), ZeroNoise())
     init = FixedInitial([0.0, 1.0])
     monkeypatch.setattr(system_model, "TIME_CHUNK", chunk)
-    states, _, diverged_at = simulate_trajectories(s, _ZERO_SCHEDULE, init, np.arange(2), 8, seed=0)
+    states, inputs, diverged_at = simulate_trajectories(s, _ZERO_SCHEDULE, init, np.arange(2), 8, seed=0)
     assert diverged_at.tolist() == [1, 1]
-    assert (states == [0.0, 1.0]).all()
+    assert (states[:, 0] == [0.0, 1.0]).all() and np.isnan(states[:, 1:]).all()
+    assert (inputs[:, 0] == 0.0).all() and np.isnan(inputs[:, 1:]).all()
     with pytest.raises(SimulationDiverged, match=r"at t=1, rollout 0$"):
         simulate_rollouts(s, _ZERO_SCHEDULE, init, 1, seed=0)
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 256])
 def test_a_frozen_trajectory_keeps_its_first_exit_while_others_run_on(monkeypatch, chunk):
-    # rollout 1 grows as 1e6^t, past the limit at t = 3, and from its frozen
-    # state 1e12 it is past it again at every later step; rollout 0 stays at 0
+    # rollout 1 grows as 1e6^t, past the limit at t = 3, and runs on past
+    # overflow while rollout 0 stays at 0 to the horizon
     s = make_system(1e6 * np.eye(2), np.zeros((2, 1)), ZeroNoise())
     monkeypatch.setattr(system_model, "TIME_CHUNK", chunk)
-    states, _, diverged_at = simulate_trajectories(s, _ZERO_SCHEDULE, _ZeroThenOnes(1), np.arange(2), 10, seed=0)
+    states, inputs, diverged_at = simulate_trajectories(s, _ZERO_SCHEDULE, _ZeroThenOnes(1), np.arange(2), 10, seed=0)
     assert diverged_at.tolist() == [11, 3]
-    assert (states[0] == 0).all()
-    assert states[1, :, 0].tolist() == [1.0, 1e6] + [1e12] * 9
+    assert (states[0] == 0).all() and (inputs[0] == 0).all()
+    assert np.array_equal(states[1, :, 0], [1.0, 1e6, 1e12] + [np.nan] * 8, equal_nan=True)
+    assert np.array_equal(inputs[1, :, 0], [0.0] * 3 + [np.nan] * 7, equal_nan=True)
 
 
 # --- additive-noise embedding -------------------------------------------------
