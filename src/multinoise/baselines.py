@@ -6,6 +6,8 @@ drives them with the MALS input schedule itself, repeating with its period.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .moment_oracle import lift_nominal
@@ -127,8 +129,8 @@ def covariance_from_fit(fit, nominal, n):
 def rls_batch_estimates(system, input_law, T, reps, seed, checkpoints):
     """rls_fit on reps single trajectories of length T simulated from x_0 = 0.
 
-    For several input laws, ``input_law`` and ``seed`` are sequences of equal
-    length (see simulate_single_trajectories): the runs are then stacked
+    ``input_law`` and ``seed`` are one law and one seed, or sequences of
+    equal length (see simulate_single_trajectories); the runs are stacked
     law-major, law i's at runs i*reps .. (i+1)*reps - 1, in one simulation
     pass and one rls_fit call, each bit for bit its one-law call.  A diverged
     trajectory's states from x_d (d = diverged_at) on are NaN, so its pair
@@ -152,28 +154,32 @@ class _LawMajor:
 
 
 def simulate_single_trajectories(system, input_law, T, reps, seed):
-    """reps independent length-T trajectories from x_0 = 0 under an input law.
+    """reps independent length-T trajectories from x_0 = 0 under each input law.
 
     ``input_law.sample(seed, ks, t)`` draws u_t: an InputSchedule, whose
     moments repeat with its period ell.  Unlike the multi-rollout simulator
     this records divergence instead of raising: diverged_at[r] is the first
     step index whose state went beyond the limit (T + 1 if none), and
     trajectory r's states from it on and its inputs from it on are NaN
-    (see simulate_trajectories).  Several laws run in one pass when ``input_law`` is a
-    sequence of laws and ``seed`` one non-negative seed per law: law i's
-    trajectories are then rows i*reps .. (i+1)*reps - 1, each row keyed by
-    its own law's seed, so each is bit for bit what law i gives alone.
+    (see simulate_trajectories).  ``input_law`` is one law with one integer
+    seed (taken mod 2^64), or a sequence of laws with one non-negative seed
+    per law; one law is the one-law sequence.  Law i's trajectories are rows
+    i*reps .. (i+1)*reps - 1, each row keyed by its own law's seed, so each
+    is bit for bit what law i gives alone.
     """
-    ks = np.arange(reps)
-    if hasattr(input_law, "sample"):
+    if not isinstance(input_law, (list, tuple)):
         if np.ndim(seed):
             raise ValueError(f"one input law needs one seed, got {np.size(seed)} seeds")
-    else:
-        if not len(input_law):
-            raise ValueError("the sequence of input laws is empty")
-        if np.ndim(seed) != 1 or len(seed) != len(input_law):
-            got = len(seed) if np.ndim(seed) == 1 else f"the single seed {seed!r}"
-            raise ValueError(f"{len(input_law)} input laws need as many seeds, got {got}")
-        ks = np.tile(ks, len(input_law))
-        seed, input_law = np.repeat(np.asarray(seed, dtype=np.uint64), reps), _LawMajor(input_law)
-    return simulate_trajectories(system, input_law, FixedInitial(np.zeros(system.n)), ks, T, seed)
+        input_law, seed = (input_law,), [operator.index(seed) & 0xFFFFFFFFFFFFFFFF]
+    if not len(input_law):
+        raise ValueError("the sequence of input laws is empty")
+    if np.ndim(seed) != 1 or len(seed) != len(input_law):
+        got = len(seed) if np.ndim(seed) == 1 else f"the single seed {seed!r}"
+        raise ValueError(f"{len(input_law)} input laws need as many seeds, got {got}")
+    if reps < 1:
+        raise ValueError(f"reps must be a positive integer, got {reps}")
+    for i, law in enumerate(input_law):
+        if law.m != system.m:
+            raise ValueError(f"input law {i} has m = {law.m} but the system has m = {system.m}")
+    ks, seeds = np.tile(np.arange(reps), len(input_law)), np.repeat(np.asarray(seed, dtype=np.uint64), reps)
+    return simulate_trajectories(system, _LawMajor(input_law), FixedInitial(np.zeros(system.n)), ks, T, seeds)

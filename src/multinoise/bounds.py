@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .moment_oracle import assemble_population, check_excitation, lift
-from .shape_ops import svec
+from .shape_ops import svec, svec_dim
 
 __all__ = [
     "SystemBoundConstants",
@@ -201,7 +201,8 @@ class BoundContext:
 def bound_context(system, schedule, init, n_r):
     """Assemble a BoundContext from population moments and boundedness constants."""
     consts = constants_from_setup(system, schedule, init)
-    reg, _ = assemble_population(system, schedule, init.mean, svec(init.second_moment))
+    reg, tr = assemble_population(system, schedule, init.mean, svec(init.second_moment))
+    nt = svec_dim(system.n)
     rep = check_excitation(reg, system.n, system.m)
     return BoundContext(
         n=system.n,
@@ -219,9 +220,9 @@ def bound_context(system, schedule, init, n_r):
         norm_D=float(np.linalg.norm(reg.D, 2)),
         norm_A=float(np.linalg.norm(system.A, 2)),
         norm_B=float(np.linalg.norm(system.B, 2)),
-        norm_M1=float(np.linalg.norm(reg.M1, 2)),
-        norm_L1=float(np.linalg.norm(reg.L1, 2)),
-        norm_U=float(np.linalg.norm(reg.U, 2)),
+        norm_M1=float(np.linalg.norm(reg.D[:nt], 2)),  # [Xt_{ell-1} ... Xt_0]
+        norm_L1=float(np.linalg.norm(tr.w[::-1].T, 2)),  # [W_{ell-1} ... W_0]
+        norm_U=float(np.linalg.norm(reg.D[nt:], 2)),  # [Ut_{ell-1} ... Ut_0]
         c_n=consts.c_n,
         c_f=consts.c_f,
         c_w=consts.c_w,

@@ -40,7 +40,6 @@ def _add_common(parser):
     parser.add_argument("--config", type=str, default=None, help="JSON config file")
     parser.add_argument("--seed", type=int, default=None, help="master seed")
     parser.add_argument("--out", type=str, default=None, help="output directory")
-    parser.add_argument("--reps", type=int, default=None, help="repetition count")
     parser.add_argument("--preset", type=str, default=None, help=f"one of {', '.join(PRESET_NAMES)}")
     parser.add_argument("--debug", action="store_true", help="print the traceback of an unexpected error")
 
@@ -64,8 +63,7 @@ def _outdir(config):
     return out
 
 
-def cmd_simulate(args):
-    config = _load_config(args)
+def cmd_simulate(args, config):
     bundle = get_preset(config.preset, noise_law=config.noise_law)
     n_r = args.n_r or config.n_r_grid[0]
     rollouts = simulate_rollouts(bundle.system, bundle.schedule, bundle.init, int(n_r), config.seed)
@@ -75,8 +73,7 @@ def cmd_simulate(args):
     return 0
 
 
-def cmd_estimate(args):
-    config = _load_config(args)
+def cmd_estimate(args, config):
     bundle = get_preset(config.preset, noise_law=config.noise_law)
     if args.rollouts:
         try:
@@ -100,8 +97,7 @@ def cmd_estimate(args):
     return 0
 
 
-def cmd_oracle(args):
-    config = _load_config(args)
+def cmd_oracle(args, config):
     bundle = get_preset(config.preset, noise_law=config.noise_law)
     reg, tr = assemble_population(bundle.system, bundle.schedule, np.zeros(bundle.system.n))
     out = _outdir(config) / "moments.csv"
@@ -123,8 +119,7 @@ def cmd_oracle(args):
     return 0
 
 
-def cmd_identifiability(args):
-    config = _load_config(args)
+def cmd_identifiability(args, config):
     bundle = get_preset(config.preset, noise_law=config.noise_law)
     ec = bundle.equivalence()
     verdict = classify_uniqueness(
@@ -137,8 +132,7 @@ def cmd_identifiability(args):
     return 0
 
 
-def cmd_bounds(args):
-    config = _load_config(args)
+def cmd_bounds(args, config):
     bundle = get_preset(config.preset, noise_law="uniform")  # bound machinery needs a.s. bounds
     n_r = args.n_r or config.bound_n_r
     ctx = bound_context(bundle.system, bundle.schedule, bundle.init, int(n_r))
@@ -163,8 +157,7 @@ _EXPERIMENTS = {
 }
 
 
-def cmd_experiment(args):
-    config = _load_config(args)
+def cmd_experiment(args, config):
     runner = _EXPERIMENTS[args.which]
     report = runner(config)
     paths = report.write(_outdir(config))
@@ -205,6 +198,7 @@ def build_parser():
     p = sub.add_parser("experiment", help="run a bundled experiment")
     p.add_argument("which", choices=sorted(_EXPERIMENTS))
     _add_common(p)
+    p.add_argument("--reps", type=int, default=None, help="repetition count")
     p.set_defaults(fn=cmd_experiment)
     return ap
 
@@ -212,7 +206,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return args.fn(args, _load_config(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -111,9 +111,7 @@ def _leaf_moments(leaves, n_r, schedule, shape=()):
     x_t = np.stack([_tree_sum([s2 for _, s2 in parts]) for parts in sums.values()]) / n_r
     mu, x_t = mu.reshape(shape + mu.shape[1:]), svec(x_t.reshape(shape + x_t.shape[1:]))
     w, w_p, u_t = input_moments(mu, schedule)
-    return MomentTrajectory(
-        mu=mu, x_t=x_t, w=w, w_p=w_p, u_t=u_t, nu=schedule.nu.copy(), source="empirical"
-    )
+    return MomentTrajectory(mu=mu, x_t=x_t, w=w, w_p=w_p, u_t=u_t, nu=schedule.nu.copy())
 
 
 def _solve(Y, Z, tag):
@@ -181,6 +179,9 @@ def _scalars(values):
 
 def attach_errors(result, system):
     """Record spectral-norm errors against the true system, per repetition of a stacked result."""
+    n, m = result.B_hat.shape[-2:]
+    if (n, m) != (system.n, system.m):
+        raise ValueError(f"estimate has (n, m) = ({n}, {m}) but the truth has (n, m) = ({system.n}, {system.m})")
     ld = lift(system)
     truth_ab = np.hstack([system.A, system.B])
     truth_sig = np.hstack([ld.sigma_a_tilde, ld.sigma_b_tilde])

@@ -117,7 +117,6 @@ class MomentTrajectory:
     w_p: np.ndarray      # (..., ell, n*m)  vec(nu mu')
     u_t: np.ndarray      # (ell, m(m+1)/2) reduced input second moments
     nu: np.ndarray       # (ell, m) designed input means
-    source: str = "exact"
 
     @property
     def ell(self):
@@ -173,9 +172,7 @@ def propagate_second_reduced(A, B, sigma_a_tilde, sigma_b_tilde, schedule, mu0, 
     Bt = B_t + np.asarray(sigma_b_tilde, dtype=float)
     for t in range(schedule.ell):
         x_t[t + 1] = At @ x_t[t] + Bt @ u_t[t] + K_BA @ w[t] + K_AB @ w_p[t]
-    return MomentTrajectory(
-        mu=mu, x_t=x_t, w=w, w_p=w_p, u_t=u_t, nu=schedule.nu.copy(), source="exact"
-    )
+    return MomentTrajectory(mu=mu, x_t=x_t, w=w, w_p=w_p, u_t=u_t, nu=schedule.nu.copy())
 
 
 def input_moments(mu, schedule):
@@ -191,16 +188,14 @@ class RegressionMatrices:
 
     Columns run backwards in time as in the estimator displays:
     Y = [mu_ell ... mu_1], Z stacks [mu_{ell-1} ... mu_0] over [nu_{ell-1} ... nu_0],
-    C = [C_ell ... C_1], D stacks reduced state/input second moments likewise.
+    C = [C_ell ... C_1], D stacks [Xt_{ell-1} ... Xt_0] (its first n(n+1)/2
+    rows) over [Ut_{ell-1} ... Ut_0].
     """
 
     Y: np.ndarray
     Z: np.ndarray
     C: np.ndarray
     D: np.ndarray
-    M1: np.ndarray   # [Xt_{ell-1} ... Xt_0]
-    L1: np.ndarray   # [W_{ell-1} ... W_0]
-    U: np.ndarray    # [Ut_{ell-1} ... Ut_0]
 
 
 def _vstack(top, bottom):
@@ -239,8 +234,7 @@ def assemble_population(system, schedule, mu0, x_t0=None):
     tr = propagate_second(system, schedule, mu0, x_t0)
     Y, Z = nominal_blocks(tr)
     C, D = covariance_blocks(tr, system.A, system.B)
-    nt = svec_dim(tr.n)
-    return RegressionMatrices(Y=Y, Z=Z, C=C, D=D, M1=D[:nt], L1=tr.w[::-1].T, U=D[nt:]), tr
+    return RegressionMatrices(Y=Y, Z=Z, C=C, D=D), tr
 
 
 @dataclass

@@ -232,6 +232,7 @@ class FixedInitial:
 
     def __init__(self, x0):
         self.x0 = np.asarray(x0, dtype=float).ravel()
+        _require_finite(self.x0, "x0")
         self.mean = self.x0
         self.second_moment = np.outer(self.x0, self.x0)
 
@@ -249,6 +250,8 @@ class UniformBoxInitial:
     def __init__(self, center, half_width):
         self.center = np.asarray(center, dtype=float).ravel()
         self.half = np.asarray(half_width, dtype=float).ravel()
+        _require_finite(self.center, "center")
+        _require_finite(self.half, "half_width")
         if self.half.shape != self.center.shape or np.any(self.half < 0):
             raise ValueError("half_width must be nonnegative and match center")
         self.mean = self.center
@@ -276,6 +279,9 @@ class TruncatedGaussianInitial:
         self.mu = np.asarray(mean, dtype=float).ravel()
         self.cov = np.asarray(cov, dtype=float)
         self.radius = float(radius)
+        _require_finite(self.mu, "mean")
+        if not math.isfinite(self.radius):
+            raise ValueError("radius is not finite")
         if self.radius <= 0:
             raise ValueError("truncation radius must be positive")
         if self.cov.shape != (self.mu.size,) * 2:
@@ -327,9 +333,10 @@ class InputSchedule:
             raise ValueError(f"unknown input law {self.law!r}")
         if self.nu.shape[0] != self.ubar.shape[0] or self.ubar.shape[1:] != (self.m, self.m):
             raise ValueError("schedule shapes inconsistent")
+        _require_finite(self.nu, "nu")
+        _require_finite(self.ubar, "Ubar")
         if self.law == "deterministic" and np.any(self.ubar != 0):
             raise ValueError("deterministic schedule requires zero input covariances")
-        _require_finite(self.nu, "nu")
         self._factors = _psd_factor(self.ubar, "Ubar")
 
     @property

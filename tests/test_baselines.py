@@ -592,6 +592,18 @@ def test_an_empty_sequence_of_laws_is_rejected():
             call(system, (), 10, 2, [])
 
 
+def test_reps_and_each_laws_input_dimension_are_checked():
+    system, law, wide = get_preset("paper-4.2-rho0.8").system, standard_normal_inputs(1), standard_normal_inputs(2)
+    for call in (simulate_single_trajectories, lambda *a: rls_batch_estimates(*a, [10])):
+        for reps in (0, -1):
+            with pytest.raises(ValueError, match=f"^reps must be a positive integer, got {reps}$"):
+                call(system, law, 50, reps, 7)
+        with pytest.raises(ValueError, match="^input law 0 has m = 2 but the system has m = 1$"):
+            call(system, wide, 50, 2, 7)
+        with pytest.raises(ValueError, match="^input law 1 has m = 2 but the system has m = 1$"):
+            call(system, (law, wide), 50, 2, [7, 8])
+
+
 @pytest.mark.parametrize(
     "chunk",
     [

@@ -149,6 +149,20 @@ def test_cli_non_integer_count_is_a_config_error(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: reps must be a positive integer, got 2.5\n"
 
 
+def test_cli_reps_overrides_the_config_of_experiment_and_no_other_command(tmp_path, capsys):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"preset": "paper-4.1", "input_laws": ["uniform"], "n_r_grid": [50, 200], "reps": 3}))
+    out = tmp_path / "convergence"
+    assert main(["experiment", "convergence", "--config", str(p), "--reps", "2", "--out", str(out)]) == 0
+    assert len(read_csv_table(out / "convergence_raw.csv")[1]) == 4  # 2 grid points x 2 reps
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--preset", "paper-4.1", "--reps", "3", "--out", str(tmp_path / "oracle")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --reps 3" in capsys.readouterr().err
+    assert not (tmp_path / "oracle").exists()
+
+
 @pytest.mark.parametrize(
     "entry, message",
     [

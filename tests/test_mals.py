@@ -332,3 +332,13 @@ def test_stacked_divergence_names_the_first_failing_repetition():
     with pytest.raises(SimulationDiverged) as exc:
         simulated_moments(s, sched, init, 40, np.array(seeds))
     assert str(exc.value) == messages[2]
+
+
+def test_errors_against_a_truth_of_another_shape_are_rejected():
+    b, other = get_preset("paper-4.2-rho0.8"), get_preset("paper-4.1-additive").system
+    rollouts = simulate_rollouts(b.system, b.schedule, b.init, 20, seed=3)
+    message = r"^estimate has \(n, m\) = \(2, 1\) but the truth has \(n, m\) = \(2, 2\)$"
+    with pytest.raises(ValueError, match=message):
+        attach_errors(solve(empirical_moments(rollouts)), other)
+    with pytest.raises(ValueError, match=message):
+        mals(rollouts, truth=other)

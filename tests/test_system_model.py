@@ -77,8 +77,18 @@ _BOUNDED = CovarianceNoise(BENCH_SIGMA_A, BENCH_SIGMA_B)
         (lambda: embed_additive_noise(make_system(BENCH_A, BENCH_B, _BOUNDED), _with(np.eye(2), (0, 0), np.inf)), "sigma_w[0, 0]"),
         (lambda: make_system(_with(BENCH_A, (1, 0), np.nan), BENCH_B, _BOUNDED), "A[1, 0]"),
         (lambda: make_system(BENCH_A, _with(BENCH_B, (1, 0), np.inf), _BOUNDED), "B[1, 0]"),
+        (lambda: InputSchedule(nu=np.zeros((2, 1)), ubar=np.full((2, 1, 1), np.nan), law="deterministic"),
+         "Ubar[0, 0, 0]"),
+        (lambda: FixedInitial([np.nan, 0.0]), "x0[0]"),
+        (lambda: UniformBoxInitial([0.0, -np.inf], [1.0, 1.0]), "center[1]"),
+        (lambda: UniformBoxInitial([0.0, 0.0], [np.inf, 1.0]), "half_width[0]"),
+        (lambda: TruncatedGaussianInitial([np.nan, 0.0], np.eye(2)), "mean[0]"),
+        (lambda: TruncatedGaussianInitial([0.0, 0.0], np.eye(2), radius=np.inf), "radius"),
+        (lambda: TruncatedGaussianInitial([0.0, 0.0], np.eye(2), radius=np.nan), "radius"),
     ],
-    ids=["SigmaA", "SigmaB", "Ubar", "nu", "initial-covariance", "sigma_w", "A", "B"],
+    ids=["SigmaA", "SigmaB", "Ubar", "nu", "initial-covariance", "sigma_w", "A", "B", "deterministic-Ubar",
+         "fixed-x0", "box-center", "box-half-width", "truncated-mean", "truncated-radius-inf",
+         "truncated-radius-nan"],
 )
 def test_a_non_finite_model_input_fails_where_it_enters(build, message):
     with pytest.raises(ValueError, match=re.escape(message) + " is not finite$"):
