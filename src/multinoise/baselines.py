@@ -130,7 +130,8 @@ def rls_batch_estimates(system, input_law, T, reps, seed, checkpoints):
     """rls_fit on reps single trajectories of length T simulated from x_0 = 0.
 
     ``input_law`` and ``seed`` are one law and one seed, or sequences of
-    equal length (see simulate_single_trajectories); the runs are stacked
+    equal length, each seed an integer taken mod 2^64 (see
+    simulate_single_trajectories); the runs are stacked
     law-major, law i's at runs i*reps .. (i+1)*reps - 1, in one simulation
     pass and one rls_fit call, each bit for bit its one-law call.  A diverged
     trajectory's states from x_d (d = diverged_at) on are NaN, so its pair
@@ -153,6 +154,14 @@ class _LawMajor:
         return np.concatenate([law.sample(s, k, t) for law, s, k in blocks], axis=-2)
 
 
+def _seed64(seed, i):
+    """Seed ``i`` as ``stream_keys`` takes a lone seed: an integer, mod 2^64."""
+    try:
+        return operator.index(seed) & 0xFFFFFFFFFFFFFFFF
+    except TypeError:
+        raise ValueError(f"seed {i} must be an integer, got {seed!r}") from None
+
+
 def simulate_single_trajectories(system, input_law, T, reps, seed):
     """reps independent length-T trajectories from x_0 = 0 under each input law.
 
@@ -161,16 +170,17 @@ def simulate_single_trajectories(system, input_law, T, reps, seed):
     this records divergence instead of raising: diverged_at[r] is the first
     step index whose state went beyond the limit (T + 1 if none), and
     trajectory r's states from it on and its inputs from it on are NaN
-    (see simulate_trajectories).  ``input_law`` is one law with one integer
-    seed (taken mod 2^64), or a sequence of laws with one non-negative seed
-    per law; one law is the one-law sequence.  Law i's trajectories are rows
-    i*reps .. (i+1)*reps - 1, each row keyed by its own law's seed, so each
-    is bit for bit what law i gives alone.
+    (see simulate_trajectories).  ``input_law`` is one law with one seed, or
+    a sequence of laws with one seed per law; one law is the one-law
+    sequence.  Every seed is an integer taken mod 2^64, as stream_keys takes
+    a lone seed; any other seed is a ValueError naming its index.  Law i's
+    trajectories are rows i*reps .. (i+1)*reps - 1, each row keyed by its own
+    law's seed, so each is bit for bit what law i gives alone with seed[i].
     """
     if not isinstance(input_law, (list, tuple)):
         if np.ndim(seed):
             raise ValueError(f"one input law needs one seed, got {np.size(seed)} seeds")
-        input_law, seed = (input_law,), [operator.index(seed) & 0xFFFFFFFFFFFFFFFF]
+        input_law, seed = (input_law,), [seed]
     if not len(input_law):
         raise ValueError("the sequence of input laws is empty")
     if np.ndim(seed) != 1 or len(seed) != len(input_law):
@@ -181,5 +191,6 @@ def simulate_single_trajectories(system, input_law, T, reps, seed):
     for i, law in enumerate(input_law):
         if law.m != system.m:
             raise ValueError(f"input law {i} has m = {law.m} but the system has m = {system.m}")
-    ks, seeds = np.tile(np.arange(reps), len(input_law)), np.repeat(np.asarray(seed, dtype=np.uint64), reps)
+    seeds = np.array([_seed64(s, i) for i, s in enumerate(seed)], dtype=np.uint64).repeat(reps)
+    ks = np.tile(np.arange(reps), len(input_law))
     return simulate_trajectories(system, _LawMajor(input_law), FixedInitial(np.zeros(system.n)), ks, T, seeds)

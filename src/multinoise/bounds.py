@@ -155,7 +155,12 @@ def constants_from_setup(system, schedule, init):
 
 @dataclass
 class BoundContext:
-    """Population quantities entering the bound formulas; both Grams must be nonsingular."""
+    """Population quantities entering the bound formulas.
+
+    n_r must be at least 1 (NaN is rejected), eps_max must lie in (0, 1] and
+    both Grams must be nonsingular; otherwise construction, and so
+    ``with_rollouts``, raises a ValueError.
+    """
 
     n: int
     m: int
@@ -180,6 +185,8 @@ class BoundContext:
     c_w: float
 
     def __post_init__(self):
+        if not self.n_r >= 1:
+            raise ValueError(f"n_r must be >= 1, got {self.n_r}")
         if not (0 < self.eps_max <= 1.0):
             raise ValueError("eps_max must lie in (0, 1]")
         for lo, hi in (("lam_min_zz", "lam_max_zz"), ("lam_min_dd", "lam_max_dd")):
@@ -218,8 +225,8 @@ def bound_context(system, schedule, init, n_r):
         norm_Z=float(np.linalg.norm(reg.Z, 2)),
         norm_C=float(np.linalg.norm(reg.C, 2)),
         norm_D=float(np.linalg.norm(reg.D, 2)),
-        norm_A=float(np.linalg.norm(system.A, 2)),
-        norm_B=float(np.linalg.norm(system.B, 2)),
+        norm_A=consts.norm_a,
+        norm_B=consts.norm_b,
         norm_M1=float(np.linalg.norm(reg.D[:nt], 2)),  # [Xt_{ell-1} ... Xt_0]
         norm_L1=float(np.linalg.norm(tr.w[::-1].T, 2)),  # [W_{ell-1} ... W_0]
         norm_U=float(np.linalg.norm(reg.D[nt:], 2)),  # [Ut_{ell-1} ... Ut_0]
@@ -526,8 +533,8 @@ def epsilon_Y_closed_form(ctx, delta):
     )
 
 
-def invert_bound(fn, delta, hi=None, lo=0.0, rel_tol=1e-10, max_iter=400):
-    """Solve fn(eps) = delta by bisection; fn must be non-increasing on [lo, hi].
+def invert_bound(fn, delta, hi=None):
+    """Solve fn(eps) = delta by bisection on [0, hi]; fn must be non-increasing there.
 
     Every bound is non-increasing in n_r, but not every bound is in eps:
     delta_ZZ and eta_DD are non-increasing only on (0, eps_max / 2] and rise
@@ -535,8 +542,8 @@ def invert_bound(fn, delta, hi=None, lo=0.0, rel_tol=1e-10, max_iter=400):
     bounds (eta_A to eta_CD) evaluate that Gram-inverse term at arguments that
     grow with eps, so each is non-increasing only until one of those arguments
     reaches eps_max / 2.  The bounds without that term are non-increasing for
-    all eps > 0.  ``hi`` caps the search; when omitted the interval is grown
-    by doubling until fn drops below delta.
+    all eps > 0.  ``hi`` caps the search, else it doubles from 1 until fn drops
+    below delta; bisection stops within 1e-10 * delta of it, or after 400 halvings.
     """
     if delta <= 0:
         raise ValueError("target delta must be positive")
@@ -552,11 +559,11 @@ def invert_bound(fn, delta, hi=None, lo=0.0, rel_tol=1e-10, max_iter=400):
         f_hi = fn(hi * (1 - 1e-12))
         if f_hi > delta:
             raise ValueError("delta below the bound's reachable values on this interval")
-    a, b = lo, hi
-    for _ in range(max_iter):
+    a, b = 0.0, hi
+    for _ in range(400):
         mid = 0.5 * (a + b)
         val = fn(mid)
-        if abs(val - delta) <= rel_tol * delta:
+        if abs(val - delta) <= 1e-10 * delta:
             return mid
         if val > delta:
             a = mid

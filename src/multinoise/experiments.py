@@ -200,10 +200,6 @@ def _rep_seeds(master, index):
     return rs.stream_keys(master, index, 0, rs.ROLE_REPETITION)
 
 
-def _slope(x_log10, y_log10):
-    return float(np.polyfit(x_log10, y_log10, 1)[0])
-
-
 _ERROR_KEYS = ("err_AB", "err_Sigma", "err_AB_norm", "err_Sigma_norm")
 
 
@@ -234,7 +230,7 @@ def run_convergence(config):
     counters = np.arange(len(config.input_laws) * len(grid) * config.reps)
     raw_rows = []
     summary_rows = []
-    summary = {"config": _config_dict(config), "laws": {}}
+    summary = {"config": asdict(config), "laws": {}}
     for law, counter in zip(config.input_laws, counters.reshape(-1, len(grid), config.reps)):
         seeds = _rep_seeds(config.seed, counter)
         errs = _sweep(bundle.with_input_law(law), grid, seeds)
@@ -250,7 +246,7 @@ def run_convergence(config):
         for key in ("err_AB", "err_Sigma"):
             series = [float(np.median(row)) for row in errs[key]]
             law_summary[f"median_{key}"] = series
-            law_summary[f"slope_{key}"] = _slope(lg, np.log10(series))
+            law_summary[f"slope_{key}"] = float(np.polyfit(lg, np.log10(series), 1)[0])
             law_summary[f"monotone_{key}"] = bool(
                 all(a >= b for a, b in zip(series, series[1:]))
             )
@@ -272,11 +268,6 @@ def run_convergence(config):
     )
 
 
-def _config_dict(config):
-    d = asdict(config)
-    return {k: list(v) if isinstance(v, tuple) else v for k, v in d.items()}
-
-
 # ---------------------------------------------------------------------------
 # tail frequencies (exceedance-vs-rollouts), optional bound envelope
 
@@ -295,7 +286,7 @@ def run_tail_frequency(config, with_bounds=False):
     seeds = _rep_seeds(config.seed ^ 0xA5, np.arange(len(grid) * reps).reshape(-1, reps))
     errs = _sweep(bundle, grid, seeds)
     freq_rows = []
-    summary = {"config": _config_dict(config), "law": law, "metrics": {}}
+    summary = {"config": asdict(config), "law": law, "metrics": {}}
     for key in ("err_AB_norm", "err_Sigma_norm"):
         eps_star = float(np.median(errs[key][0]))
         eps_grid = (np.asarray(config.eps_grid, dtype=float) if config.eps_grid
@@ -321,13 +312,13 @@ def run_tail_frequency(config, with_bounds=False):
         }
     tables = {"tail_frequencies": (["metric", "n_r", "epsilon", "frequency"], freq_rows)}
     if with_bounds:
-        tables["bound_envelope"] = _bound_envelope(config, bundle, errs, grid)
+        tables["bound_envelope"] = _bound_envelope(bundle, errs, grid)
         summary["bound_envelope"] = {"columns": "see bound_envelope.csv"}
     summary["runtime_s"] = time.perf_counter() - t0
     return ExperimentReport(name="tail", summary=summary, tables=tables)
 
 
-def _bound_envelope(config, bundle, errs, grid):
+def _bound_envelope(bundle, errs, grid):
     """Observed exceedance vs min(1, bound) on a shared epsilon grid."""
     rows = []
     ctx0 = bound_context(bundle.system, bundle.schedule, bundle.init, grid[0])
@@ -386,7 +377,7 @@ def run_equivalence_demo(config):
     scale = float(np.max(np.abs(base_tr.x_t)))
     est_rel = float(np.max(np.abs(base_tr.x_t - est_tr.x_t))) / max(scale, 1e-300)
     summary = {
-        "config": _config_dict(config),
+        "config": asdict(config),
         "equivalent_member_psd": [bool(psd_a), bool(psd_b)],
         "max_abs_diff_base_vs_equiv": max_diff,
         "max_rel_diff_base_vs_estimate": est_rel,
@@ -415,7 +406,7 @@ def run_baseline_comparison(config):
     rep_index = row_stride * np.arange(len(grid))[:, None] + np.arange(reps)
     raw_rows = []
     curve_tables = {}
-    summary = {"config": _config_dict(config), "systems": {}}
+    summary = {"config": asdict(config), "systems": {}}
     for sys_idx, sys_name in enumerate(config.baseline_systems):
         bundle = get_preset(sys_name, noise_law=config.noise_law).with_input_law("gaussian")
         system = bundle.system

@@ -226,9 +226,15 @@ def _block_uniqueness(dim, sigma, symbol, kind, name):
 
 
 def classify_uniqueness(n, m, sigma_a, sigma_b):
-    """Uniqueness of the equivalence class per the definiteness conditions."""
+    """Uniqueness of the equivalence class per the definiteness conditions.
+
+    sigma_a must be (n^2, n^2) and sigma_b (nm, nm).
+    """
     sigma_a = np.asarray(sigma_a, dtype=float)
     sigma_b = np.asarray(sigma_b, dtype=float)
+    for name, sigma, d in (("SigmaA", sigma_a, n * n), ("SigmaB", sigma_b, n * m)):
+        if sigma.shape != (d, d):
+            raise ValueError(f"{name} shape {sigma.shape} != {(d, d)}")
     a_part, a_reason = _block_uniqueness(n, sigma_a, "n", "state", "SigmaA")
     b_part, b_reason = _block_uniqueness(m, sigma_b, "m", "input", "SigmaB")
     reasons = [a_reason, b_reason]

@@ -52,8 +52,6 @@ RANK_TOL = 1e-10
 class LiftedDynamics:
     """Reduced-coordinate matrices of the second-moment dynamic."""
 
-    n: int
-    m: int
     A_t: np.ndarray        # P1 (A kron A) Q1
     B_t: np.ndarray        # P1 (B kron B) Q2
     K_BA: np.ndarray       # P1 (B kron A)
@@ -94,8 +92,6 @@ def lift(system):
     sap = reshape_G(system.sigma_a, n, n, n, n)
     sbp = reshape_G(system.sigma_b, n, m, n, m)
     return LiftedDynamics(
-        n=n,
-        m=m,
         A_t=A_t,
         B_t=B_t,
         K_BA=K_BA,
@@ -151,13 +147,18 @@ def propagate_second_reduced(A, B, sigma_a_tilde, sigma_b_tilde, schedule, mu0, 
 
     Also runs the recursion under *estimated* quantities, where no full
     covariance pair is available.  x_t0 defaults to svec(mu0 mu0')
-    (deterministic start); smat(x_t0) - mu0 mu0' must be PSD.
+    (deterministic start); smat(x_t0) - mu0 mu0' must be PSD.  The schedule's
+    m and mu0's n must match (A, B).
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     n = A.shape[0]
-    A_t, B_t, K_BA, K_AB = lift_nominal(A, B)
     mu0 = np.asarray(mu0, dtype=float).ravel()
+    if schedule.m != B.shape[1]:
+        raise ValueError(f"schedule input dim {schedule.m} != system m {B.shape[1]}")
+    if mu0.size != n:
+        raise ValueError(f"initial state dim {mu0.size} != system n {n}")
+    A_t, B_t, K_BA, K_AB = lift_nominal(A, B)
     if x_t0 is None:
         x_t0 = svec(np.outer(mu0, mu0))
     x_t0 = np.asarray(x_t0, dtype=float).ravel()

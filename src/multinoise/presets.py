@@ -10,7 +10,7 @@ conditioning of the resulting population Gram matrices).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -95,9 +95,8 @@ class PresetBundle:
         definition); stochastic laws reuse the frozen Ubar draw.
         """
         sched = self.schedule
-        ubar = np.zeros_like(sched.ubar) if law == "deterministic" else sched.ubar
-        new = InputSchedule(nu=sched.nu.copy(), ubar=ubar.copy(), law=law, seed=sched.seed)
-        return PresetBundle(name=self.name, system=self.system, schedule=new, init=self.init)
+        ubar = np.zeros_like(sched.ubar) if law == "deterministic" else sched.ubar.copy()
+        return replace(self, schedule=replace(sched, nu=sched.nu.copy(), ubar=ubar, law=law))
 
     def equivalence(self):
         ld = lift(self.system)

@@ -22,6 +22,7 @@ __all__ = [
     "ROLE_NOISE_A",
     "ROLE_NOISE_B",
     "ROLE_REPETITION",
+    "UNIFORM_BOUND",
     "stream_keys",
     "uniform01",
     "unit_variance",
@@ -34,12 +35,13 @@ ROLE_NOISE_A = 2
 ROLE_NOISE_B = 3
 #: Role of the derived per-repetition seeds of the experiment runners.
 ROLE_REPETITION = 17
+#: A.s. bound of a unit-variance "uniform" component, which lies in [-sqrt(3), sqrt(3)].
+UNIFORM_BOUND = np.sqrt(3.0)
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 _S30, _S27, _S31, _S11 = (np.uint64(v) for v in (30, 27, 31, 11))
-_SQRT3 = np.sqrt(3.0)
 
 
 def _mix64(z):
@@ -117,7 +119,7 @@ def unit_variance(seed, k, t, role, count, law):
     if law == "uniform":
         u *= 2.0
         u -= 1.0
-        u *= _SQRT3
+        u *= UNIFORM_BOUND
         return u
     if law == "gaussian":
         from scipy.special import ndtri

@@ -68,8 +68,6 @@ ROLLOUT_LEAF = 8192
 #: rollout horizon (ell <= 6 in the presets) is one chunk.
 TIME_CHUNK = 256
 
-_SQRT3 = np.sqrt(3.0)
-
 
 class SimulationDiverged(RuntimeError):
     """A state entry exceeded DIVERGENCE_LIMIT during simulation."""
@@ -148,8 +146,8 @@ class CovarianceNoise:
         """A.s. spectral-norm bounds (via ||.||_F <= ||L||_2 ||z||); None if unbounded."""
         if self.law != "uniform":
             return None, None
-        ca = float(np.linalg.norm(self._LA, 2)) * _SQRT3 * np.sqrt(n * n)
-        cb = float(np.linalg.norm(self._LB, 2)) * _SQRT3 * np.sqrt(n * m)
+        ca = float(np.linalg.norm(self._LA, 2)) * rs.UNIFORM_BOUND * np.sqrt(n * n)
+        cb = float(np.linalg.norm(self._LB, 2)) * rs.UNIFORM_BOUND * np.sqrt(n * m)
         return ca, cb
 
     def sample(self, seed, ks, t, n, m):
@@ -179,27 +177,24 @@ class EigenStructuredNoise:
         self.deltas = np.asarray(deltas, dtype=float)
         if len(self.a_dirs) != self.sigmas.size or len(self.b_dirs) != self.deltas.size:
             raise ValueError("direction/variance counts do not match")
+        for name, dirs in (("a_dirs", self.a_dirs), ("b_dirs", self.b_dirs)):
+            for i, M in enumerate(dirs):
+                _require_finite(M, f"{name}[{i}]")
+        _require_finite(self.sigmas, "sigmas")
+        _require_finite(self.deltas, "deltas")
         self.law = law
 
     def implied_sigma_a(self, n):
-        S = np.zeros((n * n, n * n))
-        for M, s in zip(self.a_dirs, self.sigmas):
-            v = vec(M)
-            S += s * s * np.outer(v, v)
-        return S
+        return _direction_sum(self.a_dirs, self.sigmas, (n, n), "a_dirs")
 
     def implied_sigma_b(self, n, m):
-        S = np.zeros((n * m, n * m))
-        for M, d in zip(self.b_dirs, self.deltas):
-            v = vec(M)
-            S += d * d * np.outer(v, v)
-        return S
+        return _direction_sum(self.b_dirs, self.deltas, (n, m), "b_dirs")
 
     def bounds(self, n, m):
         if self.law != "uniform":
             return None, None
-        ca = _SQRT3 * sum(abs(s) * np.linalg.norm(M, 2) for M, s in zip(self.a_dirs, self.sigmas))
-        cb = _SQRT3 * sum(abs(d) * np.linalg.norm(M, 2) for M, d in zip(self.b_dirs, self.deltas))
+        ca = rs.UNIFORM_BOUND * sum(abs(s) * np.linalg.norm(M, 2) for M, s in zip(self.a_dirs, self.sigmas))
+        cb = rs.UNIFORM_BOUND * sum(abs(d) * np.linalg.norm(M, 2) for M, d in zip(self.b_dirs, self.deltas))
         return float(ca), float(cb)
 
     def sample(self, seed, ks, t, n, m):
@@ -214,6 +209,17 @@ class EigenStructuredNoise:
             q = rs.unit_variance(seed, ks, t, rs.ROLE_NOISE_B, s, self.law) * self.deltas
             Bbar = np.einsum("...s,sij->...ij", q, np.stack(self.b_dirs))
         return Abar, Bbar
+
+
+def _direction_sum(dirs, scales, shape, name):
+    """sum_i s_i^2 vec(M_i) vec(M_i)' over directions M_i, each of ``shape``."""
+    S = np.zeros((shape[0] * shape[1],) * 2)
+    for i, (M, s) in enumerate(zip(dirs, scales)):
+        if M.shape != shape:
+            raise ValueError(f"{name}[{i}] has shape {M.shape}, the system needs {shape}")
+        v = vec(M)
+        S += s * s * np.outer(v, v)
+    return S
 
 
 class ZeroNoise(EigenStructuredNoise):
@@ -372,7 +378,7 @@ class InputSchedule:
         if self.law == "deterministic":
             c_nu = 0.0
         else:
-            c_nu = float(np.linalg.norm(self._factors, 2, axis=(-2, -1)).max()) * _SQRT3 * np.sqrt(self.m)
+            c_nu = float(np.linalg.norm(self._factors, 2, axis=(-2, -1)).max()) * rs.UNIFORM_BOUND * np.sqrt(self.m)
         c_u = max(float(np.linalg.norm(v)) for v in self.nu) + c_nu
         return c_u, c_nu
 
@@ -618,6 +624,8 @@ def iter_rollout_blocks(system, schedule, init, n_r, seed):
         raise ValueError(f"schedule input dim {schedule.m} != system m {system.m}")
     if init.mean.size != system.n:
         raise ValueError(f"initial state dim {init.mean.size} != system n {system.n}")
+    if np.ndim(seed) > 1 or np.size(seed) == 0:
+        raise ValueError(f"seed must be a scalar or a non-empty 1-D vector, got shape {np.shape(seed)}")
     ell, seeds = schedule.ell, np.atleast_1d(seed)
     per_block = max(1, ROLLOUT_LEAF // n_r)  # repetitions per block
     for r0 in range(0, len(seeds), per_block):

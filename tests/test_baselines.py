@@ -685,3 +685,20 @@ def test_rls_bad_entry_at_a_chunk_boundary_freezes_like_reference(offset):
     out, diverged, _, freeze = _assert_rls_matches_reference(phi, target, [1, C - 1, C, C + 1, T])
     assert freeze.tolist() == [at + 1, at + 1, C + at + 1, T + 1, C + at + 1, T + 1]
     assert diverged.tolist() == [True, True, True, False, True, False]
+
+
+def test_stacked_law_seeds_follow_the_one_law_rule():
+    bundle = get_preset("paper-4.2-rho0.8")
+    system, law, T, reps = bundle.system, bundle.schedule, 10, 2
+    seeds = [-1, 2**64 - 1, 2**64, np.uint64(7)]
+    stacked = simulate_single_trajectories(system, (law,) * len(seeds), T, reps, seeds)
+    for i, seed in enumerate(seeds):
+        alone = simulate_single_trajectories(system, law, T, reps, seed)
+        for a, b in zip(stacked, alone):
+            assert np.array_equal(a[i * reps : (i + 1) * reps], b)
+    assert np.array_equal(stacked[0][:reps], stacked[0][reps : 2 * reps])  # -1 is 2^64 - 1
+    for seed, index in (([1.5, 5], 0), ([5, np.float64(2.0)], 1)):
+        with pytest.raises(ValueError, match=f"^seed {index} must be an integer, got "):
+            simulate_single_trajectories(system, (law, law), T, reps, seed)
+    with pytest.raises(ValueError, match="^seed 0 must be an integer, got 1.5$"):
+        simulate_single_trajectories(system, law, T, reps, 1.5)

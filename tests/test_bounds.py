@@ -439,3 +439,13 @@ def test_gram_inverse_bounds_rise_again_past_half_eps_max():
     assert zz[0] > 0.9 and zz[1] == 0.0 and zz[2] > 0.9
     dd = bound_curves(ctx.with_rollouts(10**24), [0.495, 0.545], ["eta_DD"])["eta_DD"]
     assert 6.9 < dd[0] < dd[1] < 7.0
+
+
+def test_bound_context_rejects_fewer_than_one_rollout():
+    bundle = get_preset("paper-4.1")
+    with pytest.raises(ValueError, match="^n_r must be >= 1, got 0$"):
+        bound_context(bundle.system, bundle.schedule, bundle.init, 0)
+    ctx = bound_context(bundle.system, bundle.schedule, bundle.init, 10)
+    for n_r in (-5, 0.5, np.nan):
+        with pytest.raises(ValueError, match=f"^n_r must be >= 1, got {n_r}$"):
+            ctx.with_rollouts(n_r)

@@ -227,6 +227,13 @@ def test_uniqueness_degenerate_zero_sigma_a():
     assert scan_psd_feasible(ec, np.linspace(-1.0, 1.0, 41)) == [0.0]
 
 
+def test_uniqueness_requires_covariances_of_the_system_size():
+    with pytest.raises(ValueError, match=r"^SigmaA shape \(3, 3\) != \(4, 4\)$"):
+        classify_uniqueness(2, 1, np.eye(3), np.eye(2))
+    with pytest.raises(ValueError, match=r"^SigmaB shape \(2, 2\) != \(4, 4\)$"):
+        classify_uniqueness(2, 2, np.eye(4), np.eye(2))
+
+
 # --- constrained recovery ----------------------------------------------------------
 
 

@@ -48,3 +48,23 @@ def test_only_shape_ops_knows_the_selection_matrices():
             elif isinstance(node, ast.Attribute) and node.attr in names:
                 offenders.append(f"{path.name}: uses .{node.attr}")
     assert not offenders, offenders
+
+
+def test_no_private_helper_has_a_parameter_its_body_never_reads():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if not node.name.startswith("_") or node.name.startswith("__"):
+                continue
+            a = node.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p]
+            read = {
+                n.id
+                for stmt in node.body
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            offenders += [f"{path.name}: {node.name}({p})" for p in params if p not in read | {"self", "cls"}]
+    assert not offenders, offenders

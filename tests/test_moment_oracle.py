@@ -13,11 +13,14 @@ from multinoise.moment_oracle import (
     propagate_second_reduced,
     input_moments,
 )
+from multinoise.bounds import bound_context
 from multinoise.cli import main
 from multinoise.identifiability import equivalence_class, sigma_from_class
+from multinoise.presets import get_preset
 from multinoise.shape_ops import selection_matrices, smat, svec, vec
 from multinoise.system_model import (
     CovarianceNoise,
+    FixedInitial,
     InputSchedule,
     ZeroNoise,
     PSD_SLACK,
@@ -302,3 +305,18 @@ def _read_csv(path):
         r = csv.reader(fh)
         header = next(r)
         return header, list(r)
+
+
+def test_exact_moment_functions_check_the_dimensions_first():
+    bundle = get_preset("paper-4.1")
+    system, init, wide = bundle.system, bundle.init, get_preset("paper-4.1-additive").schedule
+    calls = (
+        lambda sched, init: propagate_second(system, sched, init.mean, svec(init.second_moment)),
+        lambda sched, init: assemble_population(system, sched, init.mean, svec(init.second_moment)),
+        lambda sched, init: bound_context(system, sched, init, 100),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="^schedule input dim 2 != system m 1$"):
+            call(wide, init)
+        with pytest.raises(ValueError, match="^initial state dim 3 != system n 2$"):
+            call(bundle.schedule, FixedInitial(np.zeros(3)))

@@ -23,11 +23,12 @@ from multinoise.system_model import (
     ZeroNoise,
     augment_schedule,
     embed_additive_noise,
+    iter_rollout_blocks,
     make_system,
     simulate_rollouts,
     simulate_trajectories,
 )
-from multinoise.mals import design_inputs, mals
+from multinoise.mals import design_inputs, mals, simulated_moments
 from multinoise.presets import get_preset
 
 from conftest import BENCH_A, BENCH_B, BENCH_SIGMA_A, BENCH_SIGMA_B, standard_normal_inputs
@@ -85,10 +86,15 @@ _BOUNDED = CovarianceNoise(BENCH_SIGMA_A, BENCH_SIGMA_B)
         (lambda: TruncatedGaussianInitial([np.nan, 0.0], np.eye(2)), "mean[0]"),
         (lambda: TruncatedGaussianInitial([0.0, 0.0], np.eye(2), radius=np.inf), "radius"),
         (lambda: TruncatedGaussianInitial([0.0, 0.0], np.eye(2), radius=np.nan), "radius"),
+        (lambda: EigenStructuredNoise([np.eye(2)], [np.nan], [], []), "sigmas[0]"),
+        (lambda: EigenStructuredNoise([], [], [np.ones((2, 1))] * 2, [0.1, np.inf]), "deltas[1]"),
+        (lambda: EigenStructuredNoise([np.eye(2), _with(np.eye(2), (1, 0), np.nan)], [0.1, 0.2], [], []),
+         "a_dirs[1][1, 0]"),
+        (lambda: EigenStructuredNoise([], [], [_with(np.ones((2, 1)), (0, 0), -np.inf)], [0.1]), "b_dirs[0][0, 0]"),
     ],
     ids=["SigmaA", "SigmaB", "Ubar", "nu", "initial-covariance", "sigma_w", "A", "B", "deterministic-Ubar",
          "fixed-x0", "box-center", "box-half-width", "truncated-mean", "truncated-radius-inf",
-         "truncated-radius-nan"],
+         "truncated-radius-nan", "eigen-sigmas", "eigen-deltas", "eigen-a-direction", "eigen-b-direction"],
 )
 def test_a_non_finite_model_input_fails_where_it_enters(build, message):
     with pytest.raises(ValueError, match=re.escape(message) + " is not finite$"):
@@ -601,3 +607,19 @@ def test_rollout_json_names_missing_or_mistyped_fields(
     edited = edit(d)
     with pytest.raises(InputError, match=message):
         RolloutSet.from_json(edited if isinstance(edited, str) else json.dumps(edited))
+
+
+def test_a_noise_direction_of_another_shape_is_rejected():
+    with pytest.raises(ValueError, match=re.escape("a_dirs[0] has shape (3, 3), the system needs (2, 2)")):
+        make_system(BENCH_A, BENCH_B, EigenStructuredNoise([np.eye(3)], [0.1], [], []))
+    with pytest.raises(ValueError, match=re.escape("b_dirs[1] has shape (2, 2), the system needs (2, 1)")):
+        make_system(BENCH_A, BENCH_B, EigenStructuredNoise([], [], [np.ones((2, 1)), np.eye(2)], [0.1, 0.1]))
+
+
+@pytest.mark.parametrize("seed", [np.ones((2, 2), int), np.array([], int)], ids=["matrix", "empty"])
+def test_a_seed_must_be_a_scalar_or_a_non_empty_vector(seed):
+    bundle = get_preset("paper-4.1")
+    message = re.escape(f"seed must be a scalar or a non-empty 1-D vector, got shape {seed.shape}")
+    for call in (mals, simulated_moments, lambda *a: next(iter_rollout_blocks(*a))):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(bundle.system, bundle.schedule, bundle.init, 10, seed)
