@@ -6,10 +6,9 @@ drives them with the MALS input schedule itself, repeating with its period.
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
+from . import rngstream as rs
 from .moment_oracle import lift_nominal
 from .shape_ops import outer_svec, outer_vec, svec_dim
 from .system_model import TIME_CHUNK, FixedInitial, beyond_limit, simulate_trajectories
@@ -154,14 +153,6 @@ class _LawMajor:
         return np.concatenate([law.sample(s, k, t) for law, s, k in blocks], axis=-2)
 
 
-def _seed64(seed, i):
-    """Seed ``i`` as ``stream_keys`` takes a lone seed: an integer, mod 2^64."""
-    try:
-        return operator.index(seed) & 0xFFFFFFFFFFFFFFFF
-    except TypeError:
-        raise ValueError(f"seed {i} must be an integer, got {seed!r}") from None
-
-
 def simulate_single_trajectories(system, input_law, T, reps, seed):
     """reps independent length-T trajectories from x_0 = 0 under each input law.
 
@@ -191,6 +182,6 @@ def simulate_single_trajectories(system, input_law, T, reps, seed):
     for i, law in enumerate(input_law):
         if law.m != system.m:
             raise ValueError(f"input law {i} has m = {law.m} but the system has m = {system.m}")
-    seeds = np.array([_seed64(s, i) for i, s in enumerate(seed)], dtype=np.uint64).repeat(reps)
+    seeds = rs.seed_words(seed).repeat(reps)
     ks = np.tile(np.arange(reps), len(input_law))
     return simulate_trajectories(system, _LawMajor(input_law), FixedInitial(np.zeros(system.n)), ks, T, seeds)

@@ -75,7 +75,7 @@ def empirical_moments(rollouts):
     """
     if rollouts.n_r < 1:
         raise ValueError("empty rollout set")
-    leaves = ((0, rollouts.states[k : k + ROLLOUT_LEAF]) for k in range(0, rollouts.n_r, ROLLOUT_LEAF))
+    leaves = ((0, _leaf_sums(rollouts.states[k : k + ROLLOUT_LEAF])) for k in range(0, rollouts.n_r, ROLLOUT_LEAF))
     return _leaf_moments(leaves, rollouts.n_r, rollouts.schedule)
 
 
@@ -85,7 +85,7 @@ def simulated_moments(system, schedule, init, n_r, seed):
     A 1-D vector of seeds adds a leading repetition axis to the state
     moments; entry r equals the call with seed[r] bit for bit.
     """
-    leaves = ((r, xs) for r, _, xs, _ in iter_rollout_blocks(system, schedule, init, n_r, seed))
+    leaves = iter_rollout_blocks(system, schedule, init, n_r, seed, lambda r, k0, xs, us: (r, _leaf_sums(xs)))
     return _leaf_moments(leaves, n_r, schedule, np.shape(seed))
 
 
@@ -97,16 +97,21 @@ def _tree_sum(parts):
     return parts[0]
 
 
+def _leaf_sums(xs):
+    """Sums over a leaf's rollouts of x_t and of x_t x_t', per step, from its states (b, ell+1, n)."""
+    xt = xs.swapaxes(0, 1)
+    return xs.sum(axis=0), xt.swapaxes(1, 2) @ xt
+
+
 def _leaf_moments(leaves, n_r, schedule, shape=()):
-    """MomentTrajectory from (repetition, states (b, ell+1, n)) leaves, each reduced to its sums as it comes.
+    """MomentTrajectory from (repetition, ``_leaf_sums``) leaves in (repetition, rollout) order.
 
     A repetition's leaf sums are added in a fixed pairwise tree and divided by
     n_r once; the state moments get the leading axes ``shape`` of the seeds.
     """
     sums = {}  # repetition -> leaf sums, in the order the leaves come
-    for r, xs in leaves:
-        xt = xs.swapaxes(0, 1)
-        sums.setdefault(r, []).append((xs.sum(axis=0), xt.swapaxes(1, 2) @ xt))
+    for r, leaf in leaves:
+        sums.setdefault(r, []).append(leaf)
     mu = np.stack([_tree_sum([s1 for s1, _ in parts]) for parts in sums.values()]) / n_r
     x_t = np.stack([_tree_sum([s2 for _, s2 in parts]) for parts in sums.values()]) / n_r
     mu, x_t = mu.reshape(shape + mu.shape[1:]), svec(x_t.reshape(shape + x_t.shape[1:]))

@@ -23,6 +23,7 @@ __all__ = [
     "ROLE_NOISE_B",
     "ROLE_REPETITION",
     "UNIFORM_BOUND",
+    "seed_words",
     "stream_keys",
     "uniform01",
     "unit_variance",
@@ -42,6 +43,9 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 _S30, _S27, _S31, _S11 = (np.uint64(v) for v in (30, 27, 31, 11))
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+#: Words ``uniform01`` mixes at once, in one reused scratch buffer (256 kB).
+_WORD_CHUNK = 1 << 15
 
 
 def _mix64(z):
@@ -57,6 +61,21 @@ def _mix64(z):
     z *= _M2
     z ^= z >> _S31
     return z
+
+
+def seed_words(seeds):
+    """A sequence of seeds as uint64 words, each taken as ``stream_keys`` takes a lone seed.
+
+    Every entry is an integer taken mod 2^64; any other entry is a ValueError
+    naming its index.
+    """
+    words = []
+    for i, seed in enumerate(seeds):
+        try:
+            words.append(operator.index(seed) & _MASK64)
+        except TypeError:
+            raise ValueError(f"seed {i} must be an integer, got {seed!r}") from None
+    return np.array(words, dtype=np.uint64)
 
 
 def stream_keys(seed, k, t, role):
@@ -78,7 +97,7 @@ def stream_keys(seed, k, t, role):
         except ValueError:
             raise ValueError(f"seed array of shape {seed.shape} does not broadcast against k {k.shape}") from None
     else:
-        seed = np.uint64(operator.index(seed) & 0xFFFFFFFFFFFFFFFF)
+        seed = np.uint64(operator.index(seed) & _MASK64)
     with np.errstate(over="ignore"):
         s = _mix64(seed + _GAMMA)
         s = _mix64(s ^ ((k + np.uint64(1)) * _GAMMA))
@@ -94,16 +113,24 @@ def uniform01(seed, k, t, role, count):
 
     An array ``t`` adds a leading time axis: (len(t), len(k), count).
     Draw i of a stream with seed s is mix64(s + (i+1)*gamma), i.e. SplitMix64
-    advanced by a counter.  Values lie strictly inside (0, 1).
+    advanced by a counter.  Values lie strictly inside (0, 1).  The words are
+    mixed _WORD_CHUNK at a time in one scratch buffer and written straight
+    into the float result, so the call holds no second array of its size.
     """
     keys = stream_keys(seed, k, t, role)
+    u = np.empty(keys.shape + (count,))
+    keys, flat = keys.reshape(-1, 1), u.reshape(keys.size, count)
+    rows = max(1, _WORD_CHUNK // max(count, 1))
+    scratch = np.empty((min(rows, len(keys)), count), dtype=np.uint64)
     with np.errstate(over="ignore"):
         idx = (np.arange(1, count + 1, dtype=np.uint64)) * _GAMMA
-        words = _mix64(keys[..., None] + idx)
-    # 53-bit mantissa, offset by half a ulp so 0 is excluded
-    words >>= _S11
-    u = words.astype(np.float64)
-    u += 0.5
+        for a in range(0, len(keys), rows):
+            words = scratch[: min(rows, len(keys) - a)]
+            _mix64(np.add(keys[a : a + rows], idx, out=words))
+            # 53-bit mantissa, offset by half a ulp so 0 is excluded; the
+            # words are below 2^53, so the conversion is exact
+            words >>= _S11
+            np.add(words, 0.5, out=flat[a : a + rows])
     u *= 2.0**-53
     return u
 

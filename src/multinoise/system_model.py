@@ -8,8 +8,11 @@ SigmaB likewise (nm x nm).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,13 +154,25 @@ class CovarianceNoise:
         return ca, cb
 
     def sample(self, seed, ks, t, n, m):
-        za = rs.unit_variance(seed, ks, t, rs.ROLE_NOISE_A, n * n, self.law)
-        zb = rs.unit_variance(seed, ks, t, rs.ROLE_NOISE_B, n * m, self.law)
-        veca = za @ self._LA.T
-        vecb = zb @ self._LB.T
+        veca = _factor_in_place(rs.unit_variance(seed, ks, t, rs.ROLE_NOISE_A, n * n, self.law), self._LA)
+        vecb = _factor_in_place(rs.unit_variance(seed, ks, t, rs.ROLE_NOISE_B, n * m, self.law), self._LB)
         Abar = veca.reshape(veca.shape[:-1] + (n, n)).swapaxes(-1, -2)  # undo column stacking
         Bbar = vecb.reshape(vecb.shape[:-1] + (m, n)).swapaxes(-1, -2)
         return Abar, Bbar
+
+
+def _factor_in_place(z, L):
+    """z @ L.T over z's last axis, written over z a slab of time steps at a time.
+
+    A slab holds about ROLLOUT_LEAF rows, so the product's temporary stays
+    that small.  Each time step is the product that ``z @ L.T`` takes for
+    it, so the bits are those of the whole product.
+    """
+    steps = z.reshape((-1,) + z.shape[-2:])
+    per_slab = max(1, ROLLOUT_LEAF // steps.shape[1])
+    for a in range(0, len(steps), per_slab):
+        np.matmul(steps[a : a + per_slab], L.T, out=steps[a : a + per_slab])
+    return z
 
 
 class EigenStructuredNoise:
@@ -512,10 +527,7 @@ class RolloutSet:
                 "n_r": self.n_r,
                 "seed": self.seed,
                 "schedule": self.schedule.to_json_dict(),
-                "rollouts": [
-                    {"x": self.states[k].tolist(), "u": self.inputs[k].tolist()}
-                    for k in range(self.n_r)
-                ],
+                "rollouts": [{"x": x, "u": u} for x, u in zip(self.states.tolist(), self.inputs.tolist())],
             }
         )
 
@@ -602,19 +614,25 @@ def _rollout_array(rollouts, key, what, shape):
     return arr
 
 
-def iter_rollout_blocks(system, schedule, init, n_r, seed):
+def iter_rollout_blocks(system, schedule, init, n_r, seed, reduce=lambda *leaf: leaf):
     """Simulate rollouts 0..n_r-1 for a seed, or for each repetition r of a 1-D vector seed[r].
 
-    Yields ``(r, k0, states, inputs)`` per leaf of ROLLOUT_LEAF consecutive
-    rollouts k0..k0+b-1 of repetition r (0 for a scalar seed), with states
-    (b, ell+1, n) and inputs (b, ell, m), in (repetition, rollout) order.
-    Blocks of at most ROLLOUT_LEAF rows are simulated at once: whole
-    repetitions share one when n_r <= ROLLOUT_LEAF.  Every (seed, rollout,
-    time, role) tuple draws from its own keyed stream, so a rollout does not
-    depend on its block.  The arguments are checked when iteration starts; a
-    diverged state raises SimulationDiverged naming, for the first diverging
-    repetition, the earliest step at which a rollout of its first diverging
-    leaf diverged, and the lowest rollout index that diverged at that step.
+    Yields ``reduce(r, k0, states, inputs)`` per leaf of ROLLOUT_LEAF
+    consecutive rollouts k0..k0+b-1 of repetition r (0 for a scalar seed),
+    with states (b, ell+1, n) and inputs (b, ell, m), in (repetition,
+    rollout) order; by default the tuple ``(r, k0, states, inputs)``.  Blocks
+    of at most ROLLOUT_LEAF rows are simulated at once: whole repetitions
+    share one when n_r <= ROLLOUT_LEAF.  The blocks run on up to the usable
+    CPUs (``_in_order``), and ``reduce`` runs on the thread that simulated
+    its leaf, so a caller that keeps only a leaf's sums holds no more than
+    the leaves being simulated.  Every (seed, rollout, time, role) tuple
+    draws from its own keyed stream, so a rollout depends neither on its
+    block nor on the thread that ran it.  Each entry of a seed vector is an
+    integer taken mod 2^64, as a lone seed is (``rngstream.seed_words``).
+    The arguments are checked when iteration starts; a diverged state raises
+    SimulationDiverged naming, for the first diverging repetition, the
+    earliest step at which a rollout of its first diverging leaf diverged,
+    and the lowest rollout index that diverged at that step.
     """
     if n_r < 1:
         raise ValueError("n_r must be >= 1")
@@ -626,21 +644,114 @@ def iter_rollout_blocks(system, schedule, init, n_r, seed):
         raise ValueError(f"initial state dim {init.mean.size} != system n {system.n}")
     if np.ndim(seed) > 1 or np.size(seed) == 0:
         raise ValueError(f"seed must be a scalar or a non-empty 1-D vector, got shape {np.shape(seed)}")
-    ell, seeds = schedule.ell, np.atleast_1d(seed)
+    ell, seeds = schedule.ell, rs.seed_words(seed) if np.ndim(seed) else [seed]
     per_block = max(1, ROLLOUT_LEAF // n_r)  # repetitions per block
-    for r0 in range(0, len(seeds), per_block):
-        for k0 in range(0, n_r, ROLLOUT_LEAF):  # one leaf per repetition when per_block > 1
-            b, block_seeds = min(ROLLOUT_LEAF, n_r - k0), seeds[r0 : r0 + per_block]
-            ks = np.tile(np.arange(k0, k0 + b), len(block_seeds))
-            row_seed = np.repeat(block_seeds, b) if np.ndim(seed) else seed
-            states, inputs, diverged_at = simulate_trajectories(system, schedule, init, ks, ell, row_seed)
-            for i in range(len(block_seeds)):
-                rows = slice(i * b, (i + 1) * b)
-                t = int(diverged_at[rows].min())
-                if t <= ell:
-                    bad = k0 + int(np.argmax(diverged_at[rows] == t))
-                    raise SimulationDiverged(f"state exceeded {DIVERGENCE_LIMIT:g} at t={t}, rollout {bad}")
-                yield r0 + i, k0, states[rows], inputs[rows]
+    # one leaf per repetition when per_block > 1
+    blocks = [(r0, k0) for r0 in range(0, len(seeds), per_block) for k0 in range(0, n_r, ROLLOUT_LEAF)]
+
+    def simulate(block):
+        """The block's leaves, reduced, up to its first diverged repetition, and that divergence or None."""
+        r0, k0 = block
+        b, block_seeds = min(ROLLOUT_LEAF, n_r - k0), seeds[r0 : r0 + per_block]
+        ks = np.tile(np.arange(k0, k0 + b), len(block_seeds))
+        row_seed = np.repeat(block_seeds, b) if np.ndim(seed) else seed
+        states, inputs, diverged_at = simulate_trajectories(system, schedule, init, ks, ell, row_seed)
+        leaves = []
+        for i in range(len(block_seeds)):
+            rows = slice(i * b, (i + 1) * b)
+            t = int(diverged_at[rows].min())
+            if t <= ell:
+                bad = k0 + int(np.argmax(diverged_at[rows] == t))
+                return leaves, SimulationDiverged(f"state exceeded {DIVERGENCE_LIMIT:g} at t={t}, rollout {bad}")
+            leaves.append(reduce(r0 + i, k0, states[rows], inputs[rows]))
+        return leaves, None
+
+    with contextlib.closing(_in_order(blocks, simulate)) as simulated:
+        for leaves, diverged in simulated:
+            yield from leaves
+            if diverged is not None:
+                raise diverged
+
+
+def _usable_cpus():
+    """How many CPUs this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _in_order(tasks, run):
+    """Yield ``run(task)`` for each task in order, running up to ``_usable_cpus()`` tasks at once.
+
+    The calling thread is one of the workers; the others are threads of this
+    generator, started when iteration starts (none for a single task or a
+    single usable CPU, where the caller runs every task in turn) and joined
+    before it returns, raises or is closed.  A
+    worker takes a task only while it lies fewer than 2 * workers places past
+    the next one to yield, which bounds the results held.  A task's
+    exception is raised when its turn comes, so the first failing task in
+    order is the one reported.
+    """
+    workers = min(_usable_cpus(), len(tasks))
+    cond = threading.Condition()
+    done = {}  # task index -> (raised, value), until yielded
+    claimed = turn = 0  # tasks taken by a worker; the next task to yield
+    stop = False
+
+    def claim():
+        """The next task index a worker may run, or None; called holding ``cond``."""
+        nonlocal claimed
+        if stop or claimed == len(tasks) or claimed >= turn + 2 * workers:
+            return None
+        claimed += 1
+        return claimed - 1
+
+    def execute(i):
+        try:
+            outcome = False, run(tasks[i])
+        except BaseException as exc:  # handed to the caller, which raises it in turn
+            outcome = True, exc
+        with cond:
+            done[i] = outcome
+            cond.notify_all()
+
+    def helper():
+        while True:
+            with cond:
+                while (i := claim()) is None:
+                    if stop or claimed == len(tasks):
+                        return
+                    cond.wait()
+            execute(i)
+
+    threads = []
+    try:
+        for _ in range(workers - 1):
+            thread = threading.Thread(target=helper, daemon=True)
+            thread.start()
+            threads.append(thread)
+        for i in range(len(tasks)):
+            while True:
+                with cond:
+                    if i in done:
+                        raised, value = done.pop(i)
+                        turn = i + 1
+                        cond.notify_all()
+                        break
+                    j = claim()
+                    if j is None:
+                        cond.wait()
+                        continue
+                execute(j)
+            if raised:
+                raise value
+            yield value
+    finally:
+        with cond:
+            stop = True
+            cond.notify_all()
+        for thread in threads:
+            thread.join()
 
 
 def simulate_rollouts(system, schedule, init, n_r, seed):
@@ -703,16 +814,18 @@ def simulate_trajectories(system, input_law, init, ks, T, seed):
         ts = np.arange(c0, c1)
         u = input_law.sample(seed, ks, ts)  # (c1 - c0, len(ks), m)
         Abar, Bbar = system.noise.sample(seed, ks, ts, n, m)
+        _check_noise_bound(system, Abar, Bbar)
+        Bu = np.einsum("tkij,tkj->tki", Bbar, u)
+        del Bbar  # not held through the recursion, which needs only Bu
         if states is None:
             # allocated after the first draws: allocated before them, a rollout
             # block of paper-4.1-additive took about 6% longer
             states = np.empty((len(ks), T + 1, n))
             inputs = np.empty((len(ks), T, m))
             states[:, 0, :] = x
-        inputs[:, c0:c1] = u.swapaxes(0, 1)
-        _check_noise_bound(system, Abar, Bbar)
-        Bu = np.einsum("tkij,tkj->tki", Bbar, u)
         uB = u @ system.B.T
+        inputs[:, c0:c1] = u.swapaxes(0, 1)
+        del u
         with np.errstate(over="ignore", invalid="ignore"):  # rows beyond the limit run on, overwritten by NaN
             for i in range(c1 - c0):
                 x = np.einsum("kij,kj->ki", Abar[i], x) + x @ system.A.T + Bu[i] + uB[i]

@@ -306,12 +306,16 @@ def test_stacked_blocks_stay_within_the_leaf(monkeypatch):
 
     monkeypatch.setattr(system_model, "simulate_trajectories", spy)
     b = get_preset("paper-4.1")
-    for n_r, reps, blocks in ((100, 83, [8100, 200]), (LEAF, 3, [LEAF] * 3), (LEAF + 1, 2, [LEAF, 1, 2, LEAF, 1, 2]),
-                              (3000, 5, [6000, 6000, 3000]), (1, 3, [3])):
-        rows.clear()
-        simulated_moments(b.system, b.schedule, b.init, n_r, np.arange(reps))
-        # a lone rollout is run as two rows, which the spy sees as a second call
-        assert rows == blocks and max(rows) <= LEAF, (n_r, rows)
+    for workers in (1, 2):
+        monkeypatch.setattr(system_model, "_usable_cpus", lambda: workers)
+        for n_r, reps, blocks in ((100, 83, [8100, 200]), (LEAF, 3, [LEAF] * 3),
+                                  (LEAF + 1, 2, [LEAF, 1, 2, LEAF, 1, 2]), (3000, 5, [6000, 6000, 3000]), (1, 3, [3])):
+            rows.clear()
+            simulated_moments(b.system, b.schedule, b.init, n_r, np.arange(reps))
+            # a lone rollout is run as two rows, which the spy sees as a second
+            # call; two workers make the same calls, in any order
+            assert sorted(rows) == sorted(blocks) and max(rows) <= LEAF, (n_r, rows)
+            assert workers == 2 or rows == blocks, (n_r, rows)
 
 
 def test_stacked_divergence_names_the_first_failing_repetition():

@@ -112,6 +112,18 @@ def test_in_place_mixing_draws_equal_out_of_place_reference():
         assert np.array_equal(rs.truncated_normal(seed, k, t, role, 3, 1.5), scipy.special.ndtri(lo + u * (hi - lo)))
 
 
+@pytest.mark.parametrize(
+    "k, t, count",
+    [(np.arange(5000), np.arange(9), 2), (np.arange(3), 1, 40000), (np.arange(4), np.array([0, 9]), 0), (np.arange(0), 0, 3)],
+    ids=["many-chunks", "wider-than-a-chunk", "no-draws", "no-streams"],
+)
+def test_chunked_draws_equal_the_whole_array_reference(k, t, count):
+    # uniform01 mixes its words one scratch chunk at a time
+    got = rs.uniform01(2**63 + 11, k, t, rs.ROLE_NOISE_A, count)
+    want = _reference_uniform01(2**63 + 11, k, t, rs.ROLE_NOISE_A, count)
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
 def test_seed_array_keys_equal_scalar_seed_keys():
     seeds = np.array([0, 1, 2**63, 2**64 - 1, 77], dtype=np.uint64)
     ks, ts = np.array([0, 3, 3, 9, 0]), np.array([0, 1, 40])

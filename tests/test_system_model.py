@@ -1,5 +1,8 @@
+import copy
 import json
 import re
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -29,7 +32,7 @@ from multinoise.system_model import (
     simulate_trajectories,
 )
 from multinoise.mals import design_inputs, mals, simulated_moments
-from multinoise.presets import get_preset
+from multinoise.presets import PRESET_NAMES, get_preset
 
 from conftest import BENCH_A, BENCH_B, BENCH_SIGMA_A, BENCH_SIGMA_B, standard_normal_inputs
 
@@ -623,3 +626,143 @@ def test_a_seed_must_be_a_scalar_or_a_non_empty_vector(seed):
     for call in (mals, simulated_moments, lambda *a: next(iter_rollout_blocks(*a))):
         with pytest.raises(ValueError, match=f"^{message}$"):
             call(bundle.system, bundle.schedule, bundle.init, 10, seed)
+
+
+# --- leaves on several workers ------------------------------------------------
+
+
+def _workers(monkeypatch, count):
+    """Run leaves on ``count`` workers, whatever the machine's usable CPUs."""
+    monkeypatch.setattr(system_model, "_usable_cpus", lambda: count)
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_one_and_two_workers_give_the_same_bits(monkeypatch, preset):
+    b = get_preset(preset)
+    threads = set()
+    simulate = system_model.simulate_trajectories
+
+    def spy(*args):
+        threads.add(threading.get_ident())
+        return simulate(*args)
+
+    monkeypatch.setattr(system_model, "simulate_trajectories", spy)
+
+    def run(call, *args, **kwargs):
+        """The call's result; no more threads than workers simulated its leaves."""
+        threads.clear()
+        result = call(b.system, b.schedule, b.init, *args, **kwargs)
+        assert len(threads) <= workers
+        return result
+
+    runs = {}
+    for workers in (1, 2):
+        _workers(monkeypatch, workers)
+        runs[workers] = []
+        for n_r in (1, ROLLOUT_LEAF - 1, ROLLOUT_LEAF + 1, 3 * ROLLOUT_LEAF + 5):
+            stack = list(range(90)) if n_r == 1 else [7, 2**64 - 1]
+            rollouts = run(simulate_rollouts, n_r, seed=11)
+            moments = run(simulated_moments, n_r, 11)
+            est = run(mals, n_r, seed=stack)
+            runs[workers].append((rollouts.states, rollouts.inputs, moments.mu, moments.x_t, est.nominal(),
+                                  est.covariance(), *est.diagnostics.values(), *est.errors.values()))
+    for got, want in zip(runs[2], runs[1]):
+        for x, y in zip(got, want):
+            assert np.array_equal(x, y)
+
+
+def test_the_first_diverging_leaf_in_order_is_named(monkeypatch):
+    # rollout LEAF + 5 grows from 1 and passes the limit at t = 3; rollout
+    # 2 LEAF + 7 grows from 1e7 and passes it at t = 1, in a leaf that the
+    # delay below lets finish first
+    s = make_system(1e6 * np.eye(2), BENCH_B, ZeroNoise())
+    sched = InputSchedule(nu=np.zeros((4, 1)), ubar=np.zeros((4, 1, 1)), law="deterministic")
+
+    class Init:
+        mean = np.zeros(2)
+
+        def sample(self, seed, ks):
+            x = np.zeros((len(ks), 2))
+            x[ks == ROLLOUT_LEAF + 5] = 1.0
+            x[ks == 2 * ROLLOUT_LEAF + 7] = 1e7
+            if ks[0] == ROLLOUT_LEAF:
+                time.sleep(0.2)
+            return x
+
+    _workers(monkeypatch, 2)
+    message = rf"^state exceeded 1e\+12 at t=3, rollout {ROLLOUT_LEAF + 5}$"
+    for call in (simulate_rollouts, simulated_moments):
+        with pytest.raises(SimulationDiverged, match=message):
+            call(s, sched, Init(), 3 * ROLLOUT_LEAF, 0)
+
+
+class _BeyondOffTheCaller:
+    """The wrapped noise, but 100 times beyond its bound when drawn off the calling thread.
+
+    A draw on the calling thread waits until a helper has drawn, so a helper
+    raises the noise-bound error, whichever leaves the two take.
+    """
+
+    def __init__(self, noise):
+        self.noise, self.helper_drew = noise, threading.Event()
+
+    def sample(self, seed, ks, t, n, m):
+        Abar, Bbar = self.noise.sample(seed, ks, t, n, m)
+        if threading.current_thread() is threading.main_thread():
+            assert self.helper_drew.wait(timeout=30)
+            return Abar, Bbar
+        self.helper_drew.set()
+        return 100 * Abar, Bbar
+
+
+def test_a_noise_bound_error_in_a_helper_reaches_the_caller(monkeypatch):
+    b = get_preset("paper-4.1")
+    system = copy.copy(b.system)
+    system.noise = _BeyondOffTheCaller(system.noise)
+    _workers(monkeypatch, 2)
+    before = threading.active_count()
+    with pytest.raises(AssertionError, match="sampled Abar exceeded its declared a.s. bound"):
+        mals(system, b.schedule, b.init, 2 * ROLLOUT_LEAF, seed=0)
+    assert threading.active_count() == before
+
+
+def test_closing_the_blocks_early_leaves_no_thread_behind(monkeypatch):
+    b = get_preset("paper-4.1")
+    _workers(monkeypatch, 2)
+    before = threading.active_count()
+    blocks = iter_rollout_blocks(b.system, b.schedule, b.init, 6 * ROLLOUT_LEAF, 3)
+    r, k0, states, _ = next(blocks)
+    assert (r, k0, len(states)) == (0, 0, ROLLOUT_LEAF)
+    blocks.close()
+    assert threading.active_count() == before
+
+
+def test_a_one_leaf_call_starts_no_thread(monkeypatch):
+    b = get_preset("paper-4.1")
+    counts = []
+    simulate = system_model.simulate_trajectories
+
+    def spy(*args):
+        counts.append(threading.active_count())
+        return simulate(*args)
+
+    monkeypatch.setattr(system_model, "simulate_trajectories", spy)
+    _workers(monkeypatch, 2)
+    before = threading.active_count()
+    mals(b.system, b.schedule, b.init, ROLLOUT_LEAF, seed=1)
+    mals(b.system, b.schedule, b.init, 100, seed=list(range(81)))  # 81 repetitions fill one block
+    simulate_rollouts(b.system, b.schedule, b.init, 1, seed=1)
+    assert counts and set(counts) == {before}
+
+
+def test_each_entry_of_a_seed_vector_follows_the_lone_seed_rule():
+    b = get_preset("paper-4.1")
+    for seeds in ([-1, 2**64 - 1, 5], np.array([-1, 5]), [np.uint64(2**64 - 1), 2**64 + 5]):
+        stacked = mals(b.system, b.schedule, b.init, 10, seed=seeds)
+        for r, seed in enumerate(seeds):
+            one = mals(b.system, b.schedule, b.init, 10, seed=seed)
+            assert np.array_equal(stacked.nominal()[r], one.nominal()), (seeds, r)
+            assert np.array_equal(stacked.covariance()[r], one.covariance()), (seeds, r)
+    for seeds, index in (([1.5, 5], 0), ([5, np.float64(2.0)], 1)):
+        with pytest.raises(ValueError, match=f"^seed {index} must be an integer, got "):
+            mals(b.system, b.schedule, b.init, 10, seed=seeds)
