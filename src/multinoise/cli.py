@@ -3,8 +3,8 @@
 Subcommands: simulate, estimate, oracle, identifiability, bounds, and
 experiment {convergence|tail|equivalence|baselines}.  Exit codes: 0 success,
 1 any other failure (its traceback under --debug), 2 configuration error or
-malformed rollout file (or one of another system than --preset), 3 assertion
-failure inside a run.
+unreadable, undecodable or malformed rollout file (or one of another system
+than --preset), 3 assertion failure inside a run.
 """
 
 from __future__ import annotations
@@ -77,8 +77,8 @@ def cmd_estimate(args, config):
     bundle = get_preset(config.preset, noise_law=config.noise_law)
     if args.rollouts:
         try:
-            text = Path(args.rollouts).read_text()
-        except OSError as exc:
+            text = Path(args.rollouts).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read rollouts {args.rollouts}: {exc}") from None
         rollouts = RolloutSet.from_json(text)
         truth = bundle.system if args.preset else None

@@ -519,7 +519,13 @@ class RolloutSet:
         return self.inputs.shape[2]
 
     def to_json(self):
-        return json.dumps(
+        """The set as one JSON object, its ``rollouts`` list last.
+
+        The text is that of ``json.dumps`` of the whole object, built from
+        the ``json.dumps`` of _JSON_CHUNK rollouts at a time, so no nested-list
+        copy of the whole set is held.
+        """
+        head = json.dumps(
             {
                 "n": self.n,
                 "m": self.m,
@@ -527,32 +533,30 @@ class RolloutSet:
                 "n_r": self.n_r,
                 "seed": self.seed,
                 "schedule": self.schedule.to_json_dict(),
-                "rollouts": [{"x": x, "u": u} for x, u in zip(self.states.tolist(), self.inputs.tolist())],
             }
         )
+        parts = [head[:-1], _ROLLOUTS_OPEN]
+        for k0 in range(0, self.n_r, _JSON_CHUNK):
+            if k0:
+                parts.append(", ")
+            rows = slice(k0, k0 + _JSON_CHUNK)
+            chunk = [{"x": x, "u": u} for x, u in zip(self.states[rows].tolist(), self.inputs[rows].tolist())]
+            parts.append(json.dumps(chunk)[1:-1])  # the items, without the list's brackets
+        parts.append("]}")
+        return "".join(parts)
 
     @classmethod
     def from_json(cls, text):
         """Parse ``to_json`` output.
 
-        Malformed JSON, missing fields, ragged, mis-shaped or non-finite data
-        and a schedule that disagrees with the header raise InputError.
+        Text in the layout ``to_json`` writes is parsed a chunk of rollouts
+        at a time (``_read_chunked``); any other text is parsed whole.  Both
+        give the same set.  Malformed JSON, missing fields, a seed that is
+        not an integer, ragged, mis-shaped or non-finite data and a schedule
+        that disagrees with the header raise InputError.
         """
-        try:
-            d = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"rollout JSON does not parse: {exc}") from None
-        _require_fields(d, ("n", "m", "ell", "n_r", "seed", "schedule", "rollouts"), "rollout JSON")
-        for key in ("n", "m", "ell", "n_r"):
-            if not isinstance(d[key], int) or isinstance(d[key], bool) or d[key] < 1:
-                raise InputError(f"rollout JSON field {key!r} must be a positive integer")
-        if not isinstance(d["rollouts"], list):
-            raise InputError("rollout JSON field 'rollouts' must be a list")
-        _require_fields(d["schedule"], ("nu", "Ubar", "law"), "rollout JSON field 'schedule'")
-        n_r, ell, m = d["n_r"], d["ell"], d["m"]
-        states = _rollout_array(d["rollouts"], "x", "state", (n_r, ell + 1, d["n"]))
-        inputs = _rollout_array(d["rollouts"], "u", "input", (n_r, ell, m))
-        sched = d["schedule"]
+        d, states, inputs = _read_chunked(text) or _read_whole(text)
+        sched, ell, m = d["schedule"], d["ell"], d["m"]
         nu = _schedule_array(sched, "nu", (ell, m))
         ubar = _schedule_array(sched, "Ubar", (ell, m, m))
         try:
@@ -560,6 +564,105 @@ class RolloutSet:
         except ValueError as exc:
             raise InputError(f"rollout JSON field 'schedule': {exc}") from None
         return cls(states=states, inputs=inputs, schedule=schedule, seed=d["seed"])
+
+
+#: Rollouts that ``RolloutSet.to_json`` encodes, and ``from_json`` decodes, at
+#: once: each then holds about the file's size plus one chunk's lists.  At
+#: paper-4.1 a chunk is about 18 kB of text, and sizes from 16 to 64 were the
+#: fastest on 2e4 rollouts (CHANGES.md).
+_JSON_CHUNK = 64
+
+_HEADER_KEYS = ("n", "m", "ell", "n_r", "seed", "schedule")
+
+#: What ``to_json`` writes between the header's last field and the first rollout.
+_ROLLOUTS_OPEN = ', "rollouts": ['
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_header(d):
+    """Raise InputError unless the header fields of ``d``, an object holding them all, are valid."""
+    for key in ("n", "m", "ell", "n_r"):
+        if not _is_int(d[key]) or d[key] < 1:
+            raise InputError(f"rollout JSON field {key!r} must be a positive integer")
+    if not _is_int(d["seed"]):
+        raise InputError("rollout JSON field 'seed' must be an integer")
+    _require_fields(d["schedule"], ("nu", "Ubar", "law"), "rollout JSON field 'schedule'")
+    if d["schedule"].get("seed") is not None and not _is_int(d["schedule"]["seed"]):
+        raise InputError("rollout JSON field schedule.seed must be an integer or null")
+
+
+def _read_whole(text):
+    """The header, states and inputs of a rollout file parsed as one JSON document.
+
+    This is the reference reading: every malformed file is reported here.
+    """
+    try:
+        d = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"rollout JSON does not parse: {exc}") from None
+    _require_fields(d, _HEADER_KEYS + ("rollouts",), "rollout JSON")
+    _check_header(d)
+    if not isinstance(d["rollouts"], list):
+        raise InputError("rollout JSON field 'rollouts' must be a list")
+    n_r, ell = d["n_r"], d["ell"]
+    states = _rollout_array(d["rollouts"], "x", "state", (n_r, ell + 1, d["n"]))
+    inputs = _rollout_array(d["rollouts"], "u", "input", (n_r, ell, d["m"]))
+    return d, states, inputs
+
+
+def _read_chunked(text):
+    """What ``_read_whole`` returns, for text in the layout ``to_json`` writes; None for other text.
+
+    The header, up to ``_ROLLOUTS_OPEN``, must be the ``json.dumps`` of its
+    own fields, and the text must end with the rollouts list.  The list is
+    cut after the ``}`` of every _JSON_CHUNK-th ``}, {``, and each piece is
+    parsed on its own into preallocated arrays.  A cut inside a string or a
+    nested value leaves a piece that does not parse, so whenever every piece
+    parses, the pieces hold the items of the whole list.  Text that
+    ``_read_whole`` would reject returns None, so it is reported there.
+    """
+    start = text.find(_ROLLOUTS_OPEN) if isinstance(text, str) else -1
+    if start < 0 or not text.endswith("]}"):
+        return None
+    head = text[:start] + "}"
+    try:
+        d = json.loads(head)
+    except ValueError:
+        return None
+    if tuple(d) != _HEADER_KEYS or json.dumps(d) != head:  # head, ending in }, is an object
+        return None
+    try:
+        _check_header(d)
+    except InputError:
+        return None
+    n_r, ell, n, m = d["n_r"], d["ell"], d["n"], d["m"]
+    if n_r * ((ell + 1) * n + ell * m) > len(text):  # a number takes a character at least
+        return None
+    states, inputs = np.empty((n_r, ell + 1, n)), np.empty((n_r, ell, m))
+    k0, pos, close = 0, start + len(_ROLLOUTS_OPEN), len(text) - 2
+    while pos < close:
+        cut = pos
+        for _ in range(_JSON_CHUNK):
+            cut = text.find("}, {", cut + 1, close)
+            if cut < 0:
+                break
+        end = close if cut < 0 else cut + 1
+        try:
+            items = json.loads("[" + text[pos:end] + "]")
+            xs = np.array([r["x"] for r in items], dtype=float)
+            us = np.array([r["u"] for r in items], dtype=float)
+        except (KeyError, TypeError, ValueError, OverflowError):
+            return None
+        k1 = k0 + len(items)
+        if k1 > n_r or xs.shape[1:] != states.shape[1:] or us.shape[1:] != inputs.shape[1:]:
+            return None
+        if not (np.isfinite(xs).all() and np.isfinite(us).all()):
+            return None
+        states[k0:k1], inputs[k0:k1], k0, pos = xs, us, k1, end + 2
+    return (d, states, inputs) if k0 == n_r else None
 
 
 def _require_fields(d, keys, what):

@@ -4,32 +4,15 @@ Each check runs in a fresh interpreter, because this suite imports scipy
 in-process (test_rngstream.py does so at module level).
 """
 
-import json
-import os
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
-
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+from conftest import run_fresh
 
 SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
 
-def _run(script):
-    """Run ``script`` in a fresh interpreter on src/ and return the JSON on its last stdout line."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(script)], capture_output=True, text=True, env=env, timeout=300
-    )
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
-
-
 def test_bounded_laws_and_console_commands_never_load_scipy(tmp_path):
-    loaded = _run(
+    loaded = run_fresh(
         f"""
         import json, sys
         loaded = {{}}
@@ -87,7 +70,7 @@ FIRST_USES = {
 @pytest.mark.parametrize("use", sorted(FIRST_USES))
 def test_first_scipy_use_gives_the_bits_of_an_up_front_import(use):
     def draw(prelude):
-        return _run(
+        return run_fresh(
             f"""
             import json, sys
             {prelude}

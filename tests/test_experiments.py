@@ -438,6 +438,14 @@ def test_cli_rollouts_of_another_system_are_an_input_error(tmp_path, capsys):
     assert err == "input error: rollouts have (n, m) = (2, 2) but preset paper-4.1 has (n, m) = (2, 1)\n", err
 
 
+def test_cli_undecodable_rollout_file_is_an_input_error(tmp_path, capsys):
+    bad = tmp_path / "latin-1.json"
+    bad.write_bytes(b'{"n": 2, "law": "\xe9"}')
+    assert main(["estimate", "--rollouts", str(bad), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: cannot read rollouts {bad}: 'utf-8' codec can't decode byte 0xe9"), err
+
+
 def test_cli_unknown_preset_exit_2(tmp_path):
     assert main(["oracle", "--preset", "nope", "--out", str(tmp_path)]) == 2
 

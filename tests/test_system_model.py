@@ -1,6 +1,7 @@
 import copy
 import json
 import re
+import textwrap
 import threading
 import time
 import warnings
@@ -34,7 +35,15 @@ from multinoise.system_model import (
 from multinoise.mals import design_inputs, mals, simulated_moments
 from multinoise.presets import PRESET_NAMES, get_preset
 
-from conftest import BENCH_A, BENCH_B, BENCH_SIGMA_A, BENCH_SIGMA_B, standard_normal_inputs
+from conftest import (
+    BENCH_A,
+    BENCH_B,
+    BENCH_SIGMA_A,
+    BENCH_SIGMA_B,
+    assert_same_rollouts,
+    run_fresh,
+    standard_normal_inputs,
+)
 
 
 def test_make_system_benchmark(bench_system):
@@ -610,6 +619,131 @@ def test_rollout_json_names_missing_or_mistyped_fields(
     edited = edit(d)
     with pytest.raises(InputError, match=message):
         RolloutSet.from_json(edited if isinstance(edited, str) else json.dumps(edited))
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("seed", "abc", "field 'seed' must be an integer"),
+        ("seed", 1.5, "field 'seed' must be an integer"),
+        ("seed", True, "field 'seed' must be an integer"),
+        ("seed", None, "field 'seed' must be an integer"),
+        ("schedule.seed", "abc", r"field schedule\.seed must be an integer or null"),
+        ("schedule.seed", 1.5, r"field schedule\.seed must be an integer or null"),
+        ("schedule.seed", True, r"field schedule\.seed must be an integer or null"),
+    ],
+)
+def test_rollout_json_seeds_must_be_integers(bench_system, bench_schedule, zero_init, key, value, message):
+    d = json.loads(simulate_rollouts(bench_system, bench_schedule, zero_init, 3, seed=5).to_json())
+    if key == "seed":
+        d["seed"] = value
+    else:
+        d["schedule"]["seed"] = value
+    for text in (json.dumps(d), json.dumps(d, indent=2)):  # the chunked layout, and one read whole
+        with pytest.raises(InputError, match=message):
+            RolloutSet.from_json(text)
+
+
+def test_rollout_json_schedule_seed_may_be_null(bench_system, bench_schedule, zero_init):
+    d = json.loads(simulate_rollouts(bench_system, bench_schedule, zero_init, 3, seed=5).to_json())
+    d["schedule"]["seed"] = None
+    assert RolloutSet.from_json(json.dumps(d)).schedule.seed is None
+
+
+def _whole_json(rollouts):
+    """The rollout file as one ``json.dumps`` of the whole object."""
+    return {
+        "n": rollouts.n,
+        "m": rollouts.m,
+        "ell": rollouts.ell,
+        "n_r": rollouts.n_r,
+        "seed": rollouts.seed,
+        "schedule": rollouts.schedule.to_json_dict(),
+        "rollouts": [{"x": x, "u": u} for x, u in zip(rollouts.states.tolist(), rollouts.inputs.tolist())],
+    }
+
+
+def _header_swapped(d):
+    """The object with "n" and "m" swapped in key order, "rollouts" still last."""
+    return {"m": d["m"], "n": d["n"], **{k: v for k, v in d.items() if k not in ("n", "m")}}
+
+
+_C = system_model._JSON_CHUNK
+
+
+@pytest.mark.parametrize("n_r", [1, _C - 1, _C, _C + 1, 3 * _C + 5])
+def test_rollout_json_is_written_and_read_a_chunk_at_a_time_as_one_document(
+    bench_system, bench_schedule, zero_init, n_r
+):
+    rollouts = simulate_rollouts(bench_system, bench_schedule, zero_init, n_r, seed=5)
+    whole = _whole_json(rollouts)
+    text = rollouts.to_json()
+    assert text == json.dumps(whole)
+    assert system_model._read_chunked(text) is not None
+    assert_same_rollouts(RolloutSet.from_json(text), rollouts)
+    for variant in (
+        json.dumps(whole, indent=2),
+        json.dumps(dict(reversed(whole.items()))),
+        json.dumps(_header_swapped(whole)),
+        json.dumps(whole, separators=(",", ":")),
+        text.replace('{"n": ', '{"n":  ', 1),  # a header that is not its own json.dumps
+    ):
+        assert system_model._read_chunked(variant) is None  # read whole
+        assert_same_rollouts(RolloutSet.from_json(variant), rollouts)
+
+
+def _rss_growth(path, steps):
+    """How many times the text's size ``steps`` grow ru_maxrss by, in a fresh interpreter.
+
+    Linux keeps ru_maxrss across exec, and a child starts from its parent's
+    peak, so the measuring interpreter is started by a bare one, whose own
+    peak lies below what the measurement starts from.
+    """
+    script = textwrap.dedent(
+        f"""
+        import json, resource, sys
+        from pathlib import Path
+        import numpy as np
+        import multinoise as mn
+
+        def peak():
+            return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * (1 if sys.platform == "darwin" else 1024)
+
+        path = Path({path!r})
+        """
+    ) + textwrap.dedent(steps)
+    return run_fresh(f"import subprocess, sys; subprocess.run([sys.executable, '-c', {script!r}], check=True)")
+
+
+def test_rollout_json_write_and_read_take_at_most_three_times_the_text(tmp_path):
+    """ru_maxrss growth of ``to_json``, and of ``read_text`` plus ``from_json``, at 2e4 rollouts of paper-4.1's shape."""
+    pytest.importorskip("resource")
+    path = str(tmp_path / "rollouts.json")
+    grew = _rss_growth(
+        path,
+        """
+        # random values, as long as simulated ones, without a simulation's peak to hide the growth
+        rng, b = np.random.default_rng(7), mn.get_preset("paper-4.1")
+        n_r, ell, n, m = 20_000, b.schedule.ell, b.system.n, b.system.m
+        states, inputs = rng.standard_normal((n_r, ell + 1, n)), rng.standard_normal((n_r, ell, m))
+        rollouts = mn.RolloutSet(states=states, inputs=inputs, schedule=b.schedule, seed=7)
+        before = peak()
+        text = rollouts.to_json()
+        print(json.dumps((peak() - before) / len(text)))
+        path.write_text(text)
+        """,
+    )
+    assert grew <= 3.0, f"to_json grew ru_maxrss by {grew:.2f} x the text"
+    grew = _rss_growth(
+        path,
+        """
+        before = peak()
+        text = path.read_text()
+        mn.RolloutSet.from_json(text)
+        print(json.dumps((peak() - before) / len(text)))
+        """,
+    )
+    assert grew <= 3.0, f"read_text and from_json grew ru_maxrss by {grew:.2f} x the text"
 
 
 def test_a_noise_direction_of_another_shape_is_rejected():
