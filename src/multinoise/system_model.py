@@ -8,11 +8,10 @@ SigmaB likewise (nm x nm).
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -601,7 +600,7 @@ def _read_whole(text):
     """
     try:
         d = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer beyond int's digit limit
         raise InputError(f"rollout JSON does not parse: {exc}") from None
     _require_fields(d, _HEADER_KEYS + ("rollouts",), "rollout JSON")
     _check_header(d)
@@ -678,8 +677,8 @@ def _schedule_array(sched, key, shape):
     """Schedule field ``key`` as a float array of ``shape`` (the header's ell and m)."""
     try:
         arr = np.array(sched[key], dtype=float)
-    except (TypeError, ValueError):
-        raise InputError(f"rollout JSON field schedule.{key} is ragged or not numeric") from None
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"rollout JSON field schedule.{key} is ragged, not numeric or too large") from None
     if arr.shape != shape:
         raise InputError(
             f"rollout JSON field schedule.{key} has shape {arr.shape}, "
@@ -695,7 +694,7 @@ def _rollout_array(rollouts, key, what, shape):
     """Stack field ``key`` of every rollout into a finite float array of ``shape``."""
     try:
         arr = np.array([r[key] for r in rollouts], dtype=float)
-    except (KeyError, TypeError, ValueError):  # a missing field, ragged or non-numeric data
+    except (KeyError, TypeError, ValueError, OverflowError):  # a missing field; ragged, non-numeric or huge data
         arr = None
     if arr is None or arr.shape != shape:
         if len(rollouts) != shape[0]:
@@ -706,8 +705,8 @@ def _rollout_array(rollouts, key, what, shape):
             _require_fields(r, (key,), f"rollout {k}")
             try:
                 got = np.shape(np.asarray(r[key], dtype=float))
-            except (TypeError, ValueError):
-                raise InputError(f"rollout {k}: {what}s are ragged or not numeric") from None
+            except (TypeError, ValueError, OverflowError):
+                raise InputError(f"rollout {k}: {what}s are ragged, not numeric or too large") from None
             if got != shape[1:]:
                 raise InputError(f"rollout {k}: {what}s have shape {got}, expected {shape[1:]}")
         raise InputError(f"rollout JSON has inconsistent {what} shapes")
@@ -725,10 +724,15 @@ def iter_rollout_blocks(system, schedule, init, n_r, seed, reduce=lambda *leaf: 
     with states (b, ell+1, n) and inputs (b, ell, m), in (repetition,
     rollout) order; by default the tuple ``(r, k0, states, inputs)``.  Blocks
     of at most ROLLOUT_LEAF rows are simulated at once: whole repetitions
-    share one when n_r <= ROLLOUT_LEAF.  The blocks run on up to the usable
-    CPUs (``_in_order``), and ``reduce`` runs on the thread that simulated
-    its leaf, so a caller that keeps only a leaf's sums holds no more than
-    the leaves being simulated.  Every (seed, rollout, time, role) tuple
+    share one when n_r <= ROLLOUT_LEAF.  With one block or one usable CPU
+    the calling thread simulates the blocks in turn and starts no thread.
+    Otherwise a thread pool, one thread per usable CPU and at most one per
+    block, simulates them while the caller waits.  At most 2 * workers
+    blocks past the next one to yield are submitted; the blocks not yet
+    started are cancelled and the threads joined when the generator
+    returns, raises or is closed.  ``reduce`` runs on the thread that
+    simulated its leaf, so a caller that keeps only a leaf's sums holds at
+    most the leaves of that window.  Every (seed, rollout, time, role) tuple
     draws from its own keyed stream, so a rollout depends neither on its
     block nor on the thread that ran it.  Each entry of a seed vector is an
     integer taken mod 2^64, as a lone seed is (``rngstream.seed_words``).
@@ -753,7 +757,7 @@ def iter_rollout_blocks(system, schedule, init, n_r, seed, reduce=lambda *leaf: 
     blocks = [(r0, k0) for r0 in range(0, len(seeds), per_block) for k0 in range(0, n_r, ROLLOUT_LEAF)]
 
     def simulate(block):
-        """The block's leaves, reduced, up to its first diverged repetition, and that divergence or None."""
+        """The block's leaves, reduced; SimulationDiverged for its first diverged repetition."""
         r0, k0 = block
         b, block_seeds = min(ROLLOUT_LEAF, n_r - k0), seeds[r0 : r0 + per_block]
         ks = np.tile(np.arange(k0, k0 + b), len(block_seeds))
@@ -765,15 +769,26 @@ def iter_rollout_blocks(system, schedule, init, n_r, seed, reduce=lambda *leaf: 
             t = int(diverged_at[rows].min())
             if t <= ell:
                 bad = k0 + int(np.argmax(diverged_at[rows] == t))
-                return leaves, SimulationDiverged(f"state exceeded {DIVERGENCE_LIMIT:g} at t={t}, rollout {bad}")
+                raise SimulationDiverged(f"state exceeded {DIVERGENCE_LIMIT:g} at t={t}, rollout {bad}")
             leaves.append(reduce(r0 + i, k0, states[rows], inputs[rows]))
-        return leaves, None
+        return leaves
 
-    with contextlib.closing(_in_order(blocks, simulate)) as simulated:
-        for leaves, diverged in simulated:
-            yield from leaves
-            if diverged is not None:
-                raise diverged
+    workers = min(_usable_cpus(), len(blocks))
+    if workers == 1:
+        for block in blocks:
+            yield from simulate(block)
+        return
+    pool = ThreadPoolExecutor(workers)
+    try:
+        submitted = []
+        for block in blocks:
+            submitted.append(pool.submit(simulate, block))
+            if len(submitted) > 2 * workers:  # bounds the results held
+                yield from submitted.pop(0).result()
+        while submitted:
+            yield from submitted.pop(0).result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _usable_cpus():
@@ -781,80 +796,6 @@ def _usable_cpus():
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _in_order(tasks, run):
-    """Yield ``run(task)`` for each task in order, running up to ``_usable_cpus()`` tasks at once.
-
-    The calling thread is one of the workers; the others are threads of this
-    generator, started when iteration starts (none for a single task or a
-    single usable CPU, where the caller runs every task in turn) and joined
-    before it returns, raises or is closed.  A
-    worker takes a task only while it lies fewer than 2 * workers places past
-    the next one to yield, which bounds the results held.  A task's
-    exception is raised when its turn comes, so the first failing task in
-    order is the one reported.
-    """
-    workers = min(_usable_cpus(), len(tasks))
-    cond = threading.Condition()
-    done = {}  # task index -> (raised, value), until yielded
-    claimed = turn = 0  # tasks taken by a worker; the next task to yield
-    stop = False
-
-    def claim():
-        """The next task index a worker may run, or None; called holding ``cond``."""
-        nonlocal claimed
-        if stop or claimed == len(tasks) or claimed >= turn + 2 * workers:
-            return None
-        claimed += 1
-        return claimed - 1
-
-    def execute(i):
-        try:
-            outcome = False, run(tasks[i])
-        except BaseException as exc:  # handed to the caller, which raises it in turn
-            outcome = True, exc
-        with cond:
-            done[i] = outcome
-            cond.notify_all()
-
-    def helper():
-        while True:
-            with cond:
-                while (i := claim()) is None:
-                    if stop or claimed == len(tasks):
-                        return
-                    cond.wait()
-            execute(i)
-
-    threads = []
-    try:
-        for _ in range(workers - 1):
-            thread = threading.Thread(target=helper, daemon=True)
-            thread.start()
-            threads.append(thread)
-        for i in range(len(tasks)):
-            while True:
-                with cond:
-                    if i in done:
-                        raised, value = done.pop(i)
-                        turn = i + 1
-                        cond.notify_all()
-                        break
-                    j = claim()
-                    if j is None:
-                        cond.wait()
-                        continue
-                execute(j)
-            if raised:
-                raise value
-            yield value
-    finally:
-        with cond:
-            stop = True
-            cond.notify_all()
-        for thread in threads:
-            thread.join()
 
 
 def simulate_rollouts(system, schedule, init, n_r, seed):

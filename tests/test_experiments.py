@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -444,6 +445,32 @@ def test_cli_undecodable_rollout_file_is_an_input_error(tmp_path, capsys):
     assert main(["estimate", "--rollouts", str(bad), "--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"input error: cannot read rollouts {bad}: 'utf-8' codec can't decode byte 0xe9"), err
+
+
+@pytest.mark.parametrize(
+    "where, number, message",
+    [
+        (("rollouts", 1, "x", 2), str(10**400), "rollout 1: states are ragged, not numeric or too large"),
+        (("schedule", "nu", 0), str(10**400), "rollout JSON field schedule.nu is ragged, not numeric or too large"),
+        (("rollouts", 0, "u", 1), "9" * 5000, "rollout JSON does not parse: Exceeds the limit (4300 digits)"
+         if hasattr(sys, "get_int_max_str_digits") else "rollout 0: inputs are ragged, not numeric or too large"),
+    ],
+    ids=["x", "nu", "digit-limit"],
+)
+def test_cli_out_of_range_number_in_rollouts_is_an_input_error(tmp_path, capsys, where, number, message):
+    out = tmp_path / "run"
+    assert main(["simulate", "--preset", "paper-4.1", "--n-r", "3", "--out", str(out)]) == 0
+    d = json.loads((out / "rollouts.json").read_text())
+    entry = d
+    for key in where:
+        entry = entry[key]
+    entry[0] = "NUMBER"
+    for indent in (None, 2):  # the chunked layout, and one read whole
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(d, indent=indent).replace('"NUMBER"', number))
+        assert main(["estimate", "--rollouts", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {message}"), err
 
 
 def test_cli_unknown_preset_exit_2(tmp_path):

@@ -833,8 +833,9 @@ def test_the_first_diverging_leaf_in_order_is_named(monkeypatch):
 class _BeyondOffTheCaller:
     """The wrapped noise, but 100 times beyond its bound when drawn off the calling thread.
 
-    A draw on the calling thread waits until a helper has drawn, so a helper
-    raises the noise-bound error, whichever leaves the two take.
+    Every block of a call with more than one worker is drawn on a pool
+    thread, so a pool thread raises the noise-bound error.  Were a draw made
+    on the calling thread, it would wait until a pool thread had drawn.
     """
 
     def __init__(self, noise):
@@ -869,6 +870,31 @@ def test_closing_the_blocks_early_leaves_no_thread_behind(monkeypatch):
     assert (r, k0, len(states)) == (0, 0, ROLLOUT_LEAF)
     blocks.close()
     assert threading.active_count() == before
+
+
+def test_closing_after_one_leaf_simulated_no_more_than_the_window(monkeypatch):
+    b = get_preset("paper-4.1")
+    simulated = []
+    simulate = system_model.simulate_trajectories
+
+    def spy(*args):
+        simulated.append(args[3][0])
+        return simulate(*args)
+
+    monkeypatch.setattr(system_model, "simulate_trajectories", spy)
+    workers = 2
+    _workers(monkeypatch, workers)
+    before = threading.active_count()
+    blocks = iter_rollout_blocks(b.system, b.schedule, b.init, 12 * ROLLOUT_LEAF, 3)
+    assert next(blocks)[:2] == (0, 0)
+    window = 1 + 2 * workers  # the leaf yielded, and 2 * workers blocks submitted past the next one
+    deadline = time.monotonic() + 30
+    while len(simulated) < window and time.monotonic() < deadline:
+        time.sleep(0.01)
+    time.sleep(0.2)  # time for a block beyond the window to start, were one submitted
+    blocks.close()
+    assert threading.active_count() == before
+    assert len(simulated) == window, simulated
 
 
 def test_a_one_leaf_call_starts_no_thread(monkeypatch):
