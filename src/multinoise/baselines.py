@@ -148,16 +148,23 @@ class _LawMajor:
     def __init__(self, laws):
         self.laws = laws
 
-    def sample(self, seed, ks, t):
-        blocks = zip(self.laws, np.split(seed, len(self.laws)), np.split(ks, len(self.laws)))
-        return np.concatenate([law.sample(s, k, t) for law, s, k in blocks], axis=-2)
+    def draw(self, keys, t, out, ws):
+        """u_t at step keys ``keys`` (t's axis, then rows) into ``out``: each law draws its block, as alone."""
+        blocks = zip(self.laws, np.split(keys, len(self.laws), axis=-1), np.split(out, len(self.laws), axis=-2))
+        for law, k, o in blocks:
+            mark = ws.mark()
+            own = ws.take(k.shape, np.uint64)
+            own[...] = k  # contiguous keys, and a contiguous block of u below
+            o[...] = law.draw(own, t, ws.take(o.shape), ws)
+            ws.release(mark)
+        return out
 
 
 def simulate_single_trajectories(system, input_law, T, reps, seed):
     """reps independent length-T trajectories from x_0 = 0 under each input law.
 
-    ``input_law.sample(seed, ks, t)`` draws u_t: an InputSchedule, whose
-    moments repeat with its period ell.  Unlike the multi-rollout simulator
+    ``input_law`` draws u_t: an InputSchedule, whose moments repeat with its
+    period ell.  Unlike the multi-rollout simulator
     this records divergence instead of raising: diverged_at[r] is the first
     step index whose state went beyond the limit (T + 1 if none), and
     trajectory r's states from it on and its inputs from it on are NaN

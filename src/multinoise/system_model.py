@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
+import operator
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -55,9 +58,12 @@ NOISE_BOUND_SLACK = 1e-9
 DIVERGENCE_LIMIT = 1e12
 
 
-def beyond_limit(a, axis=None):
-    """Whether any entry along ``axis`` (default: all) is NaN, infinite or > DIVERGENCE_LIMIT."""
-    return ~(np.abs(a) <= DIVERGENCE_LIMIT).all(axis=axis)
+def beyond_limit(a, axis=None, scratch=None):
+    """Whether any entry along ``axis`` (default: all) is NaN, infinite or > DIVERGENCE_LIMIT.
+
+    ``scratch``, a float array of a's shape, receives |a|.
+    """
+    return ~(np.abs(a, out=scratch) <= DIVERGENCE_LIMIT).all(axis=axis)
 
 
 #: Rollouts simulated together as one block, and summed together as one leaf
@@ -153,24 +159,53 @@ class CovarianceNoise:
         return ca, cb
 
     def sample(self, seed, ks, t, n, m):
-        veca = _factor_in_place(rs.unit_variance(seed, ks, t, rs.ROLE_NOISE_A, n * n, self.law), self._LA)
-        vecb = _factor_in_place(rs.unit_variance(seed, ks, t, rs.ROLE_NOISE_B, n * m, self.law), self._LB)
-        Abar = veca.reshape(veca.shape[:-1] + (n, n)).swapaxes(-1, -2)  # undo column stacking
-        Bbar = vecb.reshape(vecb.shape[:-1] + (m, n)).swapaxes(-1, -2)
+        return _sample_noise(self, seed, ks, t, n, m)
+
+    def draw(self, keys, t, n, m, out_a, out_b, ws):
+        """(Abar_t, Bbar_t) at step keys ``keys`` of steps ``t``, as views of ``out_a`` and ``out_b``.
+
+        ``out_a`` and ``out_b`` are float arrays of keys.shape + (n*n,) and
+        keys.shape + (n*m,), which receive vec(Abar) and vec(Bbar); the
+        temporaries come from the workspace ``ws``.
+        """
+        for role, out, L in ((rs.ROLE_NOISE_A, out_a, self._LA), (rs.ROLE_NOISE_B, out_b, self._LB)):
+            _factor_in_place(_keyed(rs.keyed_unit_variance, keys, role, out.shape[-1], self.law, out=out, ws=ws), L, ws)
+        Abar = out_a.reshape(keys.shape + (n, n)).swapaxes(-1, -2)  # undo column stacking
+        Bbar = out_b.reshape(keys.shape + (m, n)).swapaxes(-1, -2)
         return Abar, Bbar
 
 
-def _factor_in_place(z, L):
+def _sample_noise(noise, seed, ks, t, n, m):
+    """``noise.draw`` at the step keys of (seed, ks, t), into fresh arrays."""
+    keys = rs.step_keys(seed, ks, t)
+    return noise.draw(keys, t, n, m, np.empty(keys.shape + (n * n,)), np.empty(keys.shape + (n * m,)), _Fresh())
+
+
+def _keyed(draw, keys, role, count, *args, out, ws):
+    """``draw(keys, role, count, *args)``, a keyed rngstream draw, into ``out`` with its scratch from ``ws``."""
+    mark = ws.mark()
+    draw(keys, role, count, *args, out=out, scratch=ws.take((rs.scratch_words(keys.size, count),), np.uint64))
+    ws.release(mark)
+    return out
+
+
+def _factor_in_place(z, L, ws):
     """z @ L.T over z's last axis, written over z a slab of time steps at a time.
 
-    A slab holds about ROLLOUT_LEAF rows, so the product's temporary stays
-    that small.  Each time step is the product that ``z @ L.T`` takes for
-    it, so the bits are those of the whole product.
+    A slab holds about ROLLOUT_LEAF rows: it is copied to an array of the
+    workspace ``ws`` and multiplied back into z.  Each time step is the
+    product that ``z @ L.T`` takes for it, so the bits are those of the
+    whole product.
     """
     steps = z.reshape((-1,) + z.shape[-2:])
     per_slab = max(1, ROLLOUT_LEAF // steps.shape[1])
+    mark = ws.mark()
+    slab = ws.take((min(per_slab, len(steps)),) + steps.shape[1:])
     for a in range(0, len(steps), per_slab):
-        np.matmul(steps[a : a + per_slab], L.T, out=steps[a : a + per_slab])
+        b = min(a + per_slab, len(steps))
+        np.copyto(slab[: b - a], steps[a:b])
+        np.matmul(slab[: b - a], L.T, out=steps[a:b])
+    ws.release(mark)
     return z
 
 
@@ -212,16 +247,24 @@ class EigenStructuredNoise:
         return float(ca), float(cb)
 
     def sample(self, seed, ks, t, n, m):
-        lead = np.shape(t) + (len(ks),)
-        r, s = len(self.a_dirs), len(self.b_dirs)
-        Abar = np.zeros(lead + (n, n))
-        if r:
-            p = rs.unit_variance(seed, ks, t, rs.ROLE_NOISE_A, r, self.law) * self.sigmas
-            Abar = np.einsum("...r,rij->...ij", p, np.stack(self.a_dirs))
-        Bbar = np.zeros(lead + (n, m))
-        if s:
-            q = rs.unit_variance(seed, ks, t, rs.ROLE_NOISE_B, s, self.law) * self.deltas
-            Bbar = np.einsum("...s,sij->...ij", q, np.stack(self.b_dirs))
+        return _sample_noise(self, seed, ks, t, n, m)
+
+    def draw(self, keys, t, n, m, out_a, out_b, ws):
+        """(Abar_t, Bbar_t) at step keys ``keys``, written over ``out_a`` and ``out_b`` (as CovarianceNoise.draw)."""
+        Abar, Bbar = out_a.reshape(keys.shape + (n, n)), out_b.reshape(keys.shape + (n, m))
+        for role, dirs, scales, out in (
+            (rs.ROLE_NOISE_A, self.a_dirs, self.sigmas, Abar),
+            (rs.ROLE_NOISE_B, self.b_dirs, self.deltas, Bbar),
+        ):
+            if not dirs:
+                out.fill(0.0)
+                continue
+            mark = ws.mark()
+            p = ws.take(keys.shape + (len(dirs),))
+            _keyed(rs.keyed_unit_variance, keys, role, len(dirs), self.law, out=p, ws=ws)
+            p *= scales
+            np.einsum("...r,rij->...ij", p, np.stack(dirs), out=out)
+            ws.release(mark)
         return Abar, Bbar
 
 
@@ -259,6 +302,11 @@ class FixedInitial:
     def sample(self, seed, ks):
         return np.tile(self.x0, (len(ks), 1))
 
+    def draw(self, keys, out, ws):
+        """x_0 for the rows of step keys ``keys`` (t = 0), written into ``out`` (len(keys), n)."""
+        out[...] = self.x0
+        return out
+
     def bounds(self):
         c_x = float(np.linalg.norm(self.x0))
         return c_x, 0.0, 0.0  # c_X, c_mu, c_DeltaX
@@ -278,8 +326,16 @@ class UniformBoxInitial:
         self.second_moment = np.outer(self.center, self.center) + np.diag(self.half**2 / 3.0)
 
     def sample(self, seed, ks):
-        u = rs.uniform01(seed, ks, 0, rs.ROLE_X0, self.center.size)
-        return self.center + (2.0 * u - 1.0) * self.half
+        return _sample_initial(self, seed, ks)
+
+    def draw(self, keys, out, ws):
+        """x_0 for the rows of step keys ``keys`` (t = 0), written into ``out`` (len(keys), n)."""
+        u = _keyed(rs.keyed_uniform01, keys, rs.ROLE_X0, self.center.size, out=out, ws=ws)
+        u *= 2.0
+        u -= 1.0
+        u *= self.half
+        u += self.center
+        return u
 
     def bounds(self):
         c_x = float(np.linalg.norm(self.center) + np.linalg.norm(self.half))
@@ -316,14 +372,27 @@ class TruncatedGaussianInitial:
         self.second_moment = np.outer(self.mu, self.mu) + self._L @ self._L.T * self._zvar
 
     def sample(self, seed, ks):
-        z = rs.truncated_normal(seed, ks, 0, rs.ROLE_X0, self.mu.size, self.radius)
-        return self.mu + z @ self._L.T
+        return _sample_initial(self, seed, ks)
+
+    def draw(self, keys, out, ws):
+        """x_0 for the rows of step keys ``keys`` (t = 0), written into ``out`` (len(keys), n)."""
+        mark = ws.mark()
+        z = _keyed(rs.keyed_truncated_normal, keys, rs.ROLE_X0, self.mu.size, self.radius, out=ws.take(out.shape), ws=ws)
+        np.add(self.mu, np.matmul(z, self._L.T, out=out), out=out)
+        ws.release(mark)
+        return out
 
     def bounds(self):
         c_mu = float(np.linalg.norm(self._L, 2)) * self.radius * np.sqrt(self.mu.size)
         c_x = float(np.linalg.norm(self.mu)) + c_mu
         c_dx = c_x * c_x + float(np.linalg.norm(self.second_moment, "fro"))
         return c_x, c_mu, c_dx
+
+
+def _sample_initial(init, seed, ks):
+    """``init.draw`` at the step keys of (seed, ks, t = 0), into a fresh array."""
+    keys = rs.step_keys(seed, ks, 0)
+    return init.draw(keys, np.empty(keys.shape + (init.mean.size,)), _Fresh())
 
 
 # ---------------------------------------------------------------------------
@@ -379,11 +448,23 @@ class InputSchedule:
         axis).  Past the schedule the moments repeat with period ell; the
         draws do not, since every step keys its own stream by ``t``.
         """
+        keys = rs.step_keys(seed, ks, t)
+        return self.draw(keys, t, np.empty(keys.shape + (self.m,)), _Fresh())
+
+    def draw(self, keys, t, out, ws):
+        """u_t at step keys ``keys`` (shape of t + rows), written into ``out`` (keys.shape + (m,)).
+
+        The temporaries come from the workspace ``ws``.
+        """
         tt = t % self.ell
         if self.law == "deterministic":
-            return np.repeat(self.nu[tt, None], len(ks), axis=-2)
-        z = rs.unit_variance(seed, ks, t, rs.ROLE_INPUT, self.m, self.law)
-        return self.nu[tt, None] + z @ self._factors[tt].swapaxes(-1, -2)
+            out[...] = self.nu[tt, None]
+            return out
+        mark = ws.mark()
+        z = _keyed(rs.keyed_unit_variance, keys, rs.ROLE_INPUT, self.m, self.law, out=ws.take(out.shape), ws=ws)
+        np.add(self.nu[tt, None], np.matmul(z, self._factors[tt].swapaxes(-1, -2), out=out), out=out)
+        ws.release(mark)
+        return out
 
     def deviation_bounds(self):
         """(c_U, c_nu): a.s. bounds on ||u_t|| and ||u_t - nu_t||; None if unbounded."""
@@ -716,6 +797,85 @@ def _rollout_array(rollouts, key, what, shape):
     return arr
 
 
+#: Byte alignment of the arrays a workspace hands out.
+_ALIGN = 64
+
+#: Address space a workspace segment maps, unless one array needs more; only
+#: the pages a block uses are ever touched.  Every rollout block of the
+#: presets fits in one segment.
+_SEGMENT = 8 << 20
+
+
+class _Workspace:
+    """Scratch memory that one worker reuses across the blocks of a call: a stack of arrays.
+
+    ``take`` hands out the next free bytes as an array, and ``release(mark)``
+    frees everything taken since ``mark()``.  The bytes lie in segments of
+    _SEGMENT bytes, or of the array's size if larger; an array that does not
+    fit in the rest of the current segment starts the next one, which is
+    mapped (or replaced by a larger one) when it is missing or too small.  A
+    segment is an anonymous memory map, unmapped when the workspace is
+    dropped: it never enters malloc's heaps, so it leaves no freed memory
+    behind in a thread's heap and does not move malloc's mmap threshold.
+    The first block of a size maps the segments and faults in their pages;
+    the worker's later blocks allocate nothing here.
+    """
+
+    def __init__(self):
+        self._segments = []
+        self._top = (0, 0)  # (segment, byte offset) of the next free byte
+
+    def mark(self):
+        return self._top
+
+    def release(self, mark):
+        self._top = mark
+
+    def take(self, shape, dtype=float):
+        dtype = np.dtype(dtype)
+        size = math.prod(shape) * dtype.itemsize
+        i, start = self._top
+        if i < len(self._segments) and start + size > self._segments[i].size:
+            i, start = i + 1, 0
+        if i == len(self._segments) or size > self._segments[i].size:  # a replaced segment holds nothing in use
+            self._segments[i : i + 1] = [np.frombuffer(_anonymous_map(max(size, _SEGMENT)), dtype=np.uint8)]
+        self._top = (i, start + -(-size // _ALIGN) * _ALIGN)
+        return self._segments[i][start : start + size].view(dtype).reshape(shape)
+
+
+class _Fresh:
+    """The workspace of a call that reuses nothing: every ``take`` is a new array.
+
+    A lone ``simulate_trajectories`` call, an ``iter_rollout_blocks`` call of
+    one block per worker and a sampler's ``sample`` use it.  Their temporaries come from
+    malloc, whose heap is warm from earlier calls, where a memory map of
+    their own would fault its pages in afresh on every call.
+    """
+
+    def mark(self):
+        return None
+
+    def release(self, mark):
+        pass
+
+    def take(self, shape, dtype=float):
+        return np.empty(shape, dtype)
+
+
+def _anonymous_map(size):
+    """``size`` bytes of private anonymous memory, unmapped when the last array over it is dropped."""
+    if hasattr(mmap, "MAP_PRIVATE"):
+        return mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    return mmap.mmap(-1, size)
+
+
+#: The workspace of the worker running a block of an ``iter_rollout_blocks``
+#: call, per thread; set only while that block's ``simulate_trajectories``
+#: call runs, so it holds nothing between calls.  It reaches the kernel this
+#: way so that the public ``simulate_trajectories`` keeps its signature.
+_worker = threading.local()
+
+
 def iter_rollout_blocks(system, schedule, init, n_r, seed, reduce=lambda *leaf: leaf):
     """Simulate rollouts 0..n_r-1 for a seed, or for each repetition r of a 1-D vector seed[r].
 
@@ -736,13 +896,30 @@ def iter_rollout_blocks(system, schedule, init, n_r, seed, reduce=lambda *leaf: 
     draws from its own keyed stream, so a rollout depends neither on its
     block nor on the thread that ran it.  Each entry of a seed vector is an
     integer taken mod 2^64, as a lone seed is (``rngstream.seed_words``).
-    The arguments are checked when iteration starts; a diverged state raises
-    SimulationDiverged naming, for the first diverging repetition, the
-    earliest step at which a rollout of its first diverging leaf diverged,
-    and the lowest rollout index that diverged at that step.
+    The arguments are checked when iteration starts: n_r must be a positive
+    integer (a bool is not one); a diverged state raises SimulationDiverged
+    naming, for the first diverging repetition, the earliest step at which a
+    rollout of its first diverging leaf diverged, and the lowest rollout
+    index that diverged at that step.
+
+    In a call of more blocks than workers each worker (the calling thread,
+    or a pool thread) has one workspace, built when it simulates its first
+    block and dropped when the generator ends: the temporaries of its
+    blocks (see ``simulate_trajectories``) reuse it, so after that first
+    block a worker allocates only the fresh states, inputs and divergence
+    steps it hands to ``reduce``.  A workspace is as large as a block's temporaries at their
+    peak: 2.5 MB on paper-4.1 at ROLLOUT_LEAF rows, beside the block's
+    0.9 MB of outputs.  In a call of one block per worker the temporaries
+    are fresh arrays.
     """
+    try:
+        if isinstance(n_r, bool):
+            raise TypeError
+        n_r = operator.index(n_r)
+    except TypeError:
+        raise ValueError(f"n_r must be a positive integer, got {n_r!r}") from None
     if n_r < 1:
-        raise ValueError("n_r must be >= 1")
+        raise ValueError(f"n_r must be a positive integer, got {n_r!r}")
     if schedule.ell < 1:
         raise ValueError("schedule length must be >= 1")
     if schedule.m != system.m:
@@ -755,6 +932,8 @@ def iter_rollout_blocks(system, schedule, init, n_r, seed, reduce=lambda *leaf: 
     per_block = max(1, ROLLOUT_LEAF // n_r)  # repetitions per block
     # one leaf per repetition when per_block > 1
     blocks = [(r0, k0) for r0 in range(0, len(seeds), per_block) for k0 in range(0, n_r, ROLLOUT_LEAF)]
+    workers = min(_usable_cpus(), len(blocks))
+    spaces = {}  # thread id -> that worker's workspace, dropped with the generator's frame
 
     def simulate(block):
         """The block's leaves, reduced; SimulationDiverged for its first diverged repetition."""
@@ -762,7 +941,12 @@ def iter_rollout_blocks(system, schedule, init, n_r, seed, reduce=lambda *leaf: 
         b, block_seeds = min(ROLLOUT_LEAF, n_r - k0), seeds[r0 : r0 + per_block]
         ks = np.tile(np.arange(k0, k0 + b), len(block_seeds))
         row_seed = np.repeat(block_seeds, b) if np.ndim(seed) else seed
-        states, inputs, diverged_at = simulate_trajectories(system, schedule, init, ks, ell, row_seed)
+        if len(blocks) > workers:  # a workspace pays only when a worker may reuse it
+            _worker.space = spaces.setdefault(threading.get_ident(), _Workspace())
+        try:
+            states, inputs, diverged_at = simulate_trajectories(system, schedule, init, ks, ell, row_seed)
+        finally:
+            _worker.space = None
         leaves = []
         for i in range(len(block_seeds)):
             rows = slice(i * b, (i + 1) * b)
@@ -773,7 +957,6 @@ def iter_rollout_blocks(system, schedule, init, n_r, seed, reduce=lambda *leaf: 
             leaves.append(reduce(r0 + i, k0, states[rows], inputs[rows]))
         return leaves
 
-    workers = min(_usable_cpus(), len(blocks))
     if workers == 1:
         for block in blocks:
             yield from simulate(block)
@@ -827,7 +1010,12 @@ def simulate_trajectories(system, input_law, init, ks, T, seed):
     u_t (an InputSchedule is such a law).  Inputs and noise are drawn
     TIME_CHUNK steps at a time, which does not change a draw, since the keyed
     streams do not depend on the order of draws, and bounded noise draws are
-    checked against their declared a.s. bound.  A trajectory ends at its first
+    checked against their declared a.s. bound.  Per chunk the (seed, k, t)
+    part of every stream key is hashed once (``rngstream.step_keys``), and a
+    sampler with a ``draw`` method (every one of this module, and
+    baselines' stacked laws) takes those keys, mixing only its role on top;
+    a sampler with only ``sample`` is called as above, with the same bits.
+    A trajectory ends at its first
     state beyond DIVERGENCE_LIMIT, at step d: its states from x_d and its
     inputs from u_d on are NaN.  Each step tests the whole batch, and once the
     test has fired each row's first step beyond the limit is found at the end
@@ -837,6 +1025,15 @@ def simulate_trajectories(system, input_law, init, ks, T, seed):
     input or noise is drawn.  Returns states (len(ks), T+1, n), inputs
     (len(ks), T, m) and diverged_at (len(ks),), the first step index whose
     state went beyond the limit (T + 1 if none).
+
+    Workspace: the step keys, the draws' scratch, the input and noise draws,
+    the factor products, the bound check's norms, B u, u B' and the
+    recursion's per-step arrays are taken from a workspace and given back at
+    the end of each chunk.  Under an ``iter_rollout_blocks`` call of more
+    blocks than workers it is the worker's, reused across the worker's blocks;
+    its peak is a chunk's temporaries, 2.5 MB on paper-4.1 at ROLLOUT_LEAF
+    rows.  Otherwise each is a fresh array.  The returned arrays are always
+    fresh and the caller's own.
     """
     if len(ks) == 1:
         # numpy takes a one-row matrix product through gemv, which rounds
@@ -844,37 +1041,60 @@ def simulate_trajectories(system, input_law, init, ks, T, seed):
         # is run twice and keeps the bits it has in any larger set.
         states, inputs, diverged_at = simulate_trajectories(system, input_law, init, np.repeat(ks, 2), T, seed)
         return states[:1], inputs[:1], diverged_at[:1]
-    n, m = system.n, system.m
-    x = init.sample(seed, ks)
-    diverged_at = np.full(len(ks), T + 1, dtype=int)
+    ws = getattr(_worker, "space", None) or _Fresh()
+    n, m, rows, noise = system.n, system.m, len(ks), system.noise
+    states = np.empty((rows, T + 1, n))
+    inputs = np.empty((rows, T, m))
+    diverged_at = np.full(rows, T + 1, dtype=int)
     fired = False  # whether a state has gone beyond the limit: from then on every chunk is searched
-    states = inputs = None
-    for c0 in range(0, max(T, 1), TIME_CHUNK):  # at least one chunk, which allocates the outputs
+    for c0 in range(0, max(T, 1), TIME_CHUNK):  # at least one chunk, which draws x_0
         if diverged_at.max() <= c0:  # every trajectory has ended
             states[:, c0 + 1 :] = np.nan
             inputs[:, c0:] = np.nan
             break
         c1 = min(c0 + TIME_CHUNK, T)
         ts = np.arange(c0, c1)
-        u = input_law.sample(seed, ks, ts)  # (c1 - c0, len(ks), m)
-        Abar, Bbar = system.noise.sample(seed, ks, ts, n, m)
-        _check_noise_bound(system, Abar, Bbar)
-        Bu = np.einsum("tkij,tkj->tki", Bbar, u)
-        del Bbar  # not held through the recursion, which needs only Bu
-        if states is None:
-            # allocated after the first draws: allocated before them, a rollout
-            # block of paper-4.1-additive took about 6% longer
-            states = np.empty((len(ks), T + 1, n))
-            inputs = np.empty((len(ks), T, m))
-            states[:, 0, :] = x
-        uB = u @ system.B.T
-        inputs[:, c0:c1] = u.swapaxes(0, 1)
-        del u
+        lead = (c1 - c0, rows)
+        chunk = ws.mark()
+        # taken first, as they outlive the keys
+        vec_a, vec_b, x = ws.take(lead + (n * n,)), ws.take(lead + (n * m,)), ws.take((rows, n))
+        keyed = ws.mark()
+        keys = ws.take(lead, np.uint64)
+        mixed = ws.mark()
+        rs.step_keys(seed, ks, ts, out=keys, tmp=ws.take(lead, np.uint64))
+        ws.release(mixed)
+        if c0:
+            x[...] = states[:, c0]
+        elif hasattr(init, "draw"):
+            states[:, 0] = init.draw(keys[0] if len(ts) else rs.step_keys(seed, ks, 0), x, ws)
+        else:
+            states[:, 0] = x[...] = init.sample(seed, ks)
+        u = inputs[:, c0:c1].swapaxes(0, 1)  # drawn in place
+        if hasattr(input_law, "draw"):
+            input_law.draw(keys, ts, u, ws)
+        else:
+            u[...] = input_law.sample(seed, ks, ts)
+        if hasattr(noise, "draw"):
+            Abar, Bbar = noise.draw(keys, ts, n, m, vec_a, vec_b, ws)
+        else:
+            Abar, Bbar = noise.sample(seed, ks, ts, n, m)
+        ws.release(keyed)  # the keys are spent
+        _check_noise_bound(system, Abar, Bbar, ws)
+        Bu = np.einsum("tkij,tkj->tki", Bbar, u, out=ws.take(lead + (n,)))
+        # Bbar is spent: u B' goes into its memory
+        uB = np.matmul(u, system.B.T, out=vec_b.reshape(-1)[: math.prod(lead) * n].reshape(lead + (n,)))
+        nxt, scratch = ws.take((rows, n)), ws.take((rows, n))
         with np.errstate(over="ignore", invalid="ignore"):  # rows beyond the limit run on, overwritten by NaN
             for i in range(c1 - c0):
-                x = np.einsum("kij,kj->ki", Abar[i], x) + x @ system.A.T + Bu[i] + uB[i]
-                states[:, c0 + i + 1, :] = x
-                fired = fired or beyond_limit(x)
+                # ((Abar x + x A') + B u) + u B', added in the order of the expression it replaces
+                np.einsum("kij,kj->ki", Abar[i], x, out=nxt)
+                nxt += np.matmul(x, system.A.T, out=scratch)
+                nxt += Bu[i]
+                nxt += uB[i]
+                states[:, c0 + i + 1] = nxt
+                fired = fired or beyond_limit(nxt, scratch=scratch)
+                x, nxt = nxt, x
+        ws.release(chunk)
         if fired:
             steps = np.arange(c0 + 1, c1 + 1)
             first = np.where(beyond_limit(states[:, c0 + 1 : c1 + 1], 2), steps, T + 1).min(1)
@@ -884,7 +1104,7 @@ def simulate_trajectories(system, input_law, init, ks, T, seed):
     return states, inputs, diverged_at
 
 
-def _check_noise_bound(system, Abar, Bbar):
+def _check_noise_bound(system, Abar, Bbar, ws):
     """Hard check of bounded noise draws against their declared a.s. spectral-norm bounds.
 
     The Frobenius norm bounds the spectral norm from above and is cheap, so
@@ -894,6 +1114,9 @@ def _check_noise_bound(system, Abar, Bbar):
         if bound is None:
             continue
         limit = bound + NOISE_BOUND_SLACK
-        over = np.sqrt(np.einsum("...ij,...ij->...", draws, draws)) > limit
+        mark = ws.mark()
+        norms = np.einsum("...ij,...ij->...", draws, draws, out=ws.take(draws.shape[:-2]))
+        over = np.sqrt(norms, out=norms) > limit
+        ws.release(mark)
         if over.any() and np.linalg.norm(draws[over], 2, axis=(-2, -1)).max() > limit:
             raise AssertionError(f"sampled {name} exceeded its declared a.s. bound")

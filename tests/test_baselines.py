@@ -651,15 +651,16 @@ def test_no_draw_is_made_once_every_trajectory_has_diverged(monkeypatch, chunk):
     system, _ = _oracle_case("paper-4.2-rho1.0")
     law, drawn = standard_normal_inputs(1), {"input": set(), "noise": set()}
 
-    def recording(key, sample):
-        def wrapped(seed, ks, t, *dims):
+    def recording(key, draw):
+        # the kernel draws through ``draw``, from the step keys of the steps t
+        def wrapped(keys, t, *args):
             drawn[key].update(np.atleast_1d(t).tolist())
-            return sample(seed, ks, t, *dims)
+            return draw(keys, t, *args)
 
         return wrapped
 
-    monkeypatch.setattr(law, "sample", recording("input", law.sample))
-    monkeypatch.setattr(system.noise, "sample", recording("noise", system.noise.sample))
+    monkeypatch.setattr(law, "draw", recording("input", law.draw))
+    monkeypatch.setattr(system.noise, "draw", recording("noise", system.noise.draw))
     monkeypatch.setattr(system_model, "TIME_CHUNK", chunk)
     T = 2500
     _, _, diverged_at = simulate_single_trajectories(system, law, T, 4, 8)
