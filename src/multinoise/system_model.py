@@ -869,13 +869,6 @@ def _anonymous_map(size):
     return mmap.mmap(-1, size)
 
 
-#: The workspace of the worker running a block of an ``iter_rollout_blocks``
-#: call, per thread; set only while that block's ``simulate_trajectories``
-#: call runs, so it holds nothing between calls.  It reaches the kernel this
-#: way so that the public ``simulate_trajectories`` keeps its signature.
-_worker = threading.local()
-
-
 def iter_rollout_blocks(system, schedule, init, n_r, seed, reduce=lambda *leaf: leaf):
     """Simulate rollouts 0..n_r-1 for a seed, or for each repetition r of a 1-D vector seed[r].
 
@@ -941,12 +934,9 @@ def iter_rollout_blocks(system, schedule, init, n_r, seed, reduce=lambda *leaf: 
         b, block_seeds = min(ROLLOUT_LEAF, n_r - k0), seeds[r0 : r0 + per_block]
         ks = np.tile(np.arange(k0, k0 + b), len(block_seeds))
         row_seed = np.repeat(block_seeds, b) if np.ndim(seed) else seed
-        if len(blocks) > workers:  # a workspace pays only when a worker may reuse it
-            _worker.space = spaces.setdefault(threading.get_ident(), _Workspace())
-        try:
-            states, inputs, diverged_at = simulate_trajectories(system, schedule, init, ks, ell, row_seed)
-        finally:
-            _worker.space = None
+        # a workspace pays only when a worker may reuse it
+        ws = spaces.setdefault(threading.get_ident(), _Workspace()) if len(blocks) > workers else _Fresh()
+        states, inputs, diverged_at = _run_trajectories(system, schedule, init, ks, ell, row_seed, ws)
         leaves = []
         for i in range(len(block_seeds)):
             rows = slice(i * b, (i + 1) * b)
@@ -1006,15 +996,17 @@ def simulate_trajectories(system, input_law, init, ks, T, seed):
     """Run the trajectories with rollout indices ks for T steps from x_0 = init.sample(seed, ks).
 
     This is the one state recursion, shared by the rollout and the
-    single-trajectory simulators.  ``input_law.sample(seed, ks, t)`` draws
-    u_t (an InputSchedule is such a law).  Inputs and noise are drawn
+    single-trajectory simulators.  ``input_law.draw(keys, t, out, ws)`` draws
+    u_t from step keys (an InputSchedule is such a law, as is baselines'
+    stack of them).  Inputs and noise are drawn
     TIME_CHUNK steps at a time, which does not change a draw, since the keyed
     streams do not depend on the order of draws, and bounded noise draws are
     checked against their declared a.s. bound.  Per chunk the (seed, k, t)
-    part of every stream key is hashed once (``rngstream.step_keys``), and a
-    sampler with a ``draw`` method (every one of this module, and
-    baselines' stacked laws) takes those keys, mixing only its role on top;
-    a sampler with only ``sample`` is called as above, with the same bits.
+    part of every stream key is hashed once (``rngstream.step_keys``), and
+    the samplers take those keys, mixing only their role on top.  An initial
+    law or a noise law without a ``draw`` method is called as
+    ``init.sample(seed, ks)`` and ``noise.sample(seed, ks, t, n, m)``, with
+    the same bits.
     A trajectory ends at its first
     state beyond DIVERGENCE_LIMIT, at step d: its states from x_d and its
     inputs from u_d on are NaN.  Each step tests the whole batch, and once the
@@ -1029,78 +1021,83 @@ def simulate_trajectories(system, input_law, init, ks, T, seed):
     Workspace: the step keys, the draws' scratch, the input and noise draws,
     the factor products, the bound check's norms, B u, u B' and the
     recursion's per-step arrays are taken from a workspace and given back at
-    the end of each chunk.  Under an ``iter_rollout_blocks`` call of more
-    blocks than workers it is the worker's, reused across the worker's blocks;
-    its peak is a chunk's temporaries, 2.5 MB on paper-4.1 at ROLLOUT_LEAF
-    rows.  Otherwise each is a fresh array.  The returned arrays are always
-    fresh and the caller's own.
+    the end of each chunk, or when the call raises.  Here each is a fresh
+    array.  Under an ``iter_rollout_blocks`` call of more blocks than workers
+    the workspace is the worker's, reused across the worker's blocks; its
+    peak is a chunk's temporaries, 2.5 MB on paper-4.1 at ROLLOUT_LEAF rows.
+    The returned arrays are always fresh and the caller's own.
     """
+    return _run_trajectories(system, input_law, init, ks, T, seed, _Fresh())
+
+
+def _run_trajectories(system, input_law, init, ks, T, seed, ws):
+    """simulate_trajectories with its temporaries taken from workspace ``ws``, left as it was found."""
     if len(ks) == 1:
         # numpy takes a one-row matrix product through gemv, which rounds
         # differently from the gemm of a larger batch, so a lone trajectory
         # is run twice and keeps the bits it has in any larger set.
-        states, inputs, diverged_at = simulate_trajectories(system, input_law, init, np.repeat(ks, 2), T, seed)
+        states, inputs, diverged_at = _run_trajectories(system, input_law, init, np.repeat(ks, 2), T, seed, ws)
         return states[:1], inputs[:1], diverged_at[:1]
-    ws = getattr(_worker, "space", None) or _Fresh()
     n, m, rows, noise = system.n, system.m, len(ks), system.noise
     states = np.empty((rows, T + 1, n))
     inputs = np.empty((rows, T, m))
     diverged_at = np.full(rows, T + 1, dtype=int)
     fired = False  # whether a state has gone beyond the limit: from then on every chunk is searched
-    for c0 in range(0, max(T, 1), TIME_CHUNK):  # at least one chunk, which draws x_0
-        if diverged_at.max() <= c0:  # every trajectory has ended
-            states[:, c0 + 1 :] = np.nan
-            inputs[:, c0:] = np.nan
-            break
-        c1 = min(c0 + TIME_CHUNK, T)
-        ts = np.arange(c0, c1)
-        lead = (c1 - c0, rows)
-        chunk = ws.mark()
-        # taken first, as they outlive the keys
-        vec_a, vec_b, x = ws.take(lead + (n * n,)), ws.take(lead + (n * m,)), ws.take((rows, n))
-        keyed = ws.mark()
-        keys = ws.take(lead, np.uint64)
-        mixed = ws.mark()
-        rs.step_keys(seed, ks, ts, out=keys, tmp=ws.take(lead, np.uint64))
-        ws.release(mixed)
-        if c0:
-            x[...] = states[:, c0]
-        elif hasattr(init, "draw"):
-            states[:, 0] = init.draw(keys[0] if len(ts) else rs.step_keys(seed, ks, 0), x, ws)
-        else:
-            states[:, 0] = x[...] = init.sample(seed, ks)
-        u = inputs[:, c0:c1].swapaxes(0, 1)  # drawn in place
-        if hasattr(input_law, "draw"):
+    top = ws.mark()
+    try:
+        for c0 in range(0, max(T, 1), TIME_CHUNK):  # at least one chunk, which draws x_0
+            if diverged_at.max() <= c0:  # every trajectory has ended
+                states[:, c0 + 1 :] = np.nan
+                inputs[:, c0:] = np.nan
+                break
+            c1 = min(c0 + TIME_CHUNK, T)
+            ts = np.arange(c0, c1)
+            lead = (c1 - c0, rows)
+            chunk = ws.mark()
+            # taken first, as they outlive the keys
+            vec_a, vec_b, x = ws.take(lead + (n * n,)), ws.take(lead + (n * m,)), ws.take((rows, n))
+            keyed = ws.mark()
+            keys = ws.take(lead, np.uint64)
+            mixed = ws.mark()
+            rs.step_keys(seed, ks, ts, out=keys, tmp=ws.take(lead, np.uint64))
+            ws.release(mixed)
+            if c0:
+                x[...] = states[:, c0]
+            elif hasattr(init, "draw"):
+                states[:, 0] = init.draw(keys[0] if len(ts) else rs.step_keys(seed, ks, 0), x, ws)
+            else:
+                states[:, 0] = x[...] = init.sample(seed, ks)
+            u = inputs[:, c0:c1].swapaxes(0, 1)  # drawn in place
             input_law.draw(keys, ts, u, ws)
-        else:
-            u[...] = input_law.sample(seed, ks, ts)
-        if hasattr(noise, "draw"):
-            Abar, Bbar = noise.draw(keys, ts, n, m, vec_a, vec_b, ws)
-        else:
-            Abar, Bbar = noise.sample(seed, ks, ts, n, m)
-        ws.release(keyed)  # the keys are spent
-        _check_noise_bound(system, Abar, Bbar, ws)
-        Bu = np.einsum("tkij,tkj->tki", Bbar, u, out=ws.take(lead + (n,)))
-        # Bbar is spent: u B' goes into its memory
-        uB = np.matmul(u, system.B.T, out=vec_b.reshape(-1)[: math.prod(lead) * n].reshape(lead + (n,)))
-        nxt, scratch = ws.take((rows, n)), ws.take((rows, n))
-        with np.errstate(over="ignore", invalid="ignore"):  # rows beyond the limit run on, overwritten by NaN
-            for i in range(c1 - c0):
-                # ((Abar x + x A') + B u) + u B', added in the order of the expression it replaces
-                np.einsum("kij,kj->ki", Abar[i], x, out=nxt)
-                nxt += np.matmul(x, system.A.T, out=scratch)
-                nxt += Bu[i]
-                nxt += uB[i]
-                states[:, c0 + i + 1] = nxt
-                fired = fired or beyond_limit(nxt, scratch=scratch)
-                x, nxt = nxt, x
-        ws.release(chunk)
-        if fired:
-            steps = np.arange(c0 + 1, c1 + 1)
-            first = np.where(beyond_limit(states[:, c0 + 1 : c1 + 1], 2), steps, T + 1).min(1)
-            diverged_at = np.minimum(diverged_at, first)
-            states[:, c0 + 1 : c1 + 1][steps >= diverged_at[:, None]] = np.nan
-            inputs[:, c0:c1][steps > diverged_at[:, None]] = np.nan
+            if hasattr(noise, "draw"):
+                Abar, Bbar = noise.draw(keys, ts, n, m, vec_a, vec_b, ws)
+            else:
+                Abar, Bbar = noise.sample(seed, ks, ts, n, m)
+            ws.release(keyed)  # the keys are spent
+            _check_noise_bound(system, Abar, Bbar, ws)
+            Bu = np.einsum("tkij,tkj->tki", Bbar, u, out=ws.take(lead + (n,)))
+            # Bbar is spent: u B' goes into its memory
+            uB = np.matmul(u, system.B.T, out=vec_b.reshape(-1)[: math.prod(lead) * n].reshape(lead + (n,)))
+            nxt, scratch = ws.take((rows, n)), ws.take((rows, n))
+            with np.errstate(over="ignore", invalid="ignore"):  # rows beyond the limit run on, overwritten by NaN
+                for i in range(c1 - c0):
+                    # ((Abar x + x A') + B u) + u B', added in the order of the expression it replaces
+                    np.einsum("kij,kj->ki", Abar[i], x, out=nxt)
+                    nxt += np.matmul(x, system.A.T, out=scratch)
+                    nxt += Bu[i]
+                    nxt += uB[i]
+                    states[:, c0 + i + 1] = nxt
+                    fired = fired or beyond_limit(nxt, scratch=scratch)
+                    x, nxt = nxt, x
+            ws.release(chunk)
+            if fired:
+                steps = np.arange(c0 + 1, c1 + 1)
+                first = np.where(beyond_limit(states[:, c0 + 1 : c1 + 1], 2), steps, T + 1).min(1)
+                diverged_at = np.minimum(diverged_at, first)
+                states[:, c0 + 1 : c1 + 1][steps >= diverged_at[:, None]] = np.nan
+                inputs[:, c0:c1][steps > diverged_at[:, None]] = np.nan
+    finally:
+        ws.release(top)  # also when a draw or the bound check raises, as the worker's later blocks reuse ws
     return states, inputs, diverged_at
 
 

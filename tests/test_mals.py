@@ -298,13 +298,13 @@ def test_stacked_repetitions_equal_one_call_per_seed(preset, law):
 
 def test_stacked_blocks_stay_within_the_leaf(monkeypatch):
     rows = []
-    simulate = system_model.simulate_trajectories
+    simulate = system_model._run_trajectories
 
-    def spy(system, law, init, ks, T, seed):
+    def spy(system, law, init, ks, T, seed, ws):
         rows.append(len(ks))
-        return simulate(system, law, init, ks, T, seed)
+        return simulate(system, law, init, ks, T, seed, ws)
 
-    monkeypatch.setattr(system_model, "simulate_trajectories", spy)
+    monkeypatch.setattr(system_model, "_run_trajectories", spy)
     b = get_preset("paper-4.1")
     for workers in (1, 2):
         monkeypatch.setattr(system_model, "_usable_cpus", lambda: workers)
