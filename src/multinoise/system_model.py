@@ -123,7 +123,15 @@ def _psd_factor(S, name):
     return V * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
 
 
-class CovarianceNoise:
+class _NoiseLaw:
+    """A noise law's ``sample(seed, ks, t, n, m)``: ``draw`` at ``rngstream.step_keys(seed, ks, t)``, into fresh arrays."""
+
+    def sample(self, seed, ks, t, n, m):
+        keys = rs.step_keys(seed, ks, t)
+        return self.draw(keys, t, n, m, np.empty(keys.shape + (n * n,)), np.empty(keys.shape + (n * m,)), _Fresh())
+
+
+class CovarianceNoise(_NoiseLaw):
     """Noise specified by full vec-covariances (SigmaA, SigmaB).
 
     vec(Abar) = L_A z with L_A L_A' = SigmaA and z i.i.d. zero-mean
@@ -158,9 +166,6 @@ class CovarianceNoise:
         cb = float(np.linalg.norm(self._LB, 2)) * rs.UNIFORM_BOUND * np.sqrt(n * m)
         return ca, cb
 
-    def sample(self, seed, ks, t, n, m):
-        return _sample_noise(self, seed, ks, t, n, m)
-
     def draw(self, keys, t, n, m, out_a, out_b, ws):
         """(Abar_t, Bbar_t) at step keys ``keys`` of steps ``t``, as views of ``out_a`` and ``out_b``.
 
@@ -173,12 +178,6 @@ class CovarianceNoise:
         Abar = out_a.reshape(keys.shape + (n, n)).swapaxes(-1, -2)  # undo column stacking
         Bbar = out_b.reshape(keys.shape + (m, n)).swapaxes(-1, -2)
         return Abar, Bbar
-
-
-def _sample_noise(noise, seed, ks, t, n, m):
-    """``noise.draw`` at the step keys of (seed, ks, t), into fresh arrays."""
-    keys = rs.step_keys(seed, ks, t)
-    return noise.draw(keys, t, n, m, np.empty(keys.shape + (n * n,)), np.empty(keys.shape + (n * m,)), _Fresh())
 
 
 def _keyed(draw, keys, role, count, *args, out, ws):
@@ -209,7 +208,7 @@ def _factor_in_place(z, L, ws):
     return z
 
 
-class EigenStructuredNoise:
+class EigenStructuredNoise(_NoiseLaw):
     """Abar_t = sum_i A_i p_{i,t}, Bbar_t = sum_j B_j q_{j,t}.
 
     p_i, q_j are independent scalar zero-mean draws with variances sigma_i^2,
@@ -245,9 +244,6 @@ class EigenStructuredNoise:
         ca = rs.UNIFORM_BOUND * sum(abs(s) * np.linalg.norm(M, 2) for M, s in zip(self.a_dirs, self.sigmas))
         cb = rs.UNIFORM_BOUND * sum(abs(d) * np.linalg.norm(M, 2) for M, d in zip(self.b_dirs, self.deltas))
         return float(ca), float(cb)
-
-    def sample(self, seed, ks, t, n, m):
-        return _sample_noise(self, seed, ks, t, n, m)
 
     def draw(self, keys, t, n, m, out_a, out_b, ws):
         """(Abar_t, Bbar_t) at step keys ``keys``, written over ``out_a`` and ``out_b`` (as CovarianceNoise.draw)."""
@@ -290,7 +286,15 @@ class ZeroNoise(EigenStructuredNoise):
 # initial-state distributions
 
 
-class FixedInitial:
+class _InitialLaw:
+    """An initial law's ``sample(seed, ks)``: ``draw`` at ``rngstream.step_keys(seed, ks, 0)``, into a fresh array."""
+
+    def sample(self, seed, ks):
+        keys = rs.step_keys(seed, ks, 0)
+        return self.draw(keys, np.empty(keys.shape + (self.mean.size,)), _Fresh())
+
+
+class FixedInitial(_InitialLaw):
     """Deterministic initial state."""
 
     def __init__(self, x0):
@@ -298,9 +302,6 @@ class FixedInitial:
         _require_finite(self.x0, "x0")
         self.mean = self.x0
         self.second_moment = np.outer(self.x0, self.x0)
-
-    def sample(self, seed, ks):
-        return np.tile(self.x0, (len(ks), 1))
 
     def draw(self, keys, out, ws):
         """x_0 for the rows of step keys ``keys`` (t = 0), written into ``out`` (len(keys), n)."""
@@ -312,7 +313,7 @@ class FixedInitial:
         return c_x, 0.0, 0.0  # c_X, c_mu, c_DeltaX
 
 
-class UniformBoxInitial:
+class UniformBoxInitial(_InitialLaw):
     """Independent per-component uniform on [center - half, center + half]."""
 
     def __init__(self, center, half_width):
@@ -324,9 +325,6 @@ class UniformBoxInitial:
             raise ValueError("half_width must be nonnegative and match center")
         self.mean = self.center
         self.second_moment = np.outer(self.center, self.center) + np.diag(self.half**2 / 3.0)
-
-    def sample(self, seed, ks):
-        return _sample_initial(self, seed, ks)
 
     def draw(self, keys, out, ws):
         """x_0 for the rows of step keys ``keys`` (t = 0), written into ``out`` (len(keys), n)."""
@@ -344,7 +342,7 @@ class UniformBoxInitial:
         return c_x, c_mu, c_dx
 
 
-class TruncatedGaussianInitial:
+class TruncatedGaussianInitial(_InitialLaw):
     """x0 = mean + L z with z i.i.d. standard normal truncated to |z_i| <= radius.
 
     Componentwise truncation keeps the components independent, so the second
@@ -371,9 +369,6 @@ class TruncatedGaussianInitial:
         self.mean = self.mu
         self.second_moment = np.outer(self.mu, self.mu) + self._L @ self._L.T * self._zvar
 
-    def sample(self, seed, ks):
-        return _sample_initial(self, seed, ks)
-
     def draw(self, keys, out, ws):
         """x_0 for the rows of step keys ``keys`` (t = 0), written into ``out`` (len(keys), n)."""
         mark = ws.mark()
@@ -387,12 +382,6 @@ class TruncatedGaussianInitial:
         c_x = float(np.linalg.norm(self.mu)) + c_mu
         c_dx = c_x * c_x + float(np.linalg.norm(self.second_moment, "fro"))
         return c_x, c_mu, c_dx
-
-
-def _sample_initial(init, seed, ks):
-    """``init.draw`` at the step keys of (seed, ks, t = 0), into a fresh array."""
-    keys = rs.step_keys(seed, ks, 0)
-    return init.draw(keys, np.empty(keys.shape + (init.mean.size,)), _Fresh())
 
 
 # ---------------------------------------------------------------------------
@@ -847,7 +836,7 @@ class _Fresh:
     """The workspace of a call that reuses nothing: every ``take`` is a new array.
 
     A lone ``simulate_trajectories`` call, an ``iter_rollout_blocks`` call of
-    one block per worker and a sampler's ``sample`` use it.  Their temporaries come from
+    one block per worker and every law's ``sample`` use it.  Their temporaries come from
     malloc, whose heap is warm from earlier calls, where a memory map of
     their own would fault its pages in afresh on every call.
     """
@@ -905,14 +894,7 @@ def iter_rollout_blocks(system, schedule, init, n_r, seed, reduce=lambda *leaf: 
     0.9 MB of outputs.  In a call of one block per worker the temporaries
     are fresh arrays.
     """
-    try:
-        if isinstance(n_r, bool):
-            raise TypeError
-        n_r = operator.index(n_r)
-    except TypeError:
-        raise ValueError(f"n_r must be a positive integer, got {n_r!r}") from None
-    if n_r < 1:
-        raise ValueError(f"n_r must be a positive integer, got {n_r!r}")
+    n_r = _positive_int(n_r, "n_r")
     if schedule.ell < 1:
         raise ValueError("schedule length must be >= 1")
     if schedule.m != system.m:
@@ -964,6 +946,17 @@ def iter_rollout_blocks(system, schedule, init, n_r, seed, reduce=lambda *leaf: 
         pool.shutdown(cancel_futures=True)
 
 
+def _positive_int(value, name):
+    """``value`` as an int; a ValueError naming ``name`` unless it is a positive integer (a bool is not one)."""
+    try:
+        index = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        index = None
+    if index is None or index < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return index
+
+
 def _usable_cpus():
     """How many CPUs this process may run on: its affinity mask where the platform has one."""
     if hasattr(os, "sched_getaffinity"):
@@ -993,20 +986,20 @@ def simulate_rollouts(system, schedule, init, n_r, seed):
 
 
 def simulate_trajectories(system, input_law, init, ks, T, seed):
-    """Run the trajectories with rollout indices ks for T steps from x_0 = init.sample(seed, ks).
+    """Run the trajectories with rollout indices ks for T steps, T a positive integer (not a bool).
 
     This is the one state recursion, shared by the rollout and the
-    single-trajectory simulators.  ``input_law.draw(keys, t, out, ws)`` draws
-    u_t from step keys (an InputSchedule is such a law, as is baselines'
-    stack of them).  Inputs and noise are drawn
-    TIME_CHUNK steps at a time, which does not change a draw, since the keyed
-    streams do not depend on the order of draws, and bounded noise draws are
-    checked against their declared a.s. bound.  Per chunk the (seed, k, t)
-    part of every stream key is hashed once (``rngstream.step_keys``), and
-    the samplers take those keys, mixing only their role on top.  An initial
-    law or a noise law without a ``draw`` method is called as
-    ``init.sample(seed, ks)`` and ``noise.sample(seed, ks, t, n, m)``, with
-    the same bits.
+    single-trajectory simulators.  Every law is drawn through its keyed
+    ``draw`` alone (a law without one is an AttributeError):
+    ``init.draw(keys, out, ws)`` gives x_0, ``input_law.draw(keys, t, out,
+    ws)`` u_t (an InputSchedule, or baselines' stack of them) and
+    ``system.noise.draw(keys, t, n, m, out_a, out_b, ws)`` (Abar_t, Bbar_t).
+    Inputs and noise are drawn TIME_CHUNK steps at a time, which does not
+    change a draw, since the keyed streams do not depend on the order of
+    draws, and bounded noise draws are checked against their declared a.s.
+    bound.  Per chunk the (seed, k, t) part of every stream key is hashed
+    once (``rngstream.step_keys``), and the laws take those keys, mixing
+    only their role on top.
     A trajectory ends at its first
     state beyond DIVERGENCE_LIMIT, at step d: its states from x_d and its
     inputs from u_d on are NaN.  Each step tests the whole batch, and once the
@@ -1027,7 +1020,7 @@ def simulate_trajectories(system, input_law, init, ks, T, seed):
     peak is a chunk's temporaries, 2.5 MB on paper-4.1 at ROLLOUT_LEAF rows.
     The returned arrays are always fresh and the caller's own.
     """
-    return _run_trajectories(system, input_law, init, ks, T, seed, _Fresh())
+    return _run_trajectories(system, input_law, init, ks, _positive_int(T, "T"), seed, _Fresh())
 
 
 def _run_trajectories(system, input_law, init, ks, T, seed, ws):
@@ -1038,14 +1031,14 @@ def _run_trajectories(system, input_law, init, ks, T, seed, ws):
         # is run twice and keeps the bits it has in any larger set.
         states, inputs, diverged_at = _run_trajectories(system, input_law, init, np.repeat(ks, 2), T, seed, ws)
         return states[:1], inputs[:1], diverged_at[:1]
-    n, m, rows, noise = system.n, system.m, len(ks), system.noise
+    n, m, rows = system.n, system.m, len(ks)
     states = np.empty((rows, T + 1, n))
     inputs = np.empty((rows, T, m))
     diverged_at = np.full(rows, T + 1, dtype=int)
     fired = False  # whether a state has gone beyond the limit: from then on every chunk is searched
     top = ws.mark()
     try:
-        for c0 in range(0, max(T, 1), TIME_CHUNK):  # at least one chunk, which draws x_0
+        for c0 in range(0, T, TIME_CHUNK):
             if diverged_at.max() <= c0:  # every trajectory has ended
                 states[:, c0 + 1 :] = np.nan
                 inputs[:, c0:] = np.nan
@@ -1063,16 +1056,11 @@ def _run_trajectories(system, input_law, init, ks, T, seed, ws):
             ws.release(mixed)
             if c0:
                 x[...] = states[:, c0]
-            elif hasattr(init, "draw"):
-                states[:, 0] = init.draw(keys[0] if len(ts) else rs.step_keys(seed, ks, 0), x, ws)
             else:
-                states[:, 0] = x[...] = init.sample(seed, ks)
+                states[:, 0] = init.draw(keys[0], x, ws)
             u = inputs[:, c0:c1].swapaxes(0, 1)  # drawn in place
             input_law.draw(keys, ts, u, ws)
-            if hasattr(noise, "draw"):
-                Abar, Bbar = noise.draw(keys, ts, n, m, vec_a, vec_b, ws)
-            else:
-                Abar, Bbar = noise.sample(seed, ks, ts, n, m)
+            Abar, Bbar = system.noise.draw(keys, ts, n, m, vec_a, vec_b, ws)
             ws.release(keyed)  # the keys are spent
             _check_noise_bound(system, Abar, Bbar, ws)
             Bu = np.einsum("tkij,tkj->tki", Bbar, u, out=ws.take(lead + (n,)))

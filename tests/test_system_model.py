@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+from multinoise import rngstream as rs
 from multinoise import system_model
 from multinoise.baselines import simulate_single_trajectories
 from multinoise.moment_oracle import propagate_first, propagate_second
@@ -260,15 +261,16 @@ def test_simulation_divergence_guard():
 
 
 class _ZeroThenOnes:
-    """Initial states 0 for rollouts below ``first``, ones from it on."""
+    """Initial states 0 for rollouts below ``first``, ones for rollouts first .. end - 1, under seed 0."""
 
     mean = np.zeros(2)  # only its size is read, by the dimension check
 
-    def __init__(self, first):
-        self.first = first
+    def __init__(self, first, end):
+        self.ones = rs.step_keys(0, np.arange(first, end), 0)
 
-    def sample(self, seed, ks):
-        return np.repeat((np.asarray(ks) >= self.first)[:, None], 2, axis=1).astype(float)
+    def draw(self, keys, out, ws):
+        out[...] = np.isin(keys, self.ones)[:, None]
+        return out
 
 
 def test_simulation_divergence_names_global_rollout_past_first_block():
@@ -277,7 +279,7 @@ def test_simulation_divergence_names_global_rollout_past_first_block():
     n_r = 2 * ROLLOUT_LEAF
     # only rollouts from ROLLOUT_LEAF + 3 on grow, as 1e6^t, past 1e12 at t = 3
     with pytest.raises(SimulationDiverged, match=rf"at t=3, rollout {ROLLOUT_LEAF + 3}$"):
-        simulate_rollouts(s, sched, _ZeroThenOnes(ROLLOUT_LEAF + 3), n_r, seed=0)
+        simulate_rollouts(s, sched, _ZeroThenOnes(ROLLOUT_LEAF + 3, n_r), n_r, seed=0)
 
 
 def test_diverged_trajectories_raise_no_floating_point_warning():
@@ -316,7 +318,7 @@ def test_a_frozen_trajectory_keeps_its_first_exit_while_others_run_on(monkeypatc
     # overflow while rollout 0 stays at 0 to the horizon
     s = make_system(1e6 * np.eye(2), np.zeros((2, 1)), ZeroNoise())
     monkeypatch.setattr(system_model, "TIME_CHUNK", chunk)
-    states, inputs, diverged_at = simulate_trajectories(s, _ZERO_SCHEDULE, _ZeroThenOnes(1), np.arange(2), 10, seed=0)
+    states, inputs, diverged_at = simulate_trajectories(s, _ZERO_SCHEDULE, _ZeroThenOnes(1, 2), np.arange(2), 10, seed=0)
     assert diverged_at.tolist() == [11, 3]
     assert (states[0] == 0).all() and (inputs[0] == 0).all()
     assert np.array_equal(states[1, :, 0], [1.0, 1e6, 1e12] + [np.nan] * 8, equal_nan=True)
@@ -816,13 +818,13 @@ def test_the_first_diverging_leaf_in_order_is_named(monkeypatch):
     class Init:
         mean = np.zeros(2)
 
-        def sample(self, seed, ks):
-            x = np.zeros((len(ks), 2))
-            x[ks == ROLLOUT_LEAF + 5] = 1.0
-            x[ks == 2 * ROLLOUT_LEAF + 7] = 1e7
-            if ks[0] == ROLLOUT_LEAF:
+        def draw(self, keys, out, ws):
+            out[...] = 0.0
+            out[keys == rs.step_keys(0, ROLLOUT_LEAF + 5, 0)] = 1.0
+            out[keys == rs.step_keys(0, 2 * ROLLOUT_LEAF + 7, 0)] = 1e7
+            if keys[0] == rs.step_keys(0, ROLLOUT_LEAF, 0):
                 time.sleep(0.2)
-            return x
+            return out
 
     _workers(monkeypatch, 2)
     message = rf"^state exceeded 1e\+12 at t=3, rollout {ROLLOUT_LEAF + 5}$"
@@ -842,8 +844,8 @@ class _BeyondOffTheCaller:
     def __init__(self, noise):
         self.noise, self.helper_drew = noise, threading.Event()
 
-    def sample(self, seed, ks, t, n, m):
-        Abar, Bbar = self.noise.sample(seed, ks, t, n, m)
+    def draw(self, keys, t, n, m, out_a, out_b, ws):
+        Abar, Bbar = self.noise.draw(keys, t, n, m, out_a, out_b, ws)
         if threading.current_thread() is threading.main_thread():
             assert self.helper_drew.wait(timeout=30)
             return Abar, Bbar
@@ -868,8 +870,8 @@ class _Beyond:
     def __init__(self, noise):
         self.noise = noise
 
-    def sample(self, seed, ks, t, n, m):
-        Abar, Bbar = self.noise.sample(seed, ks, t, n, m)
+    def draw(self, keys, t, n, m, out_a, out_b, ws):
+        Abar, Bbar = self.noise.draw(keys, t, n, m, out_a, out_b, ws)
         return 100 * Abar, Bbar
 
 
