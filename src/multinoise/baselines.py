@@ -11,7 +11,7 @@ import numpy as np
 from . import rngstream as rs
 from .moment_oracle import lift_nominal
 from .shape_ops import outer_svec, outer_vec, svec_dim
-from .system_model import TIME_CHUNK, FixedInitial, beyond_limit, simulate_trajectories
+from .system_model import TIME_CHUNK, FixedInitial, beyond_limit, positive_int, simulate_trajectories
 
 __all__ = [
     "rls_fit",
@@ -184,8 +184,7 @@ def simulate_single_trajectories(system, input_law, T, reps, seed):
     if np.ndim(seed) != 1 or len(seed) != len(input_law):
         got = len(seed) if np.ndim(seed) == 1 else f"the single seed {seed!r}"
         raise ValueError(f"{len(input_law)} input laws need as many seeds, got {got}")
-    if reps < 1:
-        raise ValueError(f"reps must be a positive integer, got {reps}")
+    reps = positive_int(reps, "reps")
     for i, law in enumerate(input_law):
         if law.m != system.m:
             raise ValueError(f"input law {i} has m = {law.m} but the system has m = {system.m}")

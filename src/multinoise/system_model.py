@@ -41,6 +41,7 @@ __all__ = [
     "beyond_limit",
     "is_psd",
     "simulate_trajectories",
+    "positive_int",
     "iter_rollout_blocks",
     "simulate_rollouts",
     "SimulationDiverged",
@@ -894,7 +895,7 @@ def iter_rollout_blocks(system, schedule, init, n_r, seed, reduce=lambda *leaf: 
     0.9 MB of outputs.  In a call of one block per worker the temporaries
     are fresh arrays.
     """
-    n_r = _positive_int(n_r, "n_r")
+    n_r = positive_int(n_r, "n_r")
     if schedule.ell < 1:
         raise ValueError("schedule length must be >= 1")
     if schedule.m != system.m:
@@ -946,7 +947,7 @@ def iter_rollout_blocks(system, schedule, init, n_r, seed, reduce=lambda *leaf: 
         pool.shutdown(cancel_futures=True)
 
 
-def _positive_int(value, name):
+def positive_int(value, name):
     """``value`` as an int; a ValueError naming ``name`` unless it is a positive integer (a bool is not one)."""
     try:
         index = None if isinstance(value, bool) else operator.index(value)
@@ -1020,7 +1021,12 @@ def simulate_trajectories(system, input_law, init, ks, T, seed):
     peak is a chunk's temporaries, 2.5 MB on paper-4.1 at ROLLOUT_LEAF rows.
     The returned arrays are always fresh and the caller's own.
     """
-    return _run_trajectories(system, input_law, init, ks, _positive_int(T, "T"), seed, _Fresh())
+    ks = np.asarray(ks)
+    if ks.ndim != 1 or not len(ks):
+        raise ValueError(f"ks must be a non-empty 1-D array of rollout indices, got shape {ks.shape}")
+    if init.mean.size != system.n:
+        raise ValueError(f"initial state dim {init.mean.size} != system n {system.n}")
+    return _run_trajectories(system, input_law, init, ks, positive_int(T, "T"), seed, _Fresh())
 
 
 def _run_trajectories(system, input_law, init, ks, T, seed, ws):

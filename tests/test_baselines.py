@@ -604,6 +604,23 @@ def test_reps_and_each_laws_input_dimension_are_checked():
             call(system, (law, wide), 50, 2, [7, 8])
 
 
+@pytest.mark.parametrize("bad", [True, False, 2.5, np.float64(3.0), "3", None, 0, -1])
+def test_a_count_or_horizon_that_is_not_a_positive_integer_fails_where_it_enters(bad):
+    system, law = get_preset("paper-4.2-rho0.8").system, standard_normal_inputs(1)
+    for call in (simulate_single_trajectories, lambda *a: rls_batch_estimates(*a, [10])):
+        with pytest.raises(ValueError, match=f"^reps must be a positive integer, got {re.escape(repr(bad))}$"):
+            call(system, law, 10, bad, 7)
+        with pytest.raises(ValueError, match=f"^T must be a positive integer, got {re.escape(repr(bad))}$"):
+            call(system, law, bad, 2, 7)
+
+
+def test_numpy_integer_counts_and_horizons_are_counts():
+    system, law = get_preset("paper-4.2-rho0.8").system, standard_normal_inputs(1)
+    for call in (simulate_single_trajectories, lambda *a: rls_batch_estimates(*a, [10])):
+        for got, want in zip(call(system, law, np.int64(10), np.int32(3), 7), call(system, law, 10, 3, 7)):
+            assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize(
     "chunk",
     [

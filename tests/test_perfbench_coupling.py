@@ -8,13 +8,16 @@ import ast
 import contextlib
 import importlib.util
 import io
+import json
 import sys
+import time
 import types
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from multinoise import baselines, cli, experiments
+from multinoise import baselines, cli, experiments, system_model
 from multinoise.presets import get_preset
 
 from conftest import standard_normal_inputs
@@ -121,3 +124,41 @@ def test_traced_bound_grids_complete_and_match_untraced_runs(tmp_path):
     assert traced[0] == 0
     assert len(traced[1]) == 4  # delta/eta bounds, tail frequencies, bound envelope
     assert traced == run(tmp_path / "plain")
+
+
+#: Size constants of each workload, shrunk so that a unit takes a fraction of a second.
+_SMALL_UNITS = {
+    "mals-bulk": {"N_R": 2000},
+    "experiment-sweep": {"CONV_GRID": (20, 40), "CONV_REPS": 2, "TAIL_GRID": (20, 40), "TAIL_REPS": 3},
+    "rls-baseline": {"REPS": 2, "GRID": (5, 10)},
+    "cli-roundtrip": {"N_R": 200},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SMALL_UNITS))
+def test_a_traced_unit_of_every_workload_records_what_an_untraced_one_does(monkeypatch, tmp_path, name):
+    # the tracer keeps one span stack per process, so the rollout blocks run on the calling thread
+    layertrace = _load("layertrace")
+    workloads = _load("workloads")
+    assert sorted(workloads.WORKLOADS) == sorted(_SMALL_UNITS)
+    cls = workloads.WORKLOADS[name]
+    for attr, value in _SMALL_UNITS[name].items():
+        monkeypatch.setattr(cls, attr, value)
+    monkeypatch.setattr(system_model, "_usable_cpus", lambda: 1)
+    wl = cls(tmp_path, 7)
+    seed = workloads.derive_seed(7, "unit", 0)
+
+    tracer = layertrace.Tracer()
+    tracer.install()
+    try:
+        t0 = time.perf_counter()
+        traced = wl.record(wl.unit(seed))
+        wall = time.perf_counter() - t0
+    finally:
+        tracer.uninstall()
+    metrics = layertrace.layer_metrics(tracer.spans, wall)
+    plain = wl.record(wl.unit(seed))
+    assert traced[1:] == plain[1:]  # counts and digests
+    bench = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())
+    per_layer = {m["name"] for m in bench["per_layer"]} - {"trace.overhead_s"}  # run.py takes it from two runs
+    assert per_layer <= set(metrics), sorted(per_layer - set(metrics))

@@ -1,4 +1,5 @@
-"""Property tests: the batched reduced-coordinate helpers act matrix by matrix."""
+"""Property tests: the batched reduced-coordinate helpers act matrix by matrix,
+and the block reshapings and selection matrices satisfy their identities."""
 
 import numpy as np
 import pytest
@@ -6,7 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from multinoise.shape_ops import outer_svec, outer_vec, smat, svec, svec_dim, vec
+from multinoise.shape_ops import (
+    expand_both,
+    outer_svec,
+    outer_vec,
+    reduce_both,
+    reshape_F,
+    reshape_G,
+    selection_matrices,
+    smat,
+    svec,
+    svec_dim,
+    vec,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -99,6 +112,36 @@ def test_smat_inverts_svec(case):
 def test_svec_inverts_smat(lead, n, data):
     v = data.draw(floats(lead + (svec_dim(n),)))
     assert same_bytes(svec(smat(v, n)), v)
+
+
+@PROPERTY_SETTINGS
+@given(m=dims, n=dims, p=dims, q=dims, data=st.data())
+def test_F_maps_a_kronecker_product_to_the_outer_product_of_the_vecs(m, n, p, q, data):
+    A, B = data.draw(floats((m, n))), data.draw(floats((p, q)))
+    outer = np.outer(vec(A), vec(B))
+    assert np.array_equal(reshape_F(np.kron(A, B), m, n, p, q), outer)
+    assert np.array_equal(reshape_G(outer, m, n, p, q), np.kron(A, B))
+
+
+@PROPERTY_SETTINGS
+@given(m=dims, n=dims, p=dims, q=dims, data=st.data())
+def test_F_and_G_invert_each_other(m, n, p, q, data):
+    X, Y = data.draw(floats((m * p, n * q))), data.draw(floats((m * n, p * q)))
+    assert same_bytes(reshape_G(reshape_F(X, m, n, p, q), m, n, p, q), X)
+    assert same_bytes(reshape_F(reshape_G(Y, m, n, p, q), m, n, p, q), Y)
+
+
+@PROPERTY_SETTINGS
+@given(n=dims, m=dims, data=st.data())
+def test_reduction_inverts_expansion(n, m, data):
+    # halving a subnormal rounds it, so the entries are normal floats
+    normal = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_subnormal=False, width=64)
+    S = data.draw(hnp.arrays(np.float64, (svec_dim(n), svec_dim(m)), elements=normal))
+    for k in (n, m):
+        sm = selection_matrices(k)
+        assert np.array_equal(sm.P @ sm.Q, np.eye(svec_dim(k)))
+        assert np.array_equal(sm.Q @ sm.P, sm.T)
+    assert np.array_equal(reduce_both(expand_both(S, n, m), n, m), S)
 
 
 def test_svec_checks_symmetry_per_matrix():

@@ -973,6 +973,27 @@ def test_a_rollout_count_that_is_not_a_positive_integer_fails_where_it_enters(n_
             mals(b.system, b.schedule, b.init, n_r)
 
 
+def test_trajectories_need_a_row_of_indices_and_an_initial_law_of_the_systems_dimension():
+    b = get_preset("paper-4.1")
+    for ks in ([], np.arange(4).reshape(2, 2), 3):
+        with pytest.raises(ValueError, match=r"^ks must be a non-empty 1-D array of rollout indices, got shape "):
+            simulate_trajectories(b.system, b.schedule, b.init, ks, 4, 0)
+    with pytest.raises(ValueError, match="^initial state dim 3 != system n 2$"):
+        simulate_trajectories(b.system, b.schedule, FixedInitial(np.zeros(3)), np.arange(3), 4, 0)
+
+
+def test_a_law_without_draw_is_an_attribute_error():
+    class SampleOnly:
+        mean = np.zeros(2)
+
+        def sample(self, seed, ks):
+            return np.zeros((len(ks), 2))
+
+    b = get_preset("paper-4.1")
+    with pytest.raises(AttributeError, match="'SampleOnly' object has no attribute 'draw'"):
+        simulate_rollouts(b.system, b.schedule, SampleOnly(), 3, 0)
+
+
 def test_a_numpy_integer_rollout_count_is_a_count():
     b = get_preset("paper-4.1")
     got, want = mals(b.system, b.schedule, b.init, np.int64(7), seed=3), mals(b.system, b.schedule, b.init, 7, seed=3)
