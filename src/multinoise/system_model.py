@@ -125,7 +125,7 @@ def _psd_factor(S, name):
 
 
 class _NoiseLaw:
-    """A noise law's ``sample(seed, ks, t, n, m)``: ``draw`` at ``rngstream.step_keys(seed, ks, t)``, into fresh arrays."""
+    """A noise law's ``sample(seed, ks, t, n, m)``: ``draw`` at the step keys of (seed, ks, t), into fresh arrays."""
 
     def sample(self, seed, ks, t, n, m):
         keys = rs.step_keys(seed, ks, t)
@@ -288,7 +288,7 @@ class ZeroNoise(EigenStructuredNoise):
 
 
 class _InitialLaw:
-    """An initial law's ``sample(seed, ks)``: ``draw`` at ``rngstream.step_keys(seed, ks, 0)``, into a fresh array."""
+    """An initial law's ``sample(seed, ks)``: ``draw`` at the step keys of (seed, ks, 0), into a fresh array."""
 
     def sample(self, seed, ks):
         keys = rs.step_keys(seed, ks, 0)
@@ -1000,7 +1000,8 @@ def simulate_trajectories(system, input_law, init, ks, T, seed):
     draws, and bounded noise draws are checked against their declared a.s.
     bound.  Per chunk the (seed, k, t) part of every stream key is hashed
     once (``rngstream.step_keys``), and the laws take those keys, mixing
-    only their role on top.
+    only their role on top.  ``ks`` must be a non-empty 1-D array of
+    non-negative integers, and ``init`` of the system's dimension n.
     A trajectory ends at its first
     state beyond DIVERGENCE_LIMIT, at step d: its states from x_d and its
     inputs from u_d on are NaN.  Each step tests the whole batch, and once the
@@ -1022,8 +1023,12 @@ def simulate_trajectories(system, input_law, init, ks, T, seed):
     The returned arrays are always fresh and the caller's own.
     """
     ks = np.asarray(ks)
-    if ks.ndim != 1 or not len(ks):
-        raise ValueError(f"ks must be a non-empty 1-D array of rollout indices, got shape {ks.shape}")
+    if ks.ndim != 1 or not len(ks) or ks.dtype.kind not in "iu":
+        raise ValueError(
+            f"ks must be a non-empty 1-D array of integer rollout indices, got a {ks.dtype} array of shape {ks.shape}"
+        )
+    if (ks < 0).any():
+        raise ValueError(f"rollout index {ks[ks < 0][0]} is negative")
     if init.mean.size != system.n:
         raise ValueError(f"initial state dim {init.mean.size} != system n {system.n}")
     return _run_trajectories(system, input_law, init, ks, positive_int(T, "T"), seed, _Fresh())

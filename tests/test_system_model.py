@@ -975,8 +975,11 @@ def test_a_rollout_count_that_is_not_a_positive_integer_fails_where_it_enters(n_
 
 def test_trajectories_need_a_row_of_indices_and_an_initial_law_of_the_systems_dimension():
     b = get_preset("paper-4.1")
-    for ks in ([], np.arange(4).reshape(2, 2), 3):
-        with pytest.raises(ValueError, match=r"^ks must be a non-empty 1-D array of rollout indices, got shape "):
+    for ks in ([], np.arange(4).reshape(2, 2), 3, [0.5, 1.7], [True, False]):
+        with pytest.raises(ValueError, match=r"^ks must be a non-empty 1-D array of integer rollout indices, got "):
+            simulate_trajectories(b.system, b.schedule, b.init, ks, 4, 0)
+    for ks in ([0, -1], np.array([3, -2, -5])):
+        with pytest.raises(ValueError, match=rf"^rollout index {ks[1]} is negative$"):
             simulate_trajectories(b.system, b.schedule, b.init, ks, 4, 0)
     with pytest.raises(ValueError, match="^initial state dim 3 != system n 2$"):
         simulate_trajectories(b.system, b.schedule, FixedInitial(np.zeros(3)), np.arange(3), 4, 0)
