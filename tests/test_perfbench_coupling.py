@@ -152,11 +152,12 @@ def test_a_traced_unit_of_every_workload_records_what_an_untraced_one_does(monke
     tracer.install()
     try:
         t0 = time.perf_counter()
-        traced = wl.record(wl.unit(seed))
+        payload = wl.unit(seed)
         wall = time.perf_counter() - t0
     finally:
         tracer.uninstall()
     metrics = layertrace.layer_metrics(tracer.spans, wall)
+    traced = wl.record(payload)  # before the untraced unit writes over the outputs
     plain = wl.record(wl.unit(seed))
     assert traced[1:] == plain[1:]  # counts and digests
     bench = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())
