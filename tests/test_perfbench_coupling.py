@@ -1,7 +1,9 @@
 """The benchmark in perfbench/ reaches into the package by name: its workloads
 call package functions as module attributes, and its tracer wraps named
 functions and methods.  A name that goes missing would fail a benchmark run,
-so every one of them must resolve.
+so every one of them must resolve; and a hook that reads what the package no
+longer returns would fail a traced run, so one traced unit of every workload
+runs here.
 """
 
 import ast
