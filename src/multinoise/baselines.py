@@ -6,6 +6,8 @@ drives them with the MALS input schedule itself, repeating with its period.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from . import rngstream as rs
@@ -45,9 +47,10 @@ def _rls_batch(phi, target, checkpoints):
     """
     R, T, d = phi.shape
     p = target.shape[2]
-    cps = sorted(set(int(c) for c in checkpoints))
+    integers = all(isinstance(c, numbers.Integral) and not isinstance(c, bool) for c in checkpoints)
+    cps = sorted(set(int(c) for c in checkpoints)) if integers else []
     if not cps or cps[0] < 1 or cps[-1] > T:
-        raise ValueError(f"checkpoints must be a non-empty list in 1..{T}, got {list(checkpoints)}")
+        raise ValueError(f"checkpoints must be a non-empty list of integers in 1..{T}, got {list(checkpoints)}")
     S = np.zeros((R, d + p, d + p))
     S[:, :d, :d] = np.eye(d) / np.sqrt(INIT_COV)
     out = np.empty((len(cps), R, p, d))

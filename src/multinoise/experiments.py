@@ -37,7 +37,6 @@ __all__ = [
     "run_equivalence_demo",
     "run_baseline_comparison",
     "write_table",
-    "read_csv_table",
 ]
 
 _LAWS = ("gaussian", "uniform", "deterministic")
@@ -185,14 +184,6 @@ def write_table(path, header, rows):
         w.writerow(header)
         for row in rows:
             w.writerow([_fmt(v) for v in row])
-
-
-def read_csv_table(path):
-    """Round-trip import of a report CSV: (header, rows-of-strings)."""
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r)
-        return header, [row for row in r]
 
 
 def _rep_seeds(master, index):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .shape_ops import expand_both, outer_vec, reshape_F, svec_dim, svec_index
-from .system_model import is_psd
+from .system_model import is_psd, positive_int
 
 __all__ = [
     "entry_map",
@@ -145,6 +145,19 @@ class EquivalenceClass:
     sigma_a_tilde: np.ndarray
     sigma_b_tilde: np.ndarray
 
+    def __post_init__(self):
+        """n and m as positive ints, and the reduced matrices as float arrays of their shapes, or a ValueError."""
+        self.n, self.m = positive_int(self.n, "n"), positive_int(self.m, "m")
+        self.sigma_a_tilde = np.asarray(self.sigma_a_tilde, dtype=float)
+        self.sigma_b_tilde = np.asarray(self.sigma_b_tilde, dtype=float)
+        nt, mt = svec_dim(self.n), svec_dim(self.m)
+        for name, sigma, shape in (
+            ("SigmaA_tilde", self.sigma_a_tilde, (nt, nt)),
+            ("SigmaB_tilde", self.sigma_b_tilde, (nt, mt)),
+        ):
+            if sigma.shape != shape:
+                raise ValueError(f"{name} shape {sigma.shape} != {shape}")
+
     @property
     def d_alpha(self):
         return self.n**2 * (self.n - 1) ** 2 // 4
@@ -180,12 +193,7 @@ class EquivalenceClass:
 
 
 def equivalence_class(sigma_a_tilde, sigma_b_tilde, n, m):
-    return EquivalenceClass(
-        n=n,
-        m=m,
-        sigma_a_tilde=np.asarray(sigma_a_tilde, dtype=float),
-        sigma_b_tilde=np.asarray(sigma_b_tilde, dtype=float),
-    )
+    return EquivalenceClass(n=n, m=m, sigma_a_tilde=sigma_a_tilde, sigma_b_tilde=sigma_b_tilde)
 
 
 def sigma_from_class(ec, alpha, beta):
@@ -228,8 +236,9 @@ def _block_uniqueness(dim, sigma, symbol, kind, name):
 def classify_uniqueness(n, m, sigma_a, sigma_b):
     """Uniqueness of the equivalence class per the definiteness conditions.
 
-    sigma_a must be (n^2, n^2) and sigma_b (nm, nm).
+    n and m must be positive integers, sigma_a (n^2, n^2) and sigma_b (nm, nm).
     """
+    n, m = positive_int(n, "n"), positive_int(m, "m")
     sigma_a = np.asarray(sigma_a, dtype=float)
     sigma_b = np.asarray(sigma_b, dtype=float)
     for name, sigma, d in (("SigmaA", sigma_a, n * n), ("SigmaB", sigma_b, n * m)):

@@ -19,7 +19,7 @@ from .moment_oracle import (
     nominal_blocks,
 )
 from .shape_ops import svec, svec_dim
-from .system_model import ROLLOUT_LEAF, InputSchedule, RolloutSet, iter_rollout_blocks
+from .system_model import ROLLOUT_LEAF, InputSchedule, RolloutSet, iter_rollout_blocks, positive_int
 
 __all__ = [
     "design_inputs",
@@ -42,8 +42,7 @@ def design_inputs(m, ell, input_law="uniform", seed=0):
     Wishart with scale WISHART_SCALE * I_m and m degrees of freedom (Bartlett
     draw), or identically zero when input_law = "deterministic".
     """
-    if m < 1 or ell < 1:
-        raise ValueError("need m >= 1 and ell >= 1")
+    m, ell = positive_int(m, "m"), positive_int(ell, "ell")
     rng = np.random.default_rng(np.random.SeedSequence([0x5EED, seed]))
     nu = rng.random((ell, m))
     ubar = np.zeros((ell, m, m))

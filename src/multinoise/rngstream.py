@@ -31,9 +31,7 @@ __all__ = [
     "keyed_uniform01",
     "uniform01",
     "keyed_unit_variance",
-    "unit_variance",
     "keyed_truncated_normal",
-    "truncated_normal",
 ]
 
 ROLE_X0 = 0
@@ -224,11 +222,6 @@ def keyed_unit_variance(steps, role, count, law, out=None, scratch=None):
     return ndtri(u, out=u)
 
 
-def unit_variance(seed, k, t, role, count, law):
-    """``keyed_unit_variance`` at ``step_keys(seed, k, t)`` (shapes as uniform01)."""
-    return keyed_unit_variance(step_keys(seed, k, t), role, count, law)
-
-
 def keyed_truncated_normal(steps, role, count, radius, out=None, scratch=None):
     """Standard normal conditioned on |z| <= radius, per component (arguments as keyed_uniform01)."""
     from scipy.special import ndtr, ndtri
@@ -239,8 +232,3 @@ def keyed_truncated_normal(steps, role, count, radius, out=None, scratch=None):
     u *= hi - lo
     u += lo
     return ndtri(u, out=u)
-
-
-def truncated_normal(seed, k, t, role, count, radius):
-    """``keyed_truncated_normal`` at ``step_keys(seed, k, t)`` (shapes as uniform01)."""
-    return keyed_truncated_normal(step_keys(seed, k, t), role, count, radius)

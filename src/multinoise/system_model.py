@@ -595,16 +595,8 @@ class RolloutSet:
         the ``json.dumps`` of _JSON_CHUNK rollouts at a time, so no nested-list
         copy of the whole set is held.
         """
-        head = json.dumps(
-            {
-                "n": self.n,
-                "m": self.m,
-                "ell": self.ell,
-                "n_r": self.n_r,
-                "seed": self.seed,
-                "schedule": self.schedule.to_json_dict(),
-            }
-        )
+        header = {key: getattr(self, key) for key in _HEADER_KEYS}  # every header key names an attribute of the set
+        head = json.dumps({k: v.to_json_dict() if isinstance(v, InputSchedule) else v for k, v in header.items()})
         parts = [head[:-1], _ROLLOUTS_OPEN]
         for k0 in range(0, self.n_r, _JSON_CHUNK):
             if k0:
@@ -689,7 +681,8 @@ def _read_chunked(text):
     The header, up to ``_ROLLOUTS_OPEN``, must be the ``json.dumps`` of its
     own fields, and the text must end with the rollouts list.  The list is
     cut after the ``}`` of every _JSON_CHUNK-th ``}, {``, and each piece is
-    parsed on its own into preallocated arrays.  A cut inside a string or a
+    parsed on its own and checked by ``_rollout_array``, the rule
+    ``_read_whole`` applies to the whole list.  A cut inside a string or a
     nested value leaves a piece that does not parse, so whenever every piece
     parses, the pieces hold the items of the whole list.  Text that
     ``_read_whole`` would reject returns None, so it is reported there.
@@ -722,16 +715,14 @@ def _read_chunked(text):
         end = close if cut < 0 else cut + 1
         try:
             items = json.loads("[" + text[pos:end] + "]")
-            xs = np.array([r["x"] for r in items], dtype=float)
-            us = np.array([r["u"] for r in items], dtype=float)
-        except (KeyError, TypeError, ValueError, OverflowError):
+            k1 = k0 + len(items)
+            if k1 > n_r:
+                return None
+            states[k0:k1] = _rollout_array(items, "x", "state", (len(items), ell + 1, n))
+            inputs[k0:k1] = _rollout_array(items, "u", "input", (len(items), ell, m))
+        except ValueError:  # text that does not parse, or records that _rollout_array rejects (InputError)
             return None
-        k1 = k0 + len(items)
-        if k1 > n_r or xs.shape[1:] != states.shape[1:] or us.shape[1:] != inputs.shape[1:]:
-            return None
-        if not (np.isfinite(xs).all() and np.isfinite(us).all()):
-            return None
-        states[k0:k1], inputs[k0:k1], k0, pos = xs, us, k1, end + 2
+        k0, pos = k1, end + 2
     return (d, states, inputs) if k0 == n_r else None
 
 
@@ -880,10 +871,10 @@ def iter_rollout_blocks(system, schedule, init, n_r, seed, reduce=lambda *leaf: 
     block nor on the thread that ran it.  Each entry of a seed vector is an
     integer taken mod 2^64, as a lone seed is (``rngstream.seed_words``).
     The arguments are checked when iteration starts: n_r must be a positive
-    integer (a bool is not one); a diverged state raises SimulationDiverged
-    naming, for the first diverging repetition, the earliest step at which a
-    rollout of its first diverging leaf diverged, and the lowest rollout
-    index that diverged at that step.
+    integer (a bool is not one) and a lone seed an integer; a diverged state
+    raises SimulationDiverged naming, for the first diverging repetition, the
+    earliest step at which a rollout of its first diverging leaf diverged,
+    and the lowest rollout index that diverged at that step.
 
     In a call of more blocks than workers each worker (the calling thread,
     or a pool thread) has one workspace, built when it simulates its first
@@ -904,7 +895,7 @@ def iter_rollout_blocks(system, schedule, init, n_r, seed, reduce=lambda *leaf: 
         raise ValueError(f"initial state dim {init.mean.size} != system n {system.n}")
     if np.ndim(seed) > 1 or np.size(seed) == 0:
         raise ValueError(f"seed must be a scalar or a non-empty 1-D vector, got shape {np.shape(seed)}")
-    ell, seeds = schedule.ell, rs.seed_words(seed) if np.ndim(seed) else [seed]
+    ell, seeds = schedule.ell, rs.seed_words(seed if np.ndim(seed) else [seed])  # a lone seed stays scalar below
     per_block = max(1, ROLLOUT_LEAF // n_r)  # repetitions per block
     # one leaf per repetition when per_block > 1
     blocks = [(r0, k0) for r0 in range(0, len(seeds), per_block) for k0 in range(0, n_r, ROLLOUT_LEAF)]
@@ -1001,7 +992,8 @@ def simulate_trajectories(system, input_law, init, ks, T, seed):
     bound.  Per chunk the (seed, k, t) part of every stream key is hashed
     once (``rngstream.step_keys``), and the laws take those keys, mixing
     only their role on top.  ``ks`` must be a non-empty 1-D array of
-    non-negative integers, and ``init`` of the system's dimension n.
+    non-negative integers, a lone ``seed`` an integer, and ``init`` of the
+    system's dimension n.
     A trajectory ends at its first
     state beyond DIVERGENCE_LIMIT, at step d: its states from x_d and its
     inputs from u_d on are NaN.  Each step tests the whole batch, and once the
@@ -1031,6 +1023,8 @@ def simulate_trajectories(system, input_law, init, ks, T, seed):
         raise ValueError(f"rollout index {ks[ks < 0][0]} is negative")
     if init.mean.size != system.n:
         raise ValueError(f"initial state dim {init.mean.size} != system n {system.n}")
+    if not np.ndim(seed):
+        rs.seed_words([seed])  # a lone seed must be an integer, as each entry of a seed array is
     return _run_trajectories(system, input_law, init, ks, positive_int(T, "T"), seed, _Fresh())
 
 

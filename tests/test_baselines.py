@@ -362,6 +362,17 @@ def test_rls_rejects_malformed_input():
         _rls_batch(np.zeros((2, 10, 3)), np.zeros((2, 10, 2)), [0, 5])
 
 
+def test_a_checkpoint_that_is_not_an_integer_is_rejected_not_truncated():
+    system, law = get_preset("paper-4.2-rho0.8").system, standard_normal_inputs(1)
+    states, inputs = np.zeros((2, 11, 2)), np.zeros((2, 10, 1))
+    for bad in ([10.7], [True], ["5"], [5, np.float64(6.0)]):
+        with pytest.raises(ValueError, match=r"non-empty list of integers in 1\.\.10"):
+            rls_fit(states, inputs, bad)
+        with pytest.raises(ValueError, match=r"non-empty list of integers in 1\.\.10"):
+            rls_batch_estimates(system, law, 10, 2, 7, bad)
+    assert rls_fit(states, inputs, [np.int64(5), np.uint8(10)])[0] == [5, 10]
+
+
 def test_rls_zero_noise_converges():
     s = make_system(A_STABLE, BENCH_B, ZeroNoise())
     st, ip, div = simulate_single_trajectories(s, standard_normal_inputs(1), 10_000, 1, seed=5)

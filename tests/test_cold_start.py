@@ -44,7 +44,7 @@ def test_bounded_laws_and_console_commands_never_load_scipy(tmp_path):
         init = TruncatedGaussianInitial([0.1, 0.05], [[0.04, 0.01], [0.01, 0.02]], 2.0)
         init.second_moment, init.bounds()
         record("TruncatedGaussianInitial construction")
-        rs.unit_variance(0, [0], 0, rs.ROLE_INPUT, 1, "gaussian")
+        rs.keyed_unit_variance(rs.step_keys(0, [0], 0), rs.ROLE_INPUT, 1, "gaussian")
         record("one Gaussian draw")
         print(json.dumps(loaded))
         """
@@ -55,7 +55,7 @@ def test_bounded_laws_and_console_commands_never_load_scipy(tmp_path):
 
 
 FIRST_USES = {
-    "truncated_normal": "out = rs.truncated_normal(5, np.arange(4), 2, rs.ROLE_X0, 3, 1.5)",
+    "truncated_normal": "out = rs.keyed_truncated_normal(rs.step_keys(5, np.arange(4), 2), rs.ROLE_X0, 3, 1.5)",
     "gaussian InputSchedule.sample": (
         "schedule = InputSchedule(nu=np.ones((2, 2)), ubar=np.stack([np.eye(2), 2 * np.eye(2)]), law='gaussian'); "
         "out = schedule.sample(9, np.arange(4), np.array([0, 1, 2]))"

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import sys
@@ -10,7 +11,6 @@ from multinoise.cli import main
 from multinoise.experiments import (
     ConfigError,
     ExperimentConfig,
-    read_csv_table,
     run_baseline_comparison,
     run_convergence,
     run_equivalence_demo,
@@ -155,7 +155,9 @@ def test_cli_reps_overrides_the_config_of_experiment_and_no_other_command(tmp_pa
     p.write_text(json.dumps({"preset": "paper-4.1", "input_laws": ["uniform"], "n_r_grid": [50, 200], "reps": 3}))
     out = tmp_path / "convergence"
     assert main(["experiment", "convergence", "--config", str(p), "--reps", "2", "--out", str(out)]) == 0
-    assert len(read_csv_table(out / "convergence_raw.csv")[1]) == 4  # 2 grid points x 2 reps
+    with open(out / "convergence_raw.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert len(rows) == 4  # 2 grid points x 2 reps
     capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
         main(["oracle", "--preset", "paper-4.1", "--reps", "3", "--out", str(tmp_path / "oracle")])
@@ -238,7 +240,8 @@ def test_convergence_report_and_determinism(tmp_path):
     rep2.write(out2)
     for name in ("convergence_raw.csv", "convergence_summary.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-    header, rows = read_csv_table(out1 / "convergence_raw.csv")
+    with open(out1 / "convergence_raw.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
     assert header[:4] == ["law", "n_r", "rep", "seed"]
     assert len(rows) == len(SMALL["n_r_grid"]) * SMALL["reps"]
     assert "uniform" in rep1.summary["laws"]
@@ -264,7 +267,8 @@ def test_csv_round_trips_through_import(tmp_path):
     paths = rep.write(tmp_path)
     csvs = [p for p in paths if p.suffix == ".csv"]
     for p in csvs:
-        header, rows = read_csv_table(p)
+        with open(p, newline="") as fh:
+            header, *rows = csv.reader(fh)
         # rewrite from the imported values and compare bytes
         import csv as _csv
 
@@ -346,7 +350,8 @@ def test_baseline_comparison_small(tmp_path):
     paths = rep.write(tmp_path)
     names = {p.name for p in paths}
     assert "baseline_paper-4.2-rho1.0_RLS.csv" in names
-    header, rows = read_csv_table(tmp_path / "baseline_paper-4.2-rho1.0_RLS.csv")
+    with open(tmp_path / "baseline_paper-4.2-rho1.0_RLS.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
     assert header == ["samples", "err_AB", "err_Sigma", "diverged"]
     # matched sample counts: 4 * n_r
     assert [int(float(r[0])) for r in rows] == [200, 800]
@@ -512,9 +517,11 @@ def test_cli_assertion_failure_exit_3(tmp_path, monkeypatch):
 def test_cli_bounds_outputs(tmp_path):
     rc = main(["bounds", "--preset", "paper-4.1", "--n-r", "500", "--out", str(tmp_path)])
     assert rc == 0
-    header, rows = read_csv_table(tmp_path / "delta_bounds.csv")
+    with open(tmp_path / "delta_bounds.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
     assert header == ["epsilon", "delta_Y", "delta_YZ", "delta_ZZ", "delta_AB"]
-    header, rows = read_csv_table(tmp_path / "eta_bounds.csv")
+    with open(tmp_path / "eta_bounds.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
     assert header == ["epsilon", "eta_D", "eta_C", "eta_CD", "eta_DD", "eta"]
     assert len(rows) == 10
 

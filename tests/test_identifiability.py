@@ -234,6 +234,20 @@ def test_uniqueness_requires_covariances_of_the_system_size():
         classify_uniqueness(2, 2, np.eye(4), np.eye(2))
 
 
+def test_the_class_and_the_verdict_check_their_sizes_where_they_enter():
+    with pytest.raises(ValueError, match=r"^SigmaA_tilde shape \(2, 2\) != \(3, 3\)$"):
+        equivalence_class(np.zeros((2, 2)), np.zeros((3, 1)), 2, 1)
+    with pytest.raises(ValueError, match=r"^SigmaB_tilde shape \(3, 2\) != \(3, 1\)$"):
+        equivalence_class(np.zeros((3, 3)), np.zeros((3, 2)), 2, 1)
+    for n, m, bad in ((0, 1, "n"), (1, 0, "m"), (2.0, 1, "n"), (2, True, "m")):
+        with pytest.raises(ValueError, match=f"^{bad} must be a positive integer, got "):
+            equivalence_class(np.zeros((3, 3)), np.zeros((3, 1)), n, m)
+        with pytest.raises(ValueError, match=f"^{bad} must be a positive integer, got "):
+            classify_uniqueness(n, m, np.zeros((0, 0)), np.zeros((0, 0)))
+    ec = equivalence_class(BENCH_SIGMA_A_TILDE.tolist(), BENCH_SIGMA_B_TILDE, np.int64(2), np.int64(1))
+    assert ec.to_json() == equivalence_class(BENCH_SIGMA_A_TILDE, BENCH_SIGMA_B_TILDE, 2, 1).to_json()
+
+
 # --- constrained recovery ----------------------------------------------------------
 
 

@@ -36,21 +36,21 @@ def test_different_seeds_differ():
 
 
 def test_uniform_unit_variance_moments_and_support():
-    z = rs.unit_variance(42, np.arange(200_000), 0, rs.ROLE_NOISE_A, 2, "uniform")
+    z = rs.keyed_unit_variance(rs.step_keys(42, np.arange(200_000), 0), rs.ROLE_NOISE_A, 2, "uniform")
     assert np.max(np.abs(z)) <= np.sqrt(3.0) + 1e-12
     assert abs(z.mean()) < 0.01
     assert abs(z.var() - 1.0) < 0.01
 
 
 def test_gaussian_unit_variance_moments():
-    z = rs.unit_variance(42, np.arange(100_000), 1, rs.ROLE_NOISE_B, 2, "gaussian")
+    z = rs.keyed_unit_variance(rs.step_keys(42, np.arange(100_000), 1), rs.ROLE_NOISE_B, 2, "gaussian")
     assert abs(z.mean()) < 0.01
     assert abs(z.var() - 1.0) < 0.02
 
 
 def test_truncated_normal_support_and_variance():
     r = 1.5
-    z = rs.truncated_normal(9, np.arange(100_000), 0, rs.ROLE_X0, 2, r)
+    z = rs.keyed_truncated_normal(rs.step_keys(9, np.arange(100_000), 0), rs.ROLE_X0, 2, r)
     assert np.max(np.abs(z)) <= r + 1e-12
     expected = scipy.stats.truncnorm.var(-r, r)
     assert abs(z.var() - expected) < 0.01
@@ -60,9 +60,9 @@ def test_time_array_draws_equal_stacked_scalar_draws():
     ks, ts = np.arange(6), np.array([0, 1, 2, 7, 40, 1000])
     draws = {
         "uniform01": lambda k, t: rs.uniform01(5, k, t, rs.ROLE_NOISE_A, 3),
-        "uniform": lambda k, t: rs.unit_variance(5, k, t, rs.ROLE_INPUT, 2, "uniform"),
-        "gaussian": lambda k, t: rs.unit_variance(5, k, t, rs.ROLE_INPUT, 2, "gaussian"),
-        "truncated": lambda k, t: rs.truncated_normal(5, k, t, rs.ROLE_X0, 4, 1.5),
+        "uniform": lambda k, t: rs.keyed_unit_variance(rs.step_keys(5, k, t), rs.ROLE_INPUT, 2, "uniform"),
+        "gaussian": lambda k, t: rs.keyed_unit_variance(rs.step_keys(5, k, t), rs.ROLE_INPUT, 2, "gaussian"),
+        "truncated": lambda k, t: rs.keyed_truncated_normal(rs.step_keys(5, k, t), rs.ROLE_X0, 4, 1.5),
     }
     for name, draw in draws.items():
         whole = draw(ks, ts)
@@ -106,10 +106,10 @@ def test_in_place_mixing_draws_equal_out_of_place_reference():
     for k, t in ((np.arange(7), 3), (5, 2), (np.arange(4), np.array([0, 9]))):
         u = _reference_uniform01(seed, k, t, role, 3)
         assert np.array_equal(rs.uniform01(seed, k, t, role, 3), u)
-        assert np.array_equal(rs.unit_variance(seed, k, t, role, 3, "uniform"), (2.0 * u - 1.0) * np.sqrt(3.0))
-        assert np.array_equal(rs.unit_variance(seed, k, t, role, 3, "gaussian"), scipy.special.ndtri(u))
+        assert np.array_equal(rs.keyed_unit_variance(rs.step_keys(seed, k, t), role, 3, "uniform"), (2.0 * u - 1.0) * np.sqrt(3.0))
+        assert np.array_equal(rs.keyed_unit_variance(rs.step_keys(seed, k, t), role, 3, "gaussian"), scipy.special.ndtri(u))
         lo, hi = scipy.special.ndtr(-1.5), scipy.special.ndtr(1.5)
-        assert np.array_equal(rs.truncated_normal(seed, k, t, role, 3, 1.5), scipy.special.ndtri(lo + u * (hi - lo)))
+        assert np.array_equal(rs.keyed_truncated_normal(rs.step_keys(seed, k, t), role, 3, 1.5), scipy.special.ndtri(lo + u * (hi - lo)))
 
 
 @pytest.mark.parametrize(

@@ -896,6 +896,38 @@ def test_a_block_that_raises_gives_its_workspace_back():
         assert np.array_equal(x, y)
 
 
+def test_workspace_takes_spill_into_new_segments_and_are_reused_after_release(monkeypatch):
+    monkeypatch.setattr(system_model, "_SEGMENT", 4096)
+    ws = system_model._Workspace()
+    empty = ws.mark()
+    shapes = [((300,), float), ((200,), np.uint64), ((5, 7), float), ((3000,), float), ((10,), float)]
+
+    def take_all():
+        arrays = [ws.take(shape, dtype) for shape, dtype in shapes]
+        for i, (a, (shape, dtype)) in enumerate(zip(arrays, shapes)):
+            assert a.shape == shape and a.dtype == dtype and a.ctypes.data % system_model._ALIGN == 0
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :])
+        return arrays
+
+    arrays = take_all()
+    # 2400 and 1600 bytes fill the first segment; 280 bytes start the second;
+    # 24000 bytes get a segment of their own size; the last take starts a fourth
+    segments = list(ws._segments)
+    assert [s.size for s in segments] == [4096, 4096, 24000, 4096]
+    assert [[np.shares_memory(a, s) for s in segments].index(True) for a in arrays] == [0, 0, 1, 2, 3]
+    addresses = [a.ctypes.data for a in arrays]
+    ws.release(empty)
+    assert [a.ctypes.data for a in take_all()] == addresses
+    assert len(ws._segments) == 4 and all(a is b for a, b in zip(ws._segments, segments))
+    # 8000 bytes past the first segment's 2400 replace the second segment, which is too small, and no other
+    ws.release(empty)
+    small, big = ws.take((300,)), ws.take((1000,))
+    assert ws._segments[1].size == 8000 and np.shares_memory(big, ws._segments[1])
+    assert all(ws._segments[i] is segments[i] for i in (0, 2, 3)) and len(ws._segments) == 4
+    assert small.ctypes.data == addresses[0] and not np.shares_memory(small, big)
+    assert big.ctypes.data % system_model._ALIGN == 0
+
+
 def test_closing_the_blocks_early_leaves_no_thread_behind(monkeypatch):
     b = get_preset("paper-4.1")
     _workers(monkeypatch, 2)
@@ -961,6 +993,21 @@ def test_each_entry_of_a_seed_vector_follows_the_lone_seed_rule():
     for seeds, index in (([1.5, 5], 0), ([5, np.float64(2.0)], 1)):
         with pytest.raises(ValueError, match=f"^seed {index} must be an integer, got "):
             mals(b.system, b.schedule, b.init, 10, seed=seeds)
+
+
+@pytest.mark.parametrize("seed", [2.5, np.float64(3.0), "a", None])
+def test_a_lone_seed_that_is_not_an_integer_fails_where_it_enters(monkeypatch, seed):
+    b = get_preset("paper-4.1")
+    _workers(monkeypatch, 2)  # with two blocks the first draw runs on a pool thread
+    match = f"^seed 0 must be an integer, got {re.escape(repr(seed))}$"
+    with pytest.raises(ValueError, match=match):
+        next(iter_rollout_blocks(b.system, b.schedule, b.init, 2 * ROLLOUT_LEAF, seed))
+    with pytest.raises(ValueError, match=match):
+        mals(b.system, b.schedule, b.init, 100, seed=seed)
+    with pytest.raises(ValueError, match=match):
+        simulate_rollouts(b.system, b.schedule, b.init, 10, seed=seed)
+    with pytest.raises(ValueError, match=match):
+        simulate_trajectories(b.system, b.schedule, b.init, np.arange(3), 4, seed)
 
 
 @pytest.mark.parametrize("n_r", [2.5, 3.0, np.float64(3.0), "10", True, False, 0, -2, None])

@@ -124,7 +124,7 @@ def _dirty_workspace():
     law=st.sampled_from(["uniform", "gaussian"]),
 )
 def test_draws_from_shared_step_keys_equal_the_seeded_draws(seed, vector, k0, rows, ts, scalar_t, count, role, law):
-    """Role keys and keyed draws at step keys are stream_keys, uniform01 and unit_variance, per step too."""
+    """Role keys and keyed draws at shared step keys are stream_keys, uniform01 and the keyed draws at fresh step keys, per step too."""
     ks = np.arange(k0, k0 + rows)
     seed = (np.arange(rows, dtype=np.uint64) * np.uint64(7919) + np.uint64(seed % 2**64)) if vector else seed
     t = ts[0] if scalar_t else np.array(ts)
@@ -136,11 +136,11 @@ def test_draws_from_shared_step_keys_equal_the_seeded_draws(seed, vector, k0, ro
     got = rs.keyed_uniform01(steps, role, count, out=out, scratch=scratch)
     assert got is out and np.array_equal(got, rs.uniform01(seed, ks, t, role, count))
     got = rs.keyed_unit_variance(steps, role, count, law, out=out, scratch=scratch)
-    want = rs.unit_variance(seed, ks, t, role, count, law)
+    want = rs.keyed_unit_variance(rs.step_keys(seed, ks, t), role, count, law)
     assert np.array_equal(got, want)
     if not scalar_t:  # a step's draws do not depend on the other steps drawn with it
         for i, ti in enumerate(ts):
-            assert np.array_equal(want[i], rs.unit_variance(seed, ks, ti, role, count, law))
+            assert np.array_equal(want[i], rs.keyed_unit_variance(rs.step_keys(seed, ks, ti), role, count, law))
 
 
 @st.composite
