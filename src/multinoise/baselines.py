@@ -6,14 +6,12 @@ drives them with the MALS input schedule itself, repeating with its period.
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
 from . import rngstream as rs
 from .moment_oracle import lift_nominal
 from .shape_ops import outer_svec, outer_vec, svec_dim
-from .system_model import TIME_CHUNK, FixedInitial, beyond_limit, positive_int, simulate_trajectories
+from .system_model import TIME_CHUNK, FixedInitial, beyond_limit, is_integer, positive_int, simulate_trajectories
 
 __all__ = [
     "rls_fit",
@@ -47,8 +45,7 @@ def _rls_batch(phi, target, checkpoints):
     """
     R, T, d = phi.shape
     p = target.shape[2]
-    integers = all(isinstance(c, numbers.Integral) and not isinstance(c, bool) for c in checkpoints)
-    cps = sorted(set(int(c) for c in checkpoints)) if integers else []
+    cps = sorted(set(int(c) for c in checkpoints)) if all(map(is_integer, checkpoints)) else []
     if not cps or cps[0] < 1 or cps[-1] > T:
         raise ValueError(f"checkpoints must be a non-empty list of integers in 1..{T}, got {list(checkpoints)}")
     S = np.zeros((R, d + p, d + p))
@@ -132,8 +129,7 @@ def rls_batch_estimates(system, input_law, T, reps, seed, checkpoints):
     """rls_fit on reps single trajectories of length T simulated from x_0 = 0.
 
     ``input_law`` and ``seed`` are one law and one seed, or sequences of
-    equal length, each seed an integer taken mod 2^64 (see
-    simulate_single_trajectories); the runs are stacked
+    equal length (see simulate_single_trajectories); the runs are stacked
     law-major, law i's at runs i*reps .. (i+1)*reps - 1, in one simulation
     pass and one rls_fit call, each bit for bit its one-law call.  A diverged
     trajectory's states from x_d (d = diverged_at) on are NaN, so its pair
@@ -150,6 +146,7 @@ class _LawMajor:
 
     def __init__(self, laws):
         self.laws = laws
+        self.m = laws[0].m  # each law's m is the system's (simulate_single_trajectories)
 
     def draw(self, keys, t, out, ws):
         """u_t at step keys ``keys`` (t's axis, then rows) into ``out``: each law draws its block, as alone."""
@@ -173,8 +170,7 @@ def simulate_single_trajectories(system, input_law, T, reps, seed):
     trajectory r's states from it on and its inputs from it on are NaN
     (see simulate_trajectories).  ``input_law`` is one law with one seed, or
     a sequence of laws with one seed per law; one law is the one-law
-    sequence.  Every seed is an integer taken mod 2^64, as stream_keys takes
-    a lone seed; any other seed is a ValueError naming its index.  Law i's
+    sequence.  Seeds follow ``rngstream.seed_words``.  Law i's
     trajectories are rows i*reps .. (i+1)*reps - 1, each row keyed by its own
     law's seed, so each is bit for bit what law i gives alone with seed[i].
     """

@@ -26,7 +26,7 @@ from .mals import EstimationResult, attach_errors, mals, simulated_moments, solv
 from .moment_oracle import propagate_second, propagate_second_reduced
 from .presets import PRESET_NAMES, get_preset
 from .shape_ops import svec_index_pairs
-from .system_model import CovarianceNoise, InputSchedule, make_system
+from .system_model import CovarianceNoise, InputSchedule, is_integer, make_system
 
 __all__ = [
     "ConfigError",
@@ -44,10 +44,6 @@ _LAWS = ("gaussian", "uniform", "deterministic")
 
 class ConfigError(ValueError):
     """Invalid experiment configuration (CLI exit code 2)."""
-
-
-def _is_int(v):
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def _is_positive_real(v):
@@ -107,15 +103,15 @@ class ExperimentConfig:
         # numpy integers are accepted and stored as int, so seeds hash and summaries serialize alike
         for name in ("n_r_grid", "baseline_grid", "tail_grid"):
             g = _entries(getattr(self, name))
-            if not g or not all(_is_int(v) and v >= 1 for v in g) or any(a >= b for a, b in zip(g, g[1:])):
+            if not g or not all(is_integer(v) and v >= 1 for v in g) or any(a >= b for a, b in zip(g, g[1:])):
                 raise ConfigError(f"{name} must be a nonempty strictly ascending list of positive integers")
             setattr(self, name, tuple(map(int, g)))
         for name in ("reps", "tail_reps", "bound_n_r", "demo_n_r", "demo_periods"):
             value = getattr(self, name)
-            if not (_is_int(value) and value >= 1):
+            if not (is_integer(value) and value >= 1):
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
             setattr(self, name, int(value))
-        if not _is_int(self.seed):
+        if not is_integer(self.seed):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         self.seed = int(self.seed)
         if not isinstance(self.out, str):
@@ -123,7 +119,7 @@ class ExperimentConfig:
         eps = _entries(self.eps_grid)
         if eps is None or not all(_is_positive_real(v) for v in eps):
             raise ConfigError(f"eps_grid must be a list of finite positive numbers, got {self.eps_grid!r}")
-        self.eps_grid = tuple(int(v) if _is_int(v) else float(v) for v in eps)
+        self.eps_grid = tuple(int(v) if is_integer(v) else float(v) for v in eps)
         self.baseline_systems = _known_names(self, "baseline_systems", PRESET_NAMES, "baseline system")
 
     @classmethod

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .shape_ops import expand_both, outer_vec, reshape_F, svec_dim, svec_index
+from .shape_ops import expand_both, outer_vec, require_shape, reshape_F, svec_dim, svec_index
 from .system_model import is_psd, positive_int
 
 __all__ = [
@@ -148,15 +148,9 @@ class EquivalenceClass:
     def __post_init__(self):
         """n and m as positive ints, and the reduced matrices as float arrays of their shapes, or a ValueError."""
         self.n, self.m = positive_int(self.n, "n"), positive_int(self.m, "m")
-        self.sigma_a_tilde = np.asarray(self.sigma_a_tilde, dtype=float)
-        self.sigma_b_tilde = np.asarray(self.sigma_b_tilde, dtype=float)
         nt, mt = svec_dim(self.n), svec_dim(self.m)
-        for name, sigma, shape in (
-            ("SigmaA_tilde", self.sigma_a_tilde, (nt, nt)),
-            ("SigmaB_tilde", self.sigma_b_tilde, (nt, mt)),
-        ):
-            if sigma.shape != shape:
-                raise ValueError(f"{name} shape {sigma.shape} != {shape}")
+        self.sigma_a_tilde = require_shape("SigmaA_tilde", self.sigma_a_tilde, (nt, nt))
+        self.sigma_b_tilde = require_shape("SigmaB_tilde", self.sigma_b_tilde, (nt, mt))
 
     @property
     def d_alpha(self):
@@ -239,11 +233,8 @@ def classify_uniqueness(n, m, sigma_a, sigma_b):
     n and m must be positive integers, sigma_a (n^2, n^2) and sigma_b (nm, nm).
     """
     n, m = positive_int(n, "n"), positive_int(m, "m")
-    sigma_a = np.asarray(sigma_a, dtype=float)
-    sigma_b = np.asarray(sigma_b, dtype=float)
-    for name, sigma, d in (("SigmaA", sigma_a, n * n), ("SigmaB", sigma_b, n * m)):
-        if sigma.shape != (d, d):
-            raise ValueError(f"{name} shape {sigma.shape} != {(d, d)}")
+    sigma_a = require_shape("SigmaA", sigma_a, (n * n, n * n))
+    sigma_b = require_shape("SigmaB", sigma_b, (n * m, n * m))
     a_part, a_reason = _block_uniqueness(n, sigma_a, "n", "state", "SigmaA")
     b_part, b_reason = _block_uniqueness(m, sigma_b, "m", "input", "SigmaB")
     reasons = [a_reason, b_reason]
@@ -262,20 +253,21 @@ class IndependenceConstraints:
     For every (i<j, k<l) the constraint is
     gamma * E{Abar_ik Abar_jl} + delta * E{Abar_il Abar_jk} = tau with
     gamma != delta.  The defaults (gamma=1, delta=-1, tau=0) encode mutually
-    independent entries of Abar.
+    independent entries of Abar.  n must be a positive integer, and tau
+    hold one entry per pair of pairs, in any shape of that size.
     """
 
     def __init__(self, n, gamma=1.0, delta=-1.0, tau=None):
         if gamma == delta:
             raise ValueError("constraints need gamma != delta for every pair")
-        self.n = n
-        pairs = off_pairs(n)
+        self.n = positive_int(n, "n")
+        pairs = len(off_pairs(self.n))
         self.gamma = float(gamma)
         self.delta = float(delta)
-        if tau is None:
-            self.tau = np.zeros((len(pairs), len(pairs)))
-        else:
-            self.tau = np.asarray(tau, dtype=float).reshape(len(pairs), len(pairs))
+        self.tau = np.zeros((pairs, pairs)) if tau is None else np.asarray(tau, dtype=float)
+        if self.tau.size != pairs * pairs:
+            raise ValueError(f"tau shape {self.tau.shape} != {(pairs, pairs)}")
+        self.tau = self.tau.reshape(pairs, pairs)
 
 
 def recover_under_constraints(sigma_a_tilde, constraints):

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import rngstream as rs
 from .moment_oracle import (
     RANK_TOL,
     MomentTrajectory,
@@ -40,16 +41,19 @@ def design_inputs(m, ell, input_law="uniform", seed=0):
 
     Means nu_t are i.i.d. uniform on [0,1]^m.  Covariances Ubar_t are i.i.d.
     Wishart with scale WISHART_SCALE * I_m and m degrees of freedom (Bartlett
-    draw), or identically zero when input_law = "deterministic".
+    draw), or identically zero when input_law = "deterministic".  The seed
+    follows ``rngstream.seed_words``, and the schedule keeps it as an int.
     """
     m, ell = positive_int(m, "m"), positive_int(ell, "ell")
-    rng = np.random.default_rng(np.random.SeedSequence([0x5EED, seed]))
+    if np.ndim(seed):
+        raise ValueError(f"design_inputs takes one scalar seed, got an array of shape {np.shape(seed)}")
+    rng = np.random.default_rng(np.random.SeedSequence([0x5EED, int(rs.seed_words(seed))]))
     nu = rng.random((ell, m))
     ubar = np.zeros((ell, m, m))
     if input_law != "deterministic":
         for t in range(ell):
             ubar[t] = _wishart_bartlett(rng, m, WISHART_SCALE)
-    return InputSchedule(nu=nu, ubar=ubar, law=input_law, seed=seed)
+    return InputSchedule(nu=nu, ubar=ubar, law=input_law, seed=int(seed))
 
 
 def _wishart_bartlett(rng, m, scale):
@@ -166,13 +170,14 @@ class EstimationResult:
     def to_json(self):
         return json.dumps(
             {
-                "A_hat": self.A_hat.tolist(),
-                "B_hat": self.B_hat.tolist(),
-                "SigmaA_tilde_hat": self.sigma_a_tilde_hat.tolist(),
-                "SigmaB_tilde_hat": self.sigma_b_tilde_hat.tolist(),
+                "A_hat": self.A_hat,
+                "B_hat": self.B_hat,
+                "SigmaA_tilde_hat": self.sigma_a_tilde_hat,
+                "SigmaB_tilde_hat": self.sigma_b_tilde_hat,
                 "diagnostics": self.diagnostics,
                 "errors": self.errors,
-            }
+            },
+            default=np.ndarray.tolist,
         )
 
 

@@ -19,12 +19,13 @@ from .shape_ops import (
     outer_vec,
     reduce_both,
     reduce_rows,
+    require_shape,
     reshape_G,
     smat,
     svec,
     svec_dim,
 )
-from .system_model import is_psd
+from .system_model import check_setup, is_psd
 
 __all__ = [
     "LiftedDynamics",
@@ -147,17 +148,17 @@ def propagate_second_reduced(A, B, sigma_a_tilde, sigma_b_tilde, schedule, mu0, 
 
     Also runs the recursion under *estimated* quantities, where no full
     covariance pair is available.  x_t0 defaults to svec(mu0 mu0')
-    (deterministic start); smat(x_t0) - mu0 mu0' must be PSD.  The schedule's
-    m and mu0's n must match (A, B).
+    (deterministic start); smat(x_t0) - mu0 mu0' must be PSD.  The schedule,
+    mu0 and the reduced covariances must fit (A, B).
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     n = A.shape[0]
     mu0 = np.asarray(mu0, dtype=float).ravel()
-    if schedule.m != B.shape[1]:
-        raise ValueError(f"schedule input dim {schedule.m} != system m {B.shape[1]}")
-    if mu0.size != n:
-        raise ValueError(f"initial state dim {mu0.size} != system n {n}")
+    check_setup(n, B.shape[1], schedule.m, mu0.size)
+    nt, mt = svec_dim(n), svec_dim(schedule.m)
+    sigma_a_tilde = require_shape("SigmaA_tilde", sigma_a_tilde, (nt, nt))
+    sigma_b_tilde = require_shape("SigmaB_tilde", sigma_b_tilde, (nt, mt))
     A_t, B_t, K_BA, K_AB = lift_nominal(A, B)
     if x_t0 is None:
         x_t0 = svec(np.outer(mu0, mu0))
@@ -167,10 +168,10 @@ def propagate_second_reduced(A, B, sigma_a_tilde, sigma_b_tilde, schedule, mu0, 
         raise ValueError("initial second moment minus mu0 mu0' is not PSD")
     mu = propagate_first(A, B, schedule, mu0)
     w, w_p, u_t = input_moments(mu, schedule)
-    x_t = np.empty((schedule.ell + 1, svec_dim(n)))
+    x_t = np.empty((schedule.ell + 1, nt))
     x_t[0] = x_t0
-    At = A_t + np.asarray(sigma_a_tilde, dtype=float)
-    Bt = B_t + np.asarray(sigma_b_tilde, dtype=float)
+    At = A_t + sigma_a_tilde
+    Bt = B_t + sigma_b_tilde
     for t in range(schedule.ell):
         x_t[t + 1] = At @ x_t[t] + Bt @ u_t[t] + K_BA @ w[t] + K_AB @ w_p[t]
     return MomentTrajectory(mu=mu, x_t=x_t, w=w, w_p=w_p, u_t=u_t, nu=schedule.nu.copy())

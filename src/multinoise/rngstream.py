@@ -68,19 +68,21 @@ def _mix64(z, tmp=None):
     return z
 
 
-def seed_words(seeds):
-    """A sequence of seeds as uint64 words, each taken as ``stream_keys`` takes a lone seed.
+def seed_words(seed):
+    """A lone seed, or a non-empty 1-D vector of seeds, as a uint64 array of its shape.
 
-    Every entry is an integer taken mod 2^64; any other entry is a ValueError
-    naming its index.
+    The package's one seed rule: a seed is an integer taken mod 2^64.  Any
+    other entry is a ValueError naming its index, as is any other shape.
     """
+    if np.ndim(seed) > 1 or np.size(seed) == 0:
+        raise ValueError(f"seed must be a scalar or a non-empty 1-D vector, got shape {np.shape(seed)}")
     words = []
-    for i, seed in enumerate(seeds):
+    for i, entry in enumerate(seed if np.ndim(seed) else [seed]):
         try:
-            words.append(operator.index(seed) & _MASK64)
+            words.append(operator.index(entry) & _MASK64)
         except TypeError:
-            raise ValueError(f"seed {i} must be an integer, got {seed!r}") from None
-    return np.array(words, dtype=np.uint64)
+            raise ValueError(f"seed {i} must be an integer, got {entry!r}") from None
+    return np.array(words, dtype=np.uint64).reshape(np.shape(seed))
 
 
 def step_keys(seed, k, t, out=None, tmp=None):
@@ -102,7 +104,7 @@ def step_keys(seed, k, t, out=None, tmp=None):
         except ValueError:
             raise ValueError(f"seed array of shape {seed.shape} does not broadcast against k {k.shape}") from None
     else:
-        seed = np.uint64(operator.index(seed) & _MASK64)
+        seed = seed_words(seed)
     with np.errstate(over="ignore"):
         s = _mix64(seed + _GAMMA)
         s = _mix64(s ^ ((k + np.uint64(1)) * _GAMMA))
@@ -121,7 +123,7 @@ def role_keys(steps, role, out=None, tmp=None):
 def stream_keys(seed, k, t, role):
     """64-bit stream seeds for rollout indices ``k`` (scalar or array).
 
-    ``seed`` is an integer (taken mod 2^64) or an array of non-negative
+    ``seed`` is a lone seed (``seed_words``) or an array of non-negative
     integers broadcasting against ``k``: key j is stream_keys(seed[j], k[j],
     t, role).  ``t`` is a time index or a 1-D array of them; an array adds a
     leading time axis, giving shape (len(t),) + shape(k).  The hash is the

@@ -21,6 +21,7 @@ import numpy as np
 __all__ = [
     "vec",
     "mat",
+    "require_shape",
     "svec",
     "smat",
     "svec_dim",
@@ -58,6 +59,14 @@ def mat(v, p, q):
     if v.size != p * q:
         raise ValueError(f"mat: vector length {v.size} != {p}*{q}")
     return v.reshape(p, q, order="F")
+
+
+def require_shape(name, a, shape):
+    """``a`` as a float array; a ValueError naming ``name`` and both shapes unless it has ``shape``."""
+    a = np.asarray(a, dtype=float)
+    if a.shape != shape:
+        raise ValueError(f"{name} shape {a.shape} != {shape}")
+    return a
 
 
 def svec_dim(n):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rngstream as rs
-from .shape_ops import vec
+from .shape_ops import require_shape, vec
 
 __all__ = [
     "ZeroNoise",
@@ -41,6 +41,8 @@ __all__ = [
     "beyond_limit",
     "is_psd",
     "simulate_trajectories",
+    "check_setup",
+    "is_integer",
     "positive_int",
     "iter_rollout_blocks",
     "simulate_rollouts",
@@ -150,14 +152,10 @@ class CovarianceNoise(_NoiseLaw):
         self._LB = _psd_factor(self.sigma_b, "SigmaB")
 
     def implied_sigma_a(self, n):
-        if self.sigma_a.shape != (n * n, n * n):
-            raise ValueError(f"SigmaA shape {self.sigma_a.shape} != {(n * n, n * n)}")
-        return self.sigma_a
+        return require_shape("SigmaA", self.sigma_a, (n * n, n * n))
 
     def implied_sigma_b(self, n, m):
-        if self.sigma_b.shape != (n * m, n * m):
-            raise ValueError(f"SigmaB shape {self.sigma_b.shape} != {(n * m, n * m)}")
-        return self.sigma_b
+        return require_shape("SigmaB", self.sigma_b, (n * m, n * m))
 
     def bounds(self, n, m):
         """A.s. spectral-norm bounds (via ||.||_F <= ||L||_2 ||z||); None if unbounded."""
@@ -412,6 +410,8 @@ class InputSchedule:
             raise ValueError(f"unknown input law {self.law!r}")
         if self.nu.shape[0] != self.ubar.shape[0] or self.ubar.shape[1:] != (self.m, self.m):
             raise ValueError("schedule shapes inconsistent")
+        if self.ell < 1:
+            raise ValueError("schedule length must be >= 1")
         _require_finite(self.nu, "nu")
         _require_finite(self.ubar, "Ubar")
         if self.law == "deterministic" and np.any(self.ubar != 0):
@@ -640,19 +640,15 @@ _HEADER_KEYS = ("n", "m", "ell", "n_r", "seed", "schedule")
 _ROLLOUTS_OPEN = ', "rollouts": ['
 
 
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _check_header(d):
     """Raise InputError unless the header fields of ``d``, an object holding them all, are valid."""
     for key in ("n", "m", "ell", "n_r"):
-        if not _is_int(d[key]) or d[key] < 1:
+        if not is_integer(d[key]) or d[key] < 1:
             raise InputError(f"rollout JSON field {key!r} must be a positive integer")
-    if not _is_int(d["seed"]):
+    if not is_integer(d["seed"]):
         raise InputError("rollout JSON field 'seed' must be an integer")
     _require_fields(d["schedule"], ("nu", "Ubar", "law"), "rollout JSON field 'schedule'")
-    if d["schedule"].get("seed") is not None and not _is_int(d["schedule"]["seed"]):
+    if d["schedule"].get("seed") is not None and not is_integer(d["schedule"]["seed"]):
         raise InputError("rollout JSON field schedule.seed must be an integer or null")
 
 
@@ -868,13 +864,12 @@ def iter_rollout_blocks(system, schedule, init, n_r, seed, reduce=lambda *leaf: 
     simulated its leaf, so a caller that keeps only a leaf's sums holds at
     most the leaves of that window.  Every (seed, rollout, time, role) tuple
     draws from its own keyed stream, so a rollout depends neither on its
-    block nor on the thread that ran it.  Each entry of a seed vector is an
-    integer taken mod 2^64, as a lone seed is (``rngstream.seed_words``).
-    The arguments are checked when iteration starts: n_r must be a positive
-    integer (a bool is not one) and a lone seed an integer; a diverged state
-    raises SimulationDiverged naming, for the first diverging repetition, the
-    earliest step at which a rollout of its first diverging leaf diverged,
-    and the lowest rollout index that diverged at that step.
+    block nor on the thread that ran it.  The arguments are checked when
+    iteration starts (``positive_int``, ``check_setup``,
+    ``rngstream.seed_words``); a diverged state raises SimulationDiverged
+    naming, for the first diverging repetition, the earliest step at which a
+    rollout of its first diverging leaf diverged, and the lowest rollout
+    index that diverged at that step.
 
     In a call of more blocks than workers each worker (the calling thread,
     or a pool thread) has one workspace, built when it simulates its first
@@ -887,27 +882,20 @@ def iter_rollout_blocks(system, schedule, init, n_r, seed, reduce=lambda *leaf: 
     are fresh arrays.
     """
     n_r = positive_int(n_r, "n_r")
-    if schedule.ell < 1:
-        raise ValueError("schedule length must be >= 1")
-    if schedule.m != system.m:
-        raise ValueError(f"schedule input dim {schedule.m} != system m {system.m}")
-    if init.mean.size != system.n:
-        raise ValueError(f"initial state dim {init.mean.size} != system n {system.n}")
-    if np.ndim(seed) > 1 or np.size(seed) == 0:
-        raise ValueError(f"seed must be a scalar or a non-empty 1-D vector, got shape {np.shape(seed)}")
-    ell, seeds = schedule.ell, rs.seed_words(seed if np.ndim(seed) else [seed])  # a lone seed stays scalar below
+    check_setup(system.n, system.m, schedule.m, init.mean.size)
+    ell, words = schedule.ell, rs.seed_words(seed)  # 0-d for a lone seed
     per_block = max(1, ROLLOUT_LEAF // n_r)  # repetitions per block
     # one leaf per repetition when per_block > 1
-    blocks = [(r0, k0) for r0 in range(0, len(seeds), per_block) for k0 in range(0, n_r, ROLLOUT_LEAF)]
+    blocks = [(r0, k0) for r0 in range(0, words.size, per_block) for k0 in range(0, n_r, ROLLOUT_LEAF)]
     workers = min(_usable_cpus(), len(blocks))
     spaces = {}  # thread id -> that worker's workspace, dropped with the generator's frame
 
     def simulate(block):
         """The block's leaves, reduced; SimulationDiverged for its first diverged repetition."""
         r0, k0 = block
-        b, block_seeds = min(ROLLOUT_LEAF, n_r - k0), seeds[r0 : r0 + per_block]
+        b, block_seeds = min(ROLLOUT_LEAF, n_r - k0), words.reshape(-1)[r0 : r0 + per_block]
         ks = np.tile(np.arange(k0, k0 + b), len(block_seeds))
-        row_seed = np.repeat(block_seeds, b) if np.ndim(seed) else seed
+        row_seed = np.repeat(block_seeds, b) if words.ndim else words
         # a workspace pays only when a worker may reuse it
         ws = spaces.setdefault(threading.get_ident(), _Workspace()) if len(blocks) > workers else _Fresh()
         states, inputs, diverged_at = _run_trajectories(system, schedule, init, ks, ell, row_seed, ws)
@@ -938,15 +926,28 @@ def iter_rollout_blocks(system, schedule, init, n_r, seed, reduce=lambda *leaf: 
         pool.shutdown(cancel_futures=True)
 
 
-def positive_int(value, name):
-    """``value`` as an int; a ValueError naming ``name`` unless it is a positive integer (a bool is not one)."""
+def check_setup(n, m, input_m, state_n):
+    """Raise a ValueError unless an input law's m and an initial state's n are a system's m and n."""
+    if input_m != m:
+        raise ValueError(f"schedule input dim {input_m} != system m {m}")
+    if state_n != n:
+        raise ValueError(f"initial state dim {state_n} != system n {n}")
+
+
+def is_integer(value):
+    """Whether ``value`` is an integer: it has ``__index__`` (an int or a numpy integer) and is not a bool."""
     try:
-        index = None if isinstance(value, bool) else operator.index(value)
+        operator.index(value)
     except TypeError:
-        index = None
-    if index is None or index < 1:
+        return False
+    return not isinstance(value, bool)
+
+
+def positive_int(value, name):
+    """``value`` as an int; a ValueError naming ``name`` unless it is a positive integer (``is_integer``)."""
+    if not is_integer(value) or operator.index(value) < 1:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
-    return index
+    return operator.index(value)
 
 
 def _usable_cpus():
@@ -974,7 +975,7 @@ def simulate_rollouts(system, schedule, init, n_r, seed):
             inputs = np.empty((n_r,) + us.shape[1:])
         states[k0 : k0 + len(xs)] = xs
         inputs[k0 : k0 + len(us)] = us
-    return RolloutSet(states=states, inputs=inputs, schedule=schedule, seed=seed)
+    return RolloutSet(states=states, inputs=inputs, schedule=schedule, seed=int(seed))
 
 
 def simulate_trajectories(system, input_law, init, ks, T, seed):
@@ -992,16 +993,15 @@ def simulate_trajectories(system, input_law, init, ks, T, seed):
     bound.  Per chunk the (seed, k, t) part of every stream key is hashed
     once (``rngstream.step_keys``), and the laws take those keys, mixing
     only their role on top.  ``ks`` must be a non-empty 1-D array of
-    non-negative integers, a lone ``seed`` an integer, and ``init`` of the
-    system's dimension n.
-    A trajectory ends at its first
-    state beyond DIVERGENCE_LIMIT, at step d: its states from x_d and its
-    inputs from u_d on are NaN.  Each step tests the whole batch, and once the
-    test has fired each row's first step beyond the limit is found at the end
-    of every chunk; rows past it run on, and their steps are overwritten by
-    NaN there.  The recursion stops
-    at the first chunk start at which every trajectory has ended, so no later
-    input or noise is drawn.  Returns states (len(ks), T+1, n), inputs
+    non-negative integers, the laws must fit the system (``check_setup``)
+    and a lone ``seed`` is taken by ``rngstream.seed_words``.  A trajectory
+    ends at its first state beyond DIVERGENCE_LIMIT, at step d: its states
+    from x_d and its inputs from u_d on are NaN.  Each step tests the whole
+    batch, and once the test has fired each row's first step beyond the
+    limit is found at the end of every chunk; rows past it run on, and their
+    steps are overwritten by NaN there.  The recursion stops at the first
+    chunk start at which every trajectory has ended, so no later input or
+    noise is drawn.  Returns states (len(ks), T+1, n), inputs
     (len(ks), T, m) and diverged_at (len(ks),), the first step index whose
     state went beyond the limit (T + 1 if none).
 
@@ -1021,10 +1021,7 @@ def simulate_trajectories(system, input_law, init, ks, T, seed):
         )
     if (ks < 0).any():
         raise ValueError(f"rollout index {ks[ks < 0][0]} is negative")
-    if init.mean.size != system.n:
-        raise ValueError(f"initial state dim {init.mean.size} != system n {system.n}")
-    if not np.ndim(seed):
-        rs.seed_words([seed])  # a lone seed must be an integer, as each entry of a seed array is
+    check_setup(system.n, system.m, input_law.m, init.mean.size)
     return _run_trajectories(system, input_law, init, ks, positive_int(T, "T"), seed, _Fresh())
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -280,6 +281,15 @@ def test_recovery_n1_trivial():
 def test_constraints_reject_gamma_equal_delta():
     with pytest.raises(ValueError):
         IndependenceConstraints(2, gamma=1.0, delta=1.0)
+
+
+def test_constraints_check_n_and_the_size_of_tau():
+    for n in (-1, 0, 2.0, True):
+        with pytest.raises(ValueError, match=f"^n must be a positive integer, got {n!r}$"):
+            IndependenceConstraints(n)
+    with pytest.raises(ValueError, match=re.escape("tau shape (3,) != (1, 1)")):
+        IndependenceConstraints(2, tau=np.zeros(3))
+    assert IndependenceConstraints(3, tau=np.arange(9.0)).tau.shape == (3, 3)  # any shape of the right size
 
 
 def test_recovery_rejects_a_reduced_matrix_of_the_wrong_shape():

@@ -271,6 +271,24 @@ def test_estimation_result_json(bench_system, bench_schedule, zero_init):
 
 # --- stacked repetitions ----------------------------------------------------
 
+
+def test_a_stacked_result_is_written_as_lists_per_repetition():
+    b = get_preset("paper-4.1")
+    stacked = json.loads(mals(b.system, b.schedule, b.init, 20, seed=[1, 2]).to_json())
+    for r, seed in enumerate([1, 2]):
+        one = mals(b.system, b.schedule, b.init, 20, seed=seed)
+        arrays = {"A_hat": one.A_hat, "B_hat": one.B_hat}
+        arrays.update(SigmaA_tilde_hat=one.sigma_a_tilde_hat, SigmaB_tilde_hat=one.sigma_b_tilde_hat)
+        lone = {key: a.tolist() for key, a in arrays.items()}
+        lone.update(diagnostics=one.diagnostics, errors=one.errors)
+        assert one.to_json() == json.dumps(lone)  # a lone result keeps its bytes
+        for key in arrays:
+            assert stacked[key][r] == lone[key], (r, key)
+        for group in ("diagnostics", "errors"):
+            for key, value in lone[group].items():
+                got = stacked[group][key]
+                assert (got if key in ("n_r", "ell") else got[r]) == value, (r, key)
+
 # repetition counts that do not divide ROLLOUT_LEAF; at n_r = 100 the 83
 # repetitions fill one block of 81 and start a second one
 STACK_REPS = {1: 5, 2: 7, 100: 83, LEAF: 3, LEAF + 1: 2}

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -296,6 +298,16 @@ def test_trajectory_csv_export(tmp_path, bench_system, bench_schedule):
     got = np.array([[float(v) for v in row[1:]] for row in rows])
     assert np.allclose(got[:, :2], tr.mu, atol=0)
     assert np.allclose(got[:, 2:], tr.x_t, atol=0)
+
+
+def test_reduced_propagation_checks_the_reduced_covariance_shapes():
+    bundle = get_preset("paper-4.1")
+    system, schedule, mu0 = bundle.system, bundle.schedule, bundle.init.mean
+    ld = lift(system)
+    with pytest.raises(ValueError, match=re.escape("SigmaA_tilde shape (2, 2) != (3, 3)")):
+        propagate_second_reduced(system.A, system.B, np.eye(2), ld.sigma_b_tilde, schedule, mu0)
+    with pytest.raises(ValueError, match=re.escape("SigmaB_tilde shape (3, 3) != (3, 1)")):
+        propagate_second_reduced(system.A, system.B, ld.sigma_a_tilde, np.eye(3), schedule, mu0)
 
 
 def _read_csv(path):

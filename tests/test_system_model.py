@@ -995,7 +995,59 @@ def test_each_entry_of_a_seed_vector_follows_the_lone_seed_rule():
             mals(b.system, b.schedule, b.init, 10, seed=seeds)
 
 
-@pytest.mark.parametrize("seed", [2.5, np.float64(3.0), "a", None])
+def _rollout_setup():
+    b = get_preset("paper-4.1")
+    return b.system, b.schedule, b.init
+
+
+def _single_trajectories(seed):
+    b = get_preset("paper-4.2-rho0.8")
+    return np.concatenate([a.ravel() for a in simulate_single_trajectories(b.system, b.schedule, 5, 2, seed)])
+
+
+def _designed(seed):
+    schedule = design_inputs(1, 4, seed=seed)
+    return np.concatenate([schedule.nu.ravel(), schedule.ubar.ravel()])
+
+
+#: Every seeded entry point, as a function of its lone seed giving what the seed fixes.
+SEEDED = {
+    "mals": lambda seed: mals(*_rollout_setup(), 10, seed=seed).nominal(),
+    "simulated_moments": lambda seed: simulated_moments(*_rollout_setup(), 10, seed).x_t,
+    "simulate_rollouts": lambda seed: simulate_rollouts(*_rollout_setup(), 3, seed).states,
+    "simulate_rollouts.to_json": lambda seed: simulate_rollouts(*_rollout_setup(), 3, seed).to_json(),
+    "iter_rollout_blocks": lambda seed: next(iter_rollout_blocks(*_rollout_setup(), 3, seed))[2],
+    "simulate_trajectories": lambda seed: simulate_trajectories(*_rollout_setup(), np.arange(3), 4, seed)[0],
+    "simulate_single_trajectories": _single_trajectories,
+    "design_inputs": _designed,
+    "stream_keys": lambda seed: rs.stream_keys(seed, np.arange(3), 2, rs.ROLE_INPUT),
+}
+
+
+@pytest.mark.parametrize("entry", list(SEEDED))
+def test_every_seeded_entry_point_takes_a_seed_as_an_integer_mod_2_64(entry):
+    # the rollout file records the seed as given, so -1 and 2^64 - 1 give two texts there
+    same = [(5, np.int64(5), np.uint64(5))] + ([] if entry.endswith("to_json") else [(-1, 2**64 - 1)])
+    for spellings in same:
+        want = SEEDED[entry](spellings[0])
+        for seed in spellings[1:]:
+            assert np.array_equal(SEEDED[entry](seed), want), (entry, seed)
+    if entry.endswith("to_json"):
+        assert json.loads(SEEDED[entry](-1))["seed"] == -1
+
+
+def test_an_entry_point_of_one_seed_rejects_a_seed_vector():
+    b = get_preset("paper-4.1")
+    calls = {
+        "simulate_rollouts": lambda seed: simulate_rollouts(b.system, b.schedule, b.init, 3, seed),
+        "design_inputs": lambda seed: design_inputs(1, 4, seed=seed),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match=rf"^{name} takes one scalar seed, got an array of shape \(2,\)$"):
+            call([1, 2])
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.5, np.float64(3.0), "a", None])
 def test_a_lone_seed_that_is_not_an_integer_fails_where_it_enters(monkeypatch, seed):
     b = get_preset("paper-4.1")
     _workers(monkeypatch, 2)  # with two blocks the first draw runs on a pool thread
@@ -1008,6 +1060,9 @@ def test_a_lone_seed_that_is_not_an_integer_fails_where_it_enters(monkeypatch, s
         simulate_rollouts(b.system, b.schedule, b.init, 10, seed=seed)
     with pytest.raises(ValueError, match=match):
         simulate_trajectories(b.system, b.schedule, b.init, np.arange(3), 4, seed)
+    for call in SEEDED.values():
+        with pytest.raises(ValueError, match=match):
+            call(seed)
 
 
 @pytest.mark.parametrize("n_r", [2.5, 3.0, np.float64(3.0), "10", True, False, 0, -2, None])
@@ -1030,6 +1085,14 @@ def test_trajectories_need_a_row_of_indices_and_an_initial_law_of_the_systems_di
             simulate_trajectories(b.system, b.schedule, b.init, ks, 4, 0)
     with pytest.raises(ValueError, match="^initial state dim 3 != system n 2$"):
         simulate_trajectories(b.system, b.schedule, FixedInitial(np.zeros(3)), np.arange(3), 4, 0)
+    with pytest.raises(ValueError, match="^schedule input dim 2 != system m 1$"):
+        simulate_trajectories(b.system, get_preset("paper-4.1-additive").schedule, b.init, np.arange(3), 4, 0)
+
+
+def test_an_empty_schedule_fails_when_it_is_built():
+    for ubar in (np.zeros((0, 1, 1)), np.eye(1)):  # a lone Ubar is repeated over the steps
+        with pytest.raises(ValueError, match="^schedule length must be >= 1$"):
+            InputSchedule(nu=np.zeros((0, 1)), ubar=ubar)
 
 
 def test_a_law_without_draw_is_an_attribute_error():
